@@ -94,22 +94,6 @@ def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
     Returns (normalized Tensor, batch_mean, batch_var) where the statistics
     are plain arrays for the running-average update.
     """
-    if _conv.bn_forward is not None:
-        out, xhat, m, var = _conv.bn_forward(np.ascontiguousarray(x.data),
-                                             gamma.data, beta.data, eps)
-
-        def backward(g):
-            dx, gsum, ghsum = _conv.bn_backward(np.ascontiguousarray(g), xhat,
-                                                gamma.data, var, eps)
-            if beta.requires_grad:
-                beta._accum(gsum)
-            if gamma.requires_grad:
-                gamma._accum(ghsum)
-            if x.requires_grad:
-                x._accum(dx)
-
-        return Tensor._result(out, (x, gamma, beta), backward, "batchnorm"), m, var
-
     axes = (0, 2, 3)
     m = x.data.mean(axis=axes)
     xc = x.data - m[None, :, None, None]

@@ -133,18 +133,24 @@ def check_gradient_soundness():
             return (dropgraph_forward(t, cfg, params, sched,
                                       RngStream(900 + a, ("fw",)), "train") ** 2).sum()
 
-        if min_relu_margin(f(x)) < 1e-3:
+        out = f(x)
+        if min_relu_margin(out) < 1e-3:
+            continue
+        # An instance whose parameter gradients are all zero checks nothing.
+        out.backward()
+        if not all(p.grad is not None and np.any(p.grad) for p in params.parameters()):
             continue
         err = run(f, x)
-        for p in params.parameters():
-            def fp(t, p=p, a=attempt):
-                old = p.data
-                p.data = t.data
+        for name, p in list(params.named_parameters()):
+            # The checked tensor stands in for the parameter, so the tape
+            # routes the analytic gradient to it.
+            def fp(t, name=name, p=p, a=attempt):
+                setattr(params, name, t)
                 try:
                     return (dropgraph_forward(x, cfg, params, sched,
                                               RngStream(900 + a, ("fw",)), "train") ** 2).sum()
                 finally:
-                    p.data = old
+                    setattr(params, name, p)
 
             err = max(err, run(fp, Tensor(p.data.copy(), requires_grad=True)))
         checked += 1
