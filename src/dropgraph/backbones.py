@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, DimensionError
 from .nn import BatchNorm2d, Conv2d, Linear, Module, global_avg_pool
 from .regularizers import (
+    MASK_KINDS,
     DropGraph,
     RegularizerConfig,
     SchedulerState,
@@ -56,8 +57,8 @@ class TinyResNetConfig:
         self.groups = tuple(tuple(g) for g in self.groups)
         self.regularize_groups = tuple(self.regularize_groups)
         for ch in [self.stem_channels] + [c for _, c in self.groups]:
-            if ch % 4 != 0:
-                raise ConfigError(f"channel counts must be divisible by 4, got {ch}")
+            if ch < 4 or ch % 4 != 0:
+                raise ConfigError(f"channel counts must be positive multiples of 4, got {ch}")
         for g in self.regularize_groups:
             if not (0 <= g < len(self.groups)):
                 raise ConfigError(
@@ -67,6 +68,16 @@ class TinyResNetConfig:
     def spatial_size_of_group(self, group: int) -> int:
         # Groups after the first start with a stride-2 block.
         return self.image_size // (2**group)
+
+    def check_block_size(self, reg_kind: str, block_size: int):
+        """Mask-sampling regularizers need every regularized map to hold one block."""
+        if reg_kind not in MASK_KINDS:
+            return
+        for g in self.regularize_groups:
+            size = self.spatial_size_of_group(g)
+            if size < block_size:
+                raise ConfigError(f"block_size {block_size} exceeds the group {g} "
+                                  f"feature map ({size}x{size})")
 
 
 class ResidualBlock(Module):
@@ -118,14 +129,7 @@ class TinyResNet(Module):
         super().__init__()
         self.cfg = cfg
         reg_cfg = reg_cfg or RegularizerConfig()
-        if reg_kind not in ("none", "pgr"):
-            for g in cfg.regularize_groups:
-                size = cfg.spatial_size_of_group(g)
-                if size < reg_cfg.block_size:
-                    raise ConfigError(
-                        f"group {g} feature map ({size}x{size}) smaller than "
-                        f"block_size {reg_cfg.block_size}"
-                    )
+        cfg.check_block_size(reg_kind, reg_cfg.block_size)
         self.stem = Conv2d(cfg.in_channels, cfg.stem_channels, 3, rng.child("stem"),
                            stride=1, padding=1)
         self.stem_bn = BatchNorm2d(cfg.stem_channels)
@@ -143,7 +147,7 @@ class TinyResNet(Module):
                         spatial_size=(size, size), pgr_strategy=pgr_strategy,
                         pgr_active_in_eval=pgr_active_in_eval)
                     reg_index += 1
-                    if cfg.regularize_skip and reg_kind in ("dropgraph", "dropblock"):
+                    if cfg.regularize_skip and reg_kind in MASK_KINDS:
                         skip_reg = make_regularizer(
                             reg_kind, cout, reg_cfg, rng.child("reg", reg_index),
                             spatial_size=(size, size))

@@ -9,54 +9,44 @@ Subcommands:
   CSV for plotting.
 * ``verify`` - run the invariant suite and print a pass/fail table.
 
+``--seeds``, ``--out-dir``, ``--threads`` and each sweep value are applied as
+``key = value`` lines appended to the config file's text, so they pass the
+same parser and checks as the file itself; a bad override is a config error.
+
 Exit codes: 0 success, 1 verification failure, 2 configuration/parse error,
-3 training divergence.
+3 training divergence.  A config error prints one ``error: <key or section>:
+<message>`` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .config import ExperimentConfig, config_to_text, parse_config_file
-from .data import (
-    SbmGraphSpec,
-    SyntheticImageSpec,
-    gen_images,
-    gen_sbm,
-    save_graph_dataset,
-    save_image_dataset,
-)
+from .config import _FIELD_BY_KEY, ExperimentConfig, config_to_text, parse_config
+from .data import gen_images, gen_sbm, save_graph_dataset, save_image_dataset
 from .errors import ConfigError, DropGraphError
 from .train import multi_seed, summarize_records, write_run_records
 from .verify import CHECK_NAMES, run_checks
 
+# sweep axis -> config key
 SWEEP_AXES = {
-    "alpha": ("reg_alpha", float),
-    "rho": ("reg_rho", float),
-    "adjacency_mode": ("reg_adjacency", str),
-    "scheduler": ("reg_scheduler", str),
+    "alpha": "reg.alpha",
+    "rho": "reg.rho",
+    "adjacency_mode": "reg.adjacency",
+    "scheduler": "reg.scheduler",
 }
 
 
-def _revalidate(cfg: ExperimentConfig) -> ExperimentConfig:
-    # replace() skips validation; round-trip through the parser restores it
-    from .config import parse_config
-
-    return parse_config(config_to_text(cfg))
-
-
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
-    if args.seeds:
-        updates["seeds"] = tuple(int(s) for s in args.seeds.split(","))
-    if args.out_dir:
-        updates["out_dir"] = args.out_dir
-    if args.threads:
-        updates["threads"] = args.threads
-    return _revalidate(replace(cfg, **updates)) if updates else cfg
+def _config_text(args) -> str:
+    """The config file's text with the command-line overrides appended."""
+    lines = [Path(args.config).read_text(encoding="utf-8")]
+    for key, value in (("seeds", args.seeds), ("out_dir", args.out_dir),
+                       ("threads", args.threads)):
+        if value is not None:
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines)
 
 
 def _print_header(cfg: ExperimentConfig, command: str):
@@ -66,18 +56,9 @@ def _print_header(cfg: ExperimentConfig, command: str):
 
 def _write_dataset_cache(cfg: ExperimentConfig, out_dir: Path):
     if cfg.task == "image":
-        spec = SyntheticImageSpec(
-            classes=cfg.data_classes, image_size=cfg.data_image_size,
-            train_count=cfg.data_train_count, val_count=cfg.data_val_count,
-            noise_std=cfg.data_noise_std, seed=cfg.data_seed)
-        save_image_dataset(gen_images(spec), out_dir / "dataset.dgd")
+        save_image_dataset(gen_images(cfg.image_spec()), out_dir / "dataset.dgd")
     else:
-        spec = SbmGraphSpec(
-            nodes=cfg.data_nodes, communities=cfg.data_communities,
-            p_in=cfg.data_p_in, p_out=cfg.data_p_out,
-            labeled_per_class=cfg.data_labeled_per_class,
-            feature_noise=cfg.data_feature_noise,
-            feature_dim=cfg.data_feature_dim, seed=cfg.data_seed)
+        spec = cfg.graph_spec()
         save_graph_dataset(gen_sbm(spec), spec, out_dir / "dataset.dgd")
 
 
@@ -102,24 +83,13 @@ def _summary_rows(label: str, records, summary):
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = _apply_overrides(parse_config_file(args.config), args)
-    except FileNotFoundError:
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = parse_config(_config_text(args))
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _print_header(cfg, "run")
     (out_dir / "config.txt").write_text(config_to_text(cfg), encoding="utf-8")
     _write_dataset_cache(cfg, out_dir)
-    try:
-        records = multi_seed([cfg], cfg.seeds, threads=cfg.threads)[0]
-    except DropGraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    records = multi_seed([cfg], cfg.seeds, threads=cfg.threads)[0]
     write_run_records(out_dir / "runs.jsonl", cfg, records)
     summary = summarize_records(records)
     lines = [_SUMMARY_COLUMNS] + _summary_rows("run", records, summary)
@@ -135,35 +105,19 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        cfg = _apply_overrides(parse_config_file(args.config), args)
-    except FileNotFoundError:
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.axis not in SWEEP_AXES:
-        print(f"error: --axis must be one of {sorted(SWEEP_AXES)}", file=sys.stderr)
-        return 2
-    field_name, caster = SWEEP_AXES[args.axis]
-    try:
-        values = [caster(v.strip()) for v in args.values.split(",") if v.strip()]
-        if not values:
-            raise ConfigError("--values is empty")
-        sweep_cfgs = [_revalidate(replace(cfg, **{field_name: v})) for v in values]
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    text = _config_text(args)
+    cfg = parse_config(text)
+    key = SWEEP_AXES[args.axis]
+    raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
+    if not raw_values:
+        raise ConfigError("--values: no value given")
+    sweep_cfgs = [parse_config(f"{text}\n{key} = {v}") for v in raw_values]
+    values = [getattr(c, _FIELD_BY_KEY[key]) for c in sweep_cfgs]
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _print_header(cfg, f"sweep --axis {args.axis}")
     _write_dataset_cache(cfg, out_dir)
-    try:
-        groups = multi_seed(sweep_cfgs, cfg.seeds, threads=cfg.threads)
-    except DropGraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    groups = multi_seed(sweep_cfgs, cfg.seeds, threads=cfg.threads)
     long_rows = [f"{args.axis},seed,status,final_train_acc,final_val_acc,generalization_gap"]
     diverged = False
     for value, sub_cfg, records in zip(values, sweep_cfgs, groups):
@@ -201,7 +155,7 @@ def main(argv=None) -> int:
     def add_shared(p):
         p.add_argument("--seeds", help="comma list overriding the config's seeds")
         p.add_argument("--out-dir", help="output directory override")
-        p.add_argument("--threads", type=int, help="worker processes for independent runs")
+        p.add_argument("--threads", help="worker processes for independent runs")
 
     p_run = sub.add_parser("run", help="run one experiment over its seeds")
     p_run.add_argument("config")
@@ -210,7 +164,7 @@ def main(argv=None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="sweep one regularizer axis")
     p_sweep.add_argument("config")
-    p_sweep.add_argument("--axis", required=True, help=f"one of {sorted(SWEEP_AXES)}")
+    p_sweep.add_argument("--axis", required=True, choices=sorted(SWEEP_AXES))
     p_sweep.add_argument("--values", required=True, help="comma list of axis values")
     add_shared(p_sweep)
     p_sweep.set_defaults(fn=cmd_sweep)
@@ -221,7 +175,14 @@ def main(argv=None) -> int:
     p_verify.set_defaults(fn=cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except FileNotFoundError as exc:
+        print(f"error: file not found: {exc.filename}", file=sys.stderr)
+        return 2
+    except DropGraphError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

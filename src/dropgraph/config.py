@@ -1,28 +1,42 @@
 """Experiment configuration: a flat, human-writable key = value format.
 
 Keys use dotted section names (``reg.alpha = 0.2``); ``#`` starts a comment.
-Parsing is strict: unknown keys, malformed values, and out-of-range fields
-raise :class:`ConfigError` naming the offending key.  ``to_text`` emits a
-canonical form, so parse -> serialize -> parse is the identity.
+Each key is derived from an :class:`ExperimentConfig` field name: a
+``data_``/``model_``/``reg_``/``train_`` prefix becomes ``data.`` etc., and
+other names are keys as they stand.  Parsing is strict: unknown keys and
+malformed values raise :class:`ConfigError` naming the offending key.  Range
+checks live in the component specs (``SyntheticImageSpec``, ``SbmGraphSpec``,
+``TinyResNetConfig``, ``TwoLayerGcnConfig``, ``RegularizerConfig``), which
+``ExperimentConfig`` builds in one place each; their errors are prefixed by
+section, e.g. ``reg: alpha must lie in [0, 1], got 1.5``.  ``config_to_text``
+emits a canonical form, so parse -> serialize -> parse is the identity.
 """
 
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
+from .backbones import TinyResNetConfig, TwoLayerGcnConfig
+from .data import SbmGraphSpec, SyntheticImageSpec
 from .errors import ConfigError
-from .regularizers import (
-    ADJACENCY_MODES,
-    GENERATOR_KINDS,
-    SCHEDULER_KINDS,
-    RegularizerConfig,
-)
+from .regularizers import MASK_KINDS, RegularizerConfig
 
 __all__ = ["ExperimentConfig", "parse_config", "parse_config_file", "config_to_text"]
 
 REG_KINDS = ("none", "dropout", "spatial_dropout", "dropblock", "dropgraph", "pgr")
 TASKS = ("image", "node_graph")
+MIN_SEEDS = 3  # the median/min/max summary of a config needs at least three runs
+
+
+@contextmanager
+def _section(name: str):
+    """Prefix a component spec's ConfigError with the config section it came from."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 @dataclass
@@ -80,16 +94,45 @@ class ExperimentConfig:
     train_augment_flip: bool = True
 
     def regularizer_config(self) -> RegularizerConfig:
-        return RegularizerConfig(
-            alpha=self.reg_alpha,
-            rho_target=self.reg_rho,
-            block_size=self.reg_block_size,
-            adjacency_mode=self.reg_adjacency,
-            generator_kind=self.reg_generator,
-            scheduler_kind=self.reg_scheduler,
-            rescale_dropout=self.reg_rescale_dropout,
-            normalize_similarity=self.reg_normalize_similarity,
-        )
+        with _section("reg"):
+            return RegularizerConfig(
+                alpha=self.reg_alpha,
+                rho_target=self.reg_rho,
+                block_size=self.reg_block_size,
+                adjacency_mode=self.reg_adjacency,
+                generator_kind=self.reg_generator,
+                scheduler_kind=self.reg_scheduler,
+                rescale_dropout=self.reg_rescale_dropout,
+                normalize_similarity=self.reg_normalize_similarity,
+            )
+
+    def image_spec(self) -> SyntheticImageSpec:
+        return self._data_spec(SyntheticImageSpec)
+
+    def graph_spec(self) -> SbmGraphSpec:
+        return self._data_spec(SbmGraphSpec)
+
+    def _data_spec(self, cls):
+        # Every data spec field ``x`` is config field ``data_x``.
+        with _section("data"):
+            return cls(**{f.name: getattr(self, f"data_{f.name}") for f in fields(cls)})
+
+    def resnet_config(self) -> TinyResNetConfig:
+        with _section("model"):
+            return TinyResNetConfig(
+                in_channels=1,
+                stem_channels=self.model_stem_channels,
+                groups=self.model_groups,
+                classes=self.data_classes,
+                regularize_groups=self.regularized_group_indices(),
+                regularize_skip=self.model_regularize_skip,
+                image_size=self.data_image_size,
+            )
+
+    def gcn_config(self) -> TwoLayerGcnConfig:
+        with _section("model"):
+            return TwoLayerGcnConfig(in_features=self.data_feature_dim,
+                                     hidden=self.model_hidden, classes=self.data_communities)
 
     def regularized_group_indices(self) -> tuple:
         n = len(self.model_groups)
@@ -97,63 +140,31 @@ class ExperimentConfig:
             return (n - 1,)
         if self.model_regularize_groups == "all":
             return tuple(range(n))
-        return tuple(int(v) for v in self.model_regularize_groups.split(","))
+        try:
+            return tuple(int(v) for v in self.model_regularize_groups.split(","))
+        except ValueError:
+            raise ConfigError("regularize_groups: expected 'last', 'all' or comma ints, "
+                              f"got {self.model_regularize_groups!r}") from None
 
     def config_hash(self) -> str:
         """Hash of the experiment semantics (execution details excluded)."""
         skip = {"out_dir", "threads", "seeds"}
-        text = "\n".join(
-            f"{k} = {v}" for k, v in _key_value_pairs(self) if _KEY_BY_FIELD[k] not in skip
-        )
+        text = "\n".join(f"{name} = {_format_value(name, getattr(self, name))}"
+                         for name in _KEY_BY_FIELD if name not in skip)
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
-# field name -> config key
-_KEY_TABLE = [
-    ("task", "task"),
-    ("seeds", "seeds"),
-    ("out_dir", "out_dir"),
-    ("threads", "threads"),
-    ("data_classes", "data.classes"),
-    ("data_image_size", "data.image_size"),
-    ("data_train_count", "data.train_count"),
-    ("data_val_count", "data.val_count"),
-    ("data_noise_std", "data.noise_std"),
-    ("data_seed", "data.seed"),
-    ("data_nodes", "data.nodes"),
-    ("data_communities", "data.communities"),
-    ("data_p_in", "data.p_in"),
-    ("data_p_out", "data.p_out"),
-    ("data_labeled_per_class", "data.labeled_per_class"),
-    ("data_feature_noise", "data.feature_noise"),
-    ("data_feature_dim", "data.feature_dim"),
-    ("model_stem_channels", "model.stem_channels"),
-    ("model_groups", "model.groups"),
-    ("model_regularize_groups", "model.regularize_groups"),
-    ("model_regularize_skip", "model.regularize_skip"),
-    ("model_hidden", "model.hidden"),
-    ("reg_kind", "reg.kind"),
-    ("reg_alpha", "reg.alpha"),
-    ("reg_rho", "reg.rho"),
-    ("reg_block_size", "reg.block_size"),
-    ("reg_adjacency", "reg.adjacency"),
-    ("reg_generator", "reg.generator"),
-    ("reg_scheduler", "reg.scheduler"),
-    ("reg_rescale_dropout", "reg.rescale_dropout"),
-    ("reg_normalize_similarity", "reg.normalize_similarity"),
-    ("reg_pgr_strategy", "reg.pgr_strategy"),
-    ("reg_pgr_active_in_eval", "reg.pgr_active_in_eval"),
-    ("train_epochs", "train.epochs"),
-    ("train_batch_size", "train.batch_size"),
-    ("train_lr", "train.lr"),
-    ("train_momentum", "train.momentum"),
-    ("train_weight_decay", "train.weight_decay"),
-    ("train_lr_decay_points", "train.lr_decay_points"),
-    ("train_lr_decay_factor", "train.lr_decay_factor"),
-    ("train_augment_flip", "train.augment_flip"),
-]
-_FIELD_BY_KEY = {k: f for f, k in _KEY_TABLE}
-_KEY_BY_FIELD = {f: k for f, k in _KEY_TABLE}
+# field name -> config key: a section prefix becomes ``section.``
+_SECTIONS = ("data", "model", "reg", "train")
+
+
+def _key_of(name: str) -> str:
+    section, _, rest = name.partition("_")
+    return f"{section}.{rest}" if section in _SECTIONS else name
+
+
+_KEY_BY_FIELD = {f.name: _key_of(f.name) for f in fields(ExperimentConfig)}
+_FIELD_BY_KEY = {k: f for f, k in _KEY_BY_FIELD.items()}
 
 
 def _format_value(name, value):
@@ -194,46 +205,28 @@ def _parse_value(key, name, raw, kind):
         if kind is float:
             return float(raw)
         return raw.strip()
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _key_value_pairs(cfg: ExperimentConfig):
-    for name, key in _KEY_TABLE:
-        yield name, _format_value(name, getattr(cfg, name))
-
-
 def config_to_text(cfg: ExperimentConfig) -> str:
     return "\n".join(f"{key} = {_format_value(name, getattr(cfg, name))}"
-                     for name, key in _KEY_TABLE) + "\n"
+                     for name, key in _KEY_BY_FIELD.items()) + "\n"
 
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
+    """Check the rules no component spec owns, then build the specs of the task."""
     def fail(key, msg):
         raise ConfigError(f"{key}: {msg}")
 
     if cfg.task not in TASKS:
         fail("task", f"must be one of {TASKS}, got {cfg.task!r}")
-    if not cfg.seeds:
-        fail("seeds", "at least one seed is required")
+    if len(cfg.seeds) < MIN_SEEDS:
+        fail("seeds", f"at least {MIN_SEEDS} seeds are required, got {len(cfg.seeds)}")
     if cfg.threads < 1:
         fail("threads", f"must be >= 1, got {cfg.threads}")
     if cfg.reg_kind not in REG_KINDS:
         fail("reg.kind", f"must be one of {REG_KINDS}, got {cfg.reg_kind!r}")
-    if not (0.0 <= cfg.reg_alpha <= 1.0):
-        fail("reg.alpha", f"must lie in [0, 1], got {cfg.reg_alpha}")
-    if not (0.0 <= cfg.reg_rho < 1.0):
-        fail("reg.rho", f"must lie in [0, 1), got {cfg.reg_rho}")
-    if cfg.reg_block_size < 1 or cfg.reg_block_size % 2 == 0:
-        fail("reg.block_size", f"must be an odd positive integer, got {cfg.reg_block_size}")
-    if cfg.reg_adjacency not in ADJACENCY_MODES:
-        fail("reg.adjacency", f"must be one of {ADJACENCY_MODES}, got {cfg.reg_adjacency!r}")
-    if cfg.reg_generator not in GENERATOR_KINDS:
-        fail("reg.generator", f"must be one of {GENERATOR_KINDS}, got {cfg.reg_generator!r}")
-    if cfg.reg_scheduler not in SCHEDULER_KINDS:
-        fail("reg.scheduler", f"must be one of {SCHEDULER_KINDS}, got {cfg.reg_scheduler!r}")
     if cfg.reg_pgr_strategy not in ("random", "top"):
         fail("reg.pgr_strategy", f"must be 'random' or 'top', got {cfg.reg_pgr_strategy!r}")
     if cfg.reg_kind == "pgr" and cfg.task != "image":
@@ -249,40 +242,16 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if any(not (0.0 < p <= 1.0) for p in cfg.train_lr_decay_points):
         fail("train.lr_decay_points", f"points must lie in (0, 1], got {cfg.train_lr_decay_points}")
 
+    cfg.regularizer_config()
     if cfg.task == "image":
-        if not (2 <= cfg.data_classes <= 4):
-            fail("data.classes", f"must lie in [2, 4], got {cfg.data_classes}")
-        if cfg.data_image_size < 8:
-            fail("data.image_size", f"must be >= 8, got {cfg.data_image_size}")
-        for key, value in (("data.train_count", cfg.data_train_count),
-                           ("data.val_count", cfg.data_val_count)):
-            if value < cfg.data_classes:
-                fail(key, f"must cover every class, got {value}")
-        if cfg.data_noise_std < 0:
-            fail("data.noise_std", f"must be >= 0, got {cfg.data_noise_std}")
-        for ch in [cfg.model_stem_channels] + [c for _, c in cfg.model_groups]:
-            if ch % 4 != 0 or ch < 4:
-                fail("model.groups", f"channel counts must be positive multiples of 4, got {ch}")
-        try:
-            groups = cfg.regularized_group_indices()
-        except ValueError:
-            fail("model.regularize_groups", f"expected 'last', 'all' or comma ints, got {cfg.model_regularize_groups!r}")
-        for g in groups:
-            if not (0 <= g < len(cfg.model_groups)):
-                fail("model.regularize_groups", f"group {g} outside [0, {len(cfg.model_groups)})")
-            if cfg.reg_kind in ("dropgraph", "dropblock"):
-                size = cfg.data_image_size // (2**g)
-                if size < cfg.reg_block_size:
-                    fail("reg.block_size",
-                         f"block {cfg.reg_block_size} exceeds group {g} map size {size}")
+        cfg.image_spec()
+        resnet = cfg.resnet_config()
+        with _section("reg"):
+            resnet.check_block_size(cfg.reg_kind, cfg.reg_block_size)
     else:
-        if cfg.data_p_in <= cfg.data_p_out:
-            fail("data.p_in", f"must exceed data.p_out, got {cfg.data_p_in} <= {cfg.data_p_out}")
-        if cfg.model_hidden % 4 != 0:
-            fail("model.hidden", f"must be divisible by 4, got {cfg.model_hidden}")
-        if cfg.data_nodes < cfg.data_communities * (cfg.data_labeled_per_class + 2):
-            fail("data.nodes", "not enough nodes for the labeled/val/test split")
-        if cfg.reg_kind in ("dropgraph", "dropblock") and cfg.reg_block_size != 1:
+        cfg.graph_spec()
+        cfg.gcn_config()
+        if cfg.reg_kind in MASK_KINDS and cfg.reg_block_size != 1:
             fail("reg.block_size", "node-graph regularizers use block_size = 1")
     return cfg
 

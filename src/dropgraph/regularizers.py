@@ -69,6 +69,8 @@ __all__ = [
 ADJACENCY_MODES = ("eq6", "learned", "similarity", "identity", "uniform", "zero")
 GENERATOR_KINDS = ("graph", "random_noise", "avg_pool", "none")
 SCHEDULER_KINDS = ("f1", "f2", "f3", "f4", "f5", "constant")
+# Regularizer kinds that sample a block mask, the only ones that read block_size.
+MASK_KINDS = ("dropblock", "dropgraph")
 
 
 # -- configuration and value types ---------------------------------------------

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backbones import GraphInstance, TinyResNet, TinyResNetConfig, TwoLayerGcn, TwoLayerGcnConfig
-from .config import ExperimentConfig
-from .data import SbmGraphSpec, SyntheticImageSpec, gen_images, gen_sbm
+from .backbones import GraphInstance, TinyResNet, TwoLayerGcn
+from .config import MIN_SEEDS, ExperimentConfig, config_to_text
+from .data import gen_images, gen_sbm
 from .errors import ConfigError
 from .nn import cross_entropy
 from .regularizers import SchedulerState, schedule_rho
@@ -32,9 +32,7 @@ __all__ = [
     "run_experiment",
     "multi_seed",
     "summarize_records",
-    "sampling_study_configs",
     "write_run_records",
-    "read_run_records",
 ]
 
 
@@ -97,17 +95,8 @@ def _lr_at(cfg: ExperimentConfig, epoch: int) -> float:
 
 
 def _build_image_model(cfg: ExperimentConfig, rng: RngStream) -> TinyResNet:
-    tiny = TinyResNetConfig(
-        in_channels=1,
-        stem_channels=cfg.model_stem_channels,
-        groups=cfg.model_groups,
-        classes=cfg.data_classes,
-        regularize_groups=cfg.regularized_group_indices(),
-        regularize_skip=cfg.model_regularize_skip,
-        image_size=cfg.data_image_size,
-    )
-    return TinyResNet(tiny, rng, reg_kind=cfg.reg_kind, reg_cfg=cfg.regularizer_config(),
-                      pgr_strategy=cfg.reg_pgr_strategy,
+    return TinyResNet(cfg.resnet_config(), rng, reg_kind=cfg.reg_kind,
+                      reg_cfg=cfg.regularizer_config(), pgr_strategy=cfg.reg_pgr_strategy,
                       pgr_active_in_eval=cfg.reg_pgr_active_in_eval)
 
 
@@ -127,12 +116,7 @@ def _evaluate_image(model, xs, ys, rng, batch: int = 256):
 
 
 def _train_image(cfg: ExperimentConfig, seed: int) -> RunRecord:
-    spec = SyntheticImageSpec(
-        classes=cfg.data_classes, image_size=cfg.data_image_size,
-        train_count=cfg.data_train_count, val_count=cfg.data_val_count,
-        noise_std=cfg.data_noise_std, seed=cfg.data_seed,
-    )
-    ds = gen_images(spec)
+    ds = gen_images(cfg.image_spec())
     rng = RngStream(seed)
     model = _build_image_model(cfg, rng.child("init"))
     opt = SGD(model.parameters(), cfg.train_lr, cfg.train_momentum, cfg.train_weight_decay)
@@ -201,18 +185,9 @@ def _evaluate_graph(model, g: GraphInstance, idx, rng):
 
 
 def _train_graph(cfg: ExperimentConfig, seed: int) -> RunRecord:
-    spec = SbmGraphSpec(
-        nodes=cfg.data_nodes, communities=cfg.data_communities,
-        p_in=cfg.data_p_in, p_out=cfg.data_p_out,
-        labeled_per_class=cfg.data_labeled_per_class,
-        feature_noise=cfg.data_feature_noise, feature_dim=cfg.data_feature_dim,
-        seed=cfg.data_seed,
-    )
-    g = gen_sbm(spec)
+    g = gen_sbm(cfg.graph_spec())
     rng = RngStream(seed)
-    gcn_cfg = TwoLayerGcnConfig(in_features=cfg.data_feature_dim,
-                                hidden=cfg.model_hidden, classes=cfg.data_communities)
-    model = TwoLayerGcn(gcn_cfg, rng.child("init"), reg_kind=cfg.reg_kind,
+    model = TwoLayerGcn(cfg.gcn_config(), rng.child("init"), reg_kind=cfg.reg_kind,
                         reg_cfg=cfg.regularizer_config())
     opt = SGD(model.parameters(), cfg.train_lr, cfg.train_momentum, cfg.train_weight_decay)
     record = RunRecord(config_hash=cfg.config_hash(), seed=seed)
@@ -269,8 +244,8 @@ def multi_seed(configs, seeds, threads: int = 1):
     Runs are independent; with threads > 1 they execute on a process pool.
     Results are assembled in deterministic (config, seed) order either way.
     """
-    if len(seeds) < 3:
-        raise ConfigError(f"multi_seed needs at least 3 seeds, got {len(seeds)}")
+    if len(seeds) < MIN_SEEDS:
+        raise ConfigError(f"multi_seed needs at least {MIN_SEEDS} seeds, got {len(seeds)}")
     tasks = [(cfg, seed) for cfg in configs for seed in seeds]
     if threads > 1:
         with multiprocessing.Pool(processes=threads) as pool:
@@ -302,36 +277,11 @@ def summarize_records(records):
     return out
 
 
-def sampling_study_configs(base: ExperimentConfig, alphas,
-                           strategies=("random",), arms=("train",)):
-    """Config grid for the vertex-sampling study.
-
-    Rows: the plain backbone plus one partial-graph-reasoning config per
-    (strategy, arm, alpha); ``train`` runs the module during training only,
-    ``train_inf`` also during inference.
-    """
-    from dataclasses import replace
-
-    rows = [("baseline", "-", "-", 0.0, replace(base, reg_kind="none"))]
-    for strategy in strategies:
-        for arm in arms:
-            for alpha in alphas:
-                label = f"pgr_{strategy}_{arm}_a{alpha}"
-                rows.append((label, strategy, arm, alpha, replace(
-                    base, reg_kind="pgr", reg_alpha=float(alpha),
-                    reg_pgr_strategy=strategy,
-                    reg_pgr_active_in_eval=(arm == "train_inf"),
-                )))
-    return rows
-
-
 # -- run record serialization ------------------------------------------------------------
 
 
 def write_run_records(path, cfg: ExperimentConfig, records):
     """Line-delimited JSON: one config line, then one line per run."""
-    from .config import config_to_text
-
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"type": "config", "hash": cfg.config_hash(),
                              "text": config_to_text(cfg)}, sort_keys=True) + "\n")
@@ -346,23 +296,3 @@ def write_run_records(path, cfg: ExperimentConfig, records):
                 "wall_time_s": r.wall_time_s,
             }, sort_keys=True) + "\n")
 
-
-def read_run_records(path):
-    config_line = None
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            obj = json.loads(line)
-            if obj["type"] == "config":
-                config_line = obj
-            else:
-                rec = RunRecord(
-                    config_hash=obj["hash"], seed=obj["seed"], status=obj["status"],
-                    epochs=[EpochStats(**e) for e in obj["epochs"]],
-                    wall_time_s=obj["wall_time_s"],
-                    final_train_acc=obj["final_train_acc"],
-                    final_val_acc=obj["final_val_acc"],
-                    generalization_gap=obj["generalization_gap"],
-                )
-                records.append(rec)
-    return config_line, records
