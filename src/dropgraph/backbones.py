@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
-from .nn import BatchNorm2d, Conv2d, Linear, Module, global_avg_pool
+from .nn import BatchNorm2d, Conv2d, Linear, Module, conv_bn, global_avg_pool
 from .regularizers import (
     MASK_KINDS,
     DropGraph,
@@ -101,9 +101,9 @@ class ResidualBlock(Module):
         self.skip_reg = skip_reg
 
     def forward(self, x: Tensor, rng: RngStream, sched: SchedulerState | None) -> Tensor:
-        h = relu(self.bn1(self.conv1(x)))
-        h = relu(self.bn2(self.conv2(h)))
-        sk = x if self.projection is None else self.proj_bn(self.projection(x))
+        h = relu(conv_bn(self.conv1, self.bn1, x))
+        h = relu(conv_bn(self.conv2, self.bn2, h))
+        sk = x if self.projection is None else conv_bn(self.projection, self.proj_bn, x)
         if self.training:
             mask = None
             if (isinstance(self.main_reg, DropGraph) and isinstance(self.skip_reg, DropGraph)):
@@ -166,7 +166,7 @@ class TinyResNet(Module):
             raise ContractError(f"input spatial size must be >= 8, got {x.data.shape}")
         if rng is None:
             rng = RngStream(0).child("unseeded_forward")
-        h = relu(self.stem_bn(self.stem(x)))
+        h = relu(conv_bn(self.stem, self.stem_bn, x))
         for i, block in enumerate(self.blocks):
             h = block(h, rng.child("block", i), sched)
         return self.head(global_avg_pool(h))
@@ -260,24 +260,34 @@ def save_checkpoint(model: Module, path):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _read_exact(fh, n: int, what: str) -> bytes:
+    raw = fh.read(n)
+    if len(raw) != n:
+        raise ContractError(f"truncated checkpoint: {what} needs {n} bytes, got {len(raw)}")
+    return raw
+
+
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint back into an ordered name -> array mapping."""
+    """Read a checkpoint back into an ordered name -> array mapping.
+
+    A file cut short anywhere raises ``ContractError``.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(_CKPT_MAGIC))
         if magic != _CKPT_MAGIC:
             raise ContractError(f"not a checkpoint file: bad magic {magic!r}")
-        version, count = struct.unpack("<HI", fh.read(6))
+        version, count = struct.unpack("<HI", _read_exact(fh, 6, "header"))
         if version != _CKPT_VERSION:
             raise ContractError(f"unsupported checkpoint version {version}")
         out = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim))
+            (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
+            name = _read_exact(fh, name_len, "name").decode("utf-8")
+            (ndim,) = struct.unpack("<B", _read_exact(fh, 1, f"rank of {name!r}"))
+            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, f"shape of {name!r}"))
             n_values = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(8 * n_values), dtype="<f8").reshape(shape)
-            out[name] = data.astype(np.float64)
+            raw = _read_exact(fh, 8 * n_values, f"data of {name!r}")
+            out[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
         return out
 
 

@@ -11,7 +11,8 @@ Subcommands:
 
 ``--seeds``, ``--out-dir``, ``--threads`` and each sweep value are applied as
 ``key = value`` lines appended to the config file's text, so they pass the
-same parser and checks as the file itself; a bad override is a config error.
+same parser and checks as the file itself; a bad override is a config error,
+and so is a ``#`` or a line break in one (it would end the value early).
 
 Exit codes: 0 success, 1 verification failure, 2 configuration/parse error,
 3 training divergence.  A config error prints one ``error: <key or section>:
@@ -39,13 +40,21 @@ SWEEP_AXES = {
 }
 
 
+def _check_override(key: str, value: str) -> str:
+    """A command-line value that stays one config value: no comment, no line break."""
+    if "#" in value or "".join(value.splitlines()) != value:
+        raise ConfigError(f"{key}: '#' and line breaks are not allowed in a "
+                          f"command-line value, got {value!r}")
+    return value
+
+
 def _config_text(args) -> str:
     """The config file's text with the command-line overrides appended."""
     lines = [Path(args.config).read_text(encoding="utf-8")]
     for key, value in (("seeds", args.seeds), ("out_dir", args.out_dir),
                        ("threads", args.threads)):
         if value is not None:
-            lines.append(f"{key} = {value}")
+            lines.append(f"{key} = {_check_override(key, value)}")
     return "\n".join(lines)
 
 
@@ -108,7 +117,8 @@ def cmd_sweep(args) -> int:
     text = _config_text(args)
     cfg = parse_config(text)
     key = SWEEP_AXES[args.axis]
-    raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
+    raw_values = [v.strip() for v in _check_override("--values", args.values).split(",")
+                  if v.strip()]
     if not raw_values:
         raise ConfigError("--values: no value given")
     sweep_cfgs = [parse_config(f"{text}\n{key} = {v}") for v in raw_values]

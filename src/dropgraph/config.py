@@ -280,7 +280,8 @@ def parse_config(text: str) -> ExperimentConfig:
         pairs.append((key.strip(), raw.strip(), lineno))
 
     explicit = {key for key, _, _ in pairs}
-    task = next((raw for key, raw, _ in pairs if key == "task"), "image")
+    # The last `task` line wins, as for every other key, defaults included.
+    task = next((raw for key, raw, _ in reversed(pairs) if key == "task"), "image")
     defaults = _TASK_DEFAULTS.get(task, {})
     merged = [(k, v, 0) for k, v in defaults.items() if k not in explicit] + pairs
 

@@ -3,6 +3,14 @@
 Convolution is cross-correlation (no kernel flip).  The heavy ops (conv2d,
 batch norm, cross-entropy) are single fused tape nodes with hand-written
 backward rules; everything else composes tensor primitives.
+
+Batch norm costs one pass over the feature map in training and none in
+eval: ``batchnorm_train`` takes its per-channel sums by einsum and keeps
+only the centred input for the backward, and ``conv_bn`` folds an eval-mode
+batch norm into the kernel and bias of the conv before it (Ioffe & Szegedy,
+arXiv 1502.03167, section 3.1), so eval runs one conv per conv/BN pair.  The
+folded kernel and bias are tape ops on the conv and BN parameters, so an
+eval-mode model stays differentiable.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ __all__ = [
     "BatchNorm2d",
     "Linear",
     "conv2d",
+    "conv_bn",
     "cross_entropy",
     "global_avg_pool",
     "relu",
@@ -93,30 +102,40 @@ def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
 
     Returns (normalized Tensor, batch_mean, batch_var) where the statistics
     are plain arrays for the running-average update.
+
+    One fused op: per-channel sums come from einsum over (n, c, h*w) views,
+    the output is ``xc * scale + beta`` with ``scale = gamma / std``, and the
+    tape keeps only the centred input ``xc``.
     """
-    axes = (0, 2, 3)
-    m = x.data.mean(axis=axes)
-    xc = x.data - m[None, :, None, None]
-    var = np.mean(xc * xc, axis=axes)
+    n, c = x.data.shape[:2]
+    count = x.data.size // c
+    mean = np.einsum("ncp->c", x.data.reshape(n, c, -1)) / count
+    xc = x.data - mean[:, None, None]
+    xc3 = xc.reshape(n, c, -1)
+    var = np.einsum("ncp,ncp->c", xc3, xc3) / count
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    scale = gamma.data * inv
+    out = xc * scale[:, None, None]
+    out += beta.data[:, None, None]
 
     def backward(g):
+        g3 = g.reshape(n, c, -1)
+        g_sum = np.einsum("ncp->c", g3)
+        gxc_sum = np.einsum("ncp,ncp->c", g3, xc3)
         if beta.requires_grad:
-            beta._accum(g.sum(axis=axes))
+            beta._accum(g_sum)
         if gamma.requires_grad:
-            gamma._accum((g * xhat).sum(axis=axes))
+            gamma._accum(gxc_sum * inv)
         if x.requires_grad:
-            gh = g * gamma.data[None, :, None, None]
-            t1 = gh.mean(axis=axes)
-            t2 = (gh * xhat).mean(axis=axes)
-            dx = inv[None, :, None, None] * (
-                gh - t1[None, :, None, None] - xhat * t2[None, :, None, None]
-            )
+            # dx = scale * (g - xc * inv^2 * sum(g xc) / m - sum(g) / m):
+            # one new array, updated in place (g itself is never written).
+            dx = xc * (-inv * inv * gxc_sum / count)[:, None, None]
+            dx += g
+            dx *= scale[:, None, None]
+            dx -= (scale * g_sum / count)[:, None, None]
             x._accum(dx)
 
-    return Tensor._result(out, (x, gamma, beta), backward, "batchnorm"), m, var
+    return Tensor._result(out, (x, gamma, beta), backward, "batchnorm"), mean, var
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -251,11 +270,30 @@ class BatchNorm2d(Module):
             self.running_mean = (1.0 - mom) * self.running_mean + mom * m
             self.running_var = (1.0 - mom) * self.running_var + mom * v
             return out
-        inv = Tensor(1.0 / np.sqrt(self.running_var + self.eps))
-        scale = self.gamma * inv
-        shift = self.beta - Tensor(self.running_mean) * scale
+        scale, shift = self.eval_affine()
         c = scale.data.shape[0]
         return x * scale.reshape(1, c, 1, 1) + shift.reshape(1, c, 1, 1)
+
+    def eval_affine(self):
+        """Per-channel ``(scale, shift)`` of the eval map ``x * scale + shift``,
+        as tape ops on ``gamma`` and ``beta``."""
+        inv = Tensor(1.0 / np.sqrt(self.running_var + self.eps))
+        scale = self.gamma * inv
+        return scale, self.beta - Tensor(self.running_mean) * scale
+
+
+def conv_bn(conv: Conv2d, bn: BatchNorm2d, x: Tensor) -> Tensor:
+    """``bn(conv(x))``; in eval mode one conv with the batch norm folded in.
+
+    The eval-mode batch norm is a per-channel affine map, so it composes into
+    the conv: kernel ``kernel * scale`` and bias ``bias * scale + shift``.
+    """
+    if bn.training:
+        return bn(conv(x))
+    scale, shift = bn.eval_affine()
+    kernel = conv.kernel * scale.reshape(scale.data.shape[0], 1, 1, 1)
+    bias = shift if conv.bias is None else conv.bias * scale + shift
+    return conv2d(x, kernel, bias, conv.stride, conv.padding)
 
 
 class Linear(Module):

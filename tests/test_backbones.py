@@ -1,0 +1,44 @@
+import numpy as np
+import numpy.testing as npt
+import pytest
+
+from dropgraph.backbones import (
+    TinyResNet,
+    TinyResNetConfig,
+    apply_checkpoint,
+    load_checkpoint,
+    save_checkpoint,
+)
+from dropgraph.errors import ContractError
+from dropgraph.rng import RngStream
+
+
+def _small_model(seed: int) -> TinyResNet:
+    cfg = TinyResNetConfig(stem_channels=4, groups=((1, 4), (1, 8)), image_size=8)
+    return TinyResNet(cfg, RngStream(seed))
+
+
+def test_checkpoint_round_trip(tmp_path):
+    src, dst = _small_model(1), _small_model(2)
+    src.blocks[0].bn1.running_mean = np.arange(4.0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(src, path)
+    apply_checkpoint(dst, path)
+    for (name, p), (_, q) in zip(src.named_parameters(), dst.named_parameters()):
+        npt.assert_array_equal(p.data, q.data, err_msg=name)
+    npt.assert_array_equal(dst.blocks[0].bn1.running_mean, np.arange(4.0))
+
+
+def test_truncated_checkpoint_raises_contract_error(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(_small_model(3), path)
+    raw = path.read_bytes()
+    name_len = int.from_bytes(raw[12:14], "little")
+    ndim_at = 14 + name_len
+    # Cuts inside the header, the first name, its shape, its data, and the end.
+    cuts = [8, 13, 14 + name_len // 2, ndim_at + 3, ndim_at + 5 + 4 * raw[ndim_at] + 12,
+            len(raw) // 2, len(raw) - 1]
+    for cut in cuts:
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ContractError, match="truncated checkpoint"):
+            load_checkpoint(path)

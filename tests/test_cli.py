@@ -50,8 +50,13 @@ def test_verify_exits_1_on_a_failed_check(monkeypatch, capsys):
     (_GRAPH, ["--axis", "alpha", "--values", ","], "--values"),
     (_GRAPH, ["--axis", "alpha", "--values", "0.1,1.5"], "reg: alpha"),
     (_GRAPH, ["--axis", "scheduler", "--values", "f9"], "reg: scheduler_kind"),
+    (_GRAPH, ["--seeds", "4,5,6#7"], "seeds: '#' and line breaks"),
+    (_GRAPH, ["--threads", "1\nthreads = 2"], "threads: '#' and line breaks"),
+    (_GRAPH, ["--axis", "alpha", "--values", "0.1,0.2#"], "--values: '#' and line breaks"),
+    (_GRAPH, ["--axis", "alpha", "--values", "0.1\nreg.rho = 0.3"], "--values: '#'"),
 ], ids=["missing_file", "bad_key", "seeds_not_int", "seeds_empty_entry", "two_seeds",
-        "threads_0", "values_empty", "value_out_of_range", "value_unknown"])
+        "threads_0", "values_empty", "value_out_of_range", "value_unknown",
+        "seeds_comment", "threads_newline", "values_comment", "values_newline"])
 def test_config_errors_exit_2_before_any_output(tmp_path, capsys, text, extra, message):
     config = _write(tmp_path, text) if text is not None else str(tmp_path / "missing.cfg")
     out = tmp_path / "out"
@@ -61,6 +66,15 @@ def test_config_errors_exit_2_before_any_output(tmp_path, capsys, text, extra, m
     assert rc == 2
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["#1", "a\nb", "a\rb"])
+def test_out_dir_with_comment_or_line_break_exits_2(tmp_path, capsys, name):
+    # Parsed as a config line, 'runs/#1' would silently become 'runs/'.
+    rc = cli.main(["run", _write(tmp_path, _GRAPH), "--out-dir", str(tmp_path / "runs" / name)])
+    assert rc == 2
+    assert "error: out_dir: '#' and line breaks" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_bad_axis_is_rejected_by_the_argument_parser(tmp_path):

@@ -112,3 +112,9 @@ def test_component_specs_follow_the_config():
                        "data.seed = 5\nmodel.hidden = 8")
     assert cfg.graph_spec() == SbmGraphSpec(nodes=240, feature_dim=8, seed=5)
     assert cfg.gcn_config() == TwoLayerGcnConfig(in_features=8, hidden=8, classes=3)
+
+
+@pytest.mark.parametrize("first, last", [("node_graph", "image"), ("image", "node_graph")])
+def test_repeated_task_takes_value_and_defaults_from_the_last_line(first, last):
+    cfg = parse_config(f"task = {first}\nreg.kind = dropgraph\ntask = {last}\n")
+    assert cfg == parse_config(f"task = {last}\nreg.kind = dropgraph\n")

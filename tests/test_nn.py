@@ -10,6 +10,7 @@ from dropgraph.nn import (
     Linear,
     batchnorm_train,
     conv2d,
+    conv_bn,
     cross_entropy,
     global_avg_pool,
 )
@@ -149,6 +150,82 @@ def test_batchnorm_eval_is_affine_and_stateless():
     lhs = bn(Tensor(0.3 * x + 0.7 * x2)).data
     rhs = 0.3 * bn(Tensor(x)).data + 0.7 * bn(Tensor(x2)).data
     npt.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+def _batchnorm_two_pass(x, gamma, beta, eps, g):
+    """Reference batch norm: normalise, then the textbook backward over xhat."""
+    axes = (0, 2, 3)
+    m = x.mean(axis=axes)
+    xc = x - m[None, :, None, None]
+    var = np.mean(xc * xc, axis=axes)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv[None, :, None, None]
+    out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    gh = g * gamma[None, :, None, None]
+    dx = inv[None, :, None, None] * (
+        gh - gh.mean(axis=axes)[None, :, None, None]
+        - xhat * (gh * xhat).mean(axis=axes)[None, :, None, None])
+    return out, m, var, dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+
+def _rel_err(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("shape", [(32, 16, 32, 32), (32, 32, 16, 16), (2, 3, 2, 1)])
+def test_fused_batchnorm_matches_two_pass_formula(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = Tensor(rng.normal(size=shape) * 3 + 1.5, requires_grad=True)
+    gamma = Tensor(rng.normal(size=shape[1]) + 1.0, requires_grad=True)
+    beta = Tensor(rng.normal(size=shape[1]), requires_grad=True)
+    g = rng.normal(size=shape)
+    out, m, v = batchnorm_train(x, gamma, beta, 1e-5)
+    (out * Tensor(g)).sum().backward()
+    want = _batchnorm_two_pass(x.data, gamma.data, beta.data, 1e-5, g)
+    for got, ref in zip((out.data, m, v, x.grad, gamma.grad, beta.grad), want):
+        assert _rel_err(got, ref) <= 1e-12
+
+
+def _eval_conv_bn(bias: bool, stride: int, padding: int, k: int):
+    rng = RngStream(31, ("conv_bn", bias, stride, padding, k))
+    conv = Conv2d(3, 4, k, rng.child("conv"), stride=stride, padding=padding, bias=bias)
+    bn = BatchNorm2d(4)
+    bn.gamma.data = rng.child("gamma").normal(size=4) + 1.0
+    bn.beta.data = rng.child("beta").normal(size=4)
+    bn.running_mean = rng.child("mean").normal(size=4)
+    bn.running_var = rng.child("var").uniform(size=4) + 0.5
+    if bias:
+        conv.bias.data = rng.child("bias").normal(size=4)
+    conv.eval()
+    bn.eval()
+    x = Tensor(rng.child("x").normal(size=(2, 3, 6, 6)), requires_grad=True)
+    return conv, bn, x
+
+
+@pytest.mark.parametrize("bias, stride, padding, k",
+                         [(True, 1, 1, 3), (False, 2, 1, 3), (False, 2, 0, 1)])
+def test_eval_conv_bn_matches_unfused(bias, stride, padding, k):
+    conv, bn, x = _eval_conv_bn(bias, stride, padding, k)
+    fused = conv_bn(conv, bn, x)
+    assert fused._op == "conv2d"  # the batch norm is folded, not applied after
+    assert _rel_err(fused.data, bn(conv(x)).data) <= 1e-12
+
+
+def test_train_conv_bn_is_bn_of_conv():
+    conv, bn, x = _eval_conv_bn(True, 1, 1, 3)
+    conv.train()
+    bn.train()
+    # Train-mode batch norm ignores the running statistics it updates.
+    npt.assert_array_equal(conv_bn(conv, bn, x).data, bn(conv(x)).data)
+
+
+@pytest.mark.parametrize("bias", [True, False])
+def test_eval_conv_bn_gradients(bias):
+    conv, bn, x = _eval_conv_bn(bias, 2, 1, 3)
+    loss = lambda _: (conv_bn(conv, bn, x) ** 2).sum()  # noqa: E731
+    params = [x, conv.kernel, bn.gamma, bn.beta] + ([conv.bias] if bias else [])
+    for p in params:
+        assert grad_check(loss, p) <= 1e-6
 
 
 def test_batchnorm_momentum_bounds():

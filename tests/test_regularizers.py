@@ -19,6 +19,7 @@ from dropgraph.regularizers import (
     generate_graph_distortions,
     graph_reasoning,
     pool_expand_apply,
+    _block_seed_rate,
     sample_block_mask,
     sample_vertices,
     schedule_rho,
@@ -116,6 +117,28 @@ def test_block_mask_s1_is_bernoulli():
 def test_block_mask_monte_carlo_rate():
     m = sample_block_mask(16, 16, 3, 0.1, RngStream(9, ("mc",)), batch=2000)
     assert abs(m.dropped_fraction - 0.1) / 0.1 <= 0.1
+
+
+@pytest.mark.parametrize("h, w, s, rho", [
+    (16, 16, 5, 0.2), (16, 16, 3, 0.2), (16, 16, 3, 0.4), (32, 32, 3, 0.05),
+    (12, 20, 4, 0.1), (8, 8, 8, 0.3), (5, 5, 2, 0.0), (9, 7, 2, 0.95)])
+def test_block_seed_rate_gives_the_exact_expected_drop(h, w, s, rho):
+    covering = np.zeros((h, w))
+    for y in range(h - s + 1):
+        for x in range(w - s + 1):
+            covering[y : y + s, x : x + s] += 1
+    gamma = _block_seed_rate(h, w, s, rho)
+    expected = np.mean(1.0 - (1.0 - gamma) ** covering)
+    assert abs(expected - rho) <= 1e-9
+
+
+def test_block_mask_s1_keeps_the_dropblock_rate():
+    # gamma = rho*h*w / (s^2 vh vw) at s = 1, bit for bit, so node-graph runs
+    # (block size 1) draw the same masks as before the exact calibration.
+    h, w, rho = 7, 1, 0.3
+    m = sample_block_mask(h, w, 1, rho, RngStream(11, ("s1",)), batch=40)
+    u = RngStream(11, ("s1",)).uniform(size=(40, h, w))
+    npt.assert_array_equal(m.gate, 1.0 - (u < rho * h * w / (h * w)))
 
 
 def test_block_mask_blocks_are_full_squares_inside():

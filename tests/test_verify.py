@@ -1,7 +1,15 @@
-from dropgraph.verify import run_checks
+from dropgraph.verify import CHECK_NAMES, run_checks
 
 
 def test_gradient_soundness_passes():
     """The release gate's conv, batch-norm and regularizer gradient checks."""
     (result,) = run_checks(["gradient_soundness"])
     assert result.passed, result.detail
+
+
+def test_every_release_check_passes():
+    """``dropgraph verify`` passes as a whole (about 9 s)."""
+    results = run_checks()
+    assert [r.name for r in results] == list(CHECK_NAMES)
+    failed = [f"{r.name}: {r.detail}" for r in results if not r.passed]
+    assert not failed, failed
