@@ -1,9 +1,10 @@
 """Graph-reasoning feature-map regularization on a small float64 autodiff core.
 
 The package builds up in layers: ``tensor`` (reverse-mode autodiff),
-``nn`` (conv/norm/linear/losses), ``regularizers`` (dropout variants, block
-masking, partial graph reasoning, the graph distortion generator and its
-schedulers), ``backbones`` (a tiny residual CNN and a two-layer GCN with
+``nn`` (conv/norm/linear/losses), ``regularizers`` (one dropout, per scalar
+or per feature vector; block masking, which DropBlock is alone and the graph
+regularizer fills with distortions from its GCN generator; partial graph
+reasoning; the drop-probability schedulers), ``backbones`` (a tiny residual CNN and a two-layer GCN with
 insertion points), ``data``/``train`` (synthetic tasks and the seeded
 experiment harness), and ``cli`` (run/sweep/verify front end).
 """
@@ -18,22 +19,15 @@ from .backbones import (
     load_checkpoint,
     save_checkpoint,
 )
-from .config import ExperimentConfig, config_to_text, parse_config, parse_config_file
-from .data import (
-    ImageDataset,
-    SbmGraphSpec,
-    SyntheticImageSpec,
-    gen_images,
-    gen_sbm,
-    linear_probe_accuracy,
-)
+from .config import ExperimentConfig, config_to_text, parse_config
+from .data import ImageDataset, SbmGraphSpec, SyntheticImageSpec, gen_images, gen_sbm
 from .errors import ConfigError, ContractError, DimensionError, DropGraphError
 from .gradcheck import grad_check
 from .nn import BatchNorm2d, Conv2d, Linear, Module, conv2d, cross_entropy, global_avg_pool
 from .regularizers import (
-    AdjacencyMatrix,
     DropGraph,
     DropMask,
+    Dropout,
     GraphGeneratorParams,
     PartialGraphReasoning,
     RegularizerConfig,
@@ -46,7 +40,6 @@ from .regularizers import (
     sample_block_mask,
     sample_vertices,
     schedule_rho,
-    spatial_dropout,
 )
 from .rng import RngStream
 from .tensor import Tensor, matmul, no_grad, relu, softmax_rows

@@ -21,9 +21,9 @@ from .regularizers import (
     DropGraph,
     RegularizerConfig,
     SchedulerState,
+    current_rho,
     make_regularizer,
     sample_block_mask,
-    schedule_rho,
 )
 from .rng import RngStream
 from .tensor import Tensor, matmul, relu
@@ -110,8 +110,7 @@ class ResidualBlock(Module):
                 # One block mask shared by the main and skip distortions.
                 b, _, hh, ww = h.data.shape
                 cfg = self.main_reg.cfg
-                rho_t = schedule_rho(sched) if sched is not None else cfg.rho_target
-                mask = sample_block_mask(hh, ww, cfg.block_size, rho_t,
+                mask = sample_block_mask(hh, ww, cfg.block_size, current_rho(cfg, sched),
                                          rng.child("block_mask"), batch=b)
             if self.main_reg is not None:
                 h = self.main_reg(h, rng.child("main"), sched, mask=mask)
@@ -270,7 +269,8 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 def load_checkpoint(path) -> dict:
     """Read a checkpoint back into an ordered name -> array mapping.
 
-    A file cut short anywhere raises ``ContractError``.
+    A file cut short anywhere, or a name that is not UTF-8, raises
+    ``ContractError``.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(_CKPT_MAGIC))
@@ -282,7 +282,11 @@ def load_checkpoint(path) -> dict:
         out = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
-            name = _read_exact(fh, name_len, "name").decode("utf-8")
+            raw_name = _read_exact(fh, name_len, "name")
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ContractError(f"corrupt checkpoint: name {raw_name!r} is not UTF-8") from None
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, f"rank of {name!r}"))
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, f"shape of {name!r}"))
             n_values = int(np.prod(shape)) if shape else 1

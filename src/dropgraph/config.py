@@ -23,7 +23,7 @@ from .data import SbmGraphSpec, SyntheticImageSpec
 from .errors import ConfigError
 from .regularizers import MASK_KINDS, RegularizerConfig
 
-__all__ = ["ExperimentConfig", "parse_config", "parse_config_file", "config_to_text"]
+__all__ = ["ExperimentConfig", "parse_config", "config_to_text"]
 
 REG_KINDS = ("none", "dropout", "spatial_dropout", "dropblock", "dropgraph", "pgr")
 TASKS = ("image", "node_graph")
@@ -231,6 +231,12 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         fail("reg.pgr_strategy", f"must be 'random' or 'top', got {cfg.reg_pgr_strategy!r}")
     if cfg.reg_kind == "pgr" and cfg.task != "image":
         fail("reg.kind", "pgr is only available for the image task")
+    # A learned adjacency is sized from the insertion point's map; pgr has no
+    # parameter for it and the node-graph insertion point has no map size.
+    if cfg.reg_adjacency == "learned" and (
+            cfg.reg_kind == "pgr" or (cfg.reg_kind == "dropgraph" and cfg.task == "node_graph")):
+        fail("reg.adjacency", f"learned is not available for reg.kind = {cfg.reg_kind} "
+                              f"on the {cfg.task} task")
     if cfg.train_epochs < 1:
         fail("train.epochs", f"must be >= 1, got {cfg.train_epochs}")
     if cfg.train_batch_size < 1:
@@ -294,8 +300,3 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         values[name] = _parse_value(key, name, raw, kinds[name])
     return _validate(replace(cfg, **values))
-
-
-def parse_config_file(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())

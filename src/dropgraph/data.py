@@ -9,7 +9,8 @@ Graphs: a stochastic block model with community-informative noisy node
 features, split Cora-style (a few labeled nodes per class, disjoint
 val/test).
 
-Both dataset kinds serialize to a versioned binary cache file.
+Both dataset kinds serialize to a versioned binary cache file (write only:
+the datasets are pure functions of their specs).
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ __all__ = [
     "SbmGraphSpec",
     "gen_images",
     "gen_sbm",
-    "linear_probe_accuracy",
     "save_dataset_cache",
-    "load_dataset_cache",
+    "save_image_dataset",
+    "save_graph_dataset",
 ]
 
 
@@ -134,25 +135,6 @@ def gen_images(spec: SyntheticImageSpec) -> ImageDataset:
                         val_x=val_x, val_y=val_y, pixel_mean=mean, pixel_std=std)
 
 
-def linear_probe_accuracy(ds: ImageDataset, ridge: float = 1e-3) -> float:
-    """Validation accuracy of a ridge-regression probe on raw pixels.
-
-    The oracle that keeps the task honest: it must stay clearly below the
-    CNN's reach, otherwise the synthetic task carries no spatial structure
-    worth learning.
-    """
-    n = ds.train_x.shape[0]
-    x = ds.train_x.reshape(n, -1)
-    x = np.hstack([x, np.ones((n, 1))])
-    onehot = np.eye(ds.spec.classes)[ds.train_y]
-    gram = x.T @ x + ridge * np.eye(x.shape[1])
-    weights = np.linalg.solve(gram, x.T @ onehot)
-    xv = ds.val_x.reshape(ds.val_x.shape[0], -1)
-    xv = np.hstack([xv, np.ones((xv.shape[0], 1))])
-    pred = (xv @ weights).argmax(axis=1)
-    return float((pred == ds.val_y).mean())
-
-
 # -- stochastic block model ---------------------------------------------------------
 
 
@@ -249,26 +231,6 @@ def save_dataset_cache(path, kind: str, meta: dict, arrays: dict):
             fh.write(blob)
 
 
-def load_dataset_cache(path):
-    """Read back (kind, meta, arrays) from a dataset cache file."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_CACHE_MAGIC))
-        if magic != _CACHE_MAGIC:
-            raise ContractError(f"not a dataset cache file: bad magic {magic!r}")
-        version, header_len = struct.unpack("<HI", fh.read(6))
-        if version != _CACHE_VERSION:
-            raise ContractError(f"unsupported dataset cache version {version}")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        arrays = {}
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
-            n_values = int(np.prod(shape)) if shape else 1
-            itemsize = 8
-            raw = fh.read(n_values * itemsize)
-            arrays[entry["name"]] = np.frombuffer(raw, dtype=entry["dtype"]).reshape(shape).copy()
-        return header["kind"], header["meta"], arrays
-
-
 def save_image_dataset(ds: ImageDataset, path):
     meta = {
         "classes": ds.spec.classes,
@@ -283,20 +245,6 @@ def save_image_dataset(ds: ImageDataset, path):
     arrays = {"train_x": ds.train_x, "train_y": ds.train_y,
               "val_x": ds.val_x, "val_y": ds.val_y}
     save_dataset_cache(path, "image", meta, arrays)
-
-
-def load_image_dataset(path) -> ImageDataset:
-    kind, meta, arrays = load_dataset_cache(path)
-    if kind != "image":
-        raise ContractError(f"expected an image dataset cache, got kind {kind!r}")
-    spec = SyntheticImageSpec(
-        classes=meta["classes"], image_size=meta["image_size"],
-        train_count=meta["train_count"], val_count=meta["val_count"],
-        noise_std=meta["noise_std"], seed=meta["seed"],
-    )
-    return ImageDataset(spec=spec, train_x=arrays["train_x"], train_y=arrays["train_y"],
-                        val_x=arrays["val_x"], val_y=arrays["val_y"],
-                        pixel_mean=meta["pixel_mean"], pixel_std=meta["pixel_std"])
 
 
 def save_graph_dataset(g: GraphInstance, spec: SbmGraphSpec, path):
@@ -314,16 +262,3 @@ def save_graph_dataset(g: GraphInstance, spec: SbmGraphSpec, path):
         "val_idx": g.val_idx, "test_idx": g.test_idx,
     }
     save_dataset_cache(path, "graph", meta, arrays)
-
-
-def load_graph_dataset(path):
-    kind, meta, arrays = load_dataset_cache(path)
-    if kind != "graph":
-        raise ContractError(f"expected a graph dataset cache, got kind {kind!r}")
-    spec = SbmGraphSpec(**meta)
-    return GraphInstance(
-        node_features=arrays["node_features"],
-        normalized_adjacency=arrays["normalized_adjacency"],
-        labels=arrays["labels"], train_idx=arrays["train_idx"],
-        val_idx=arrays["val_idx"], test_idx=arrays["test_idx"],
-    ), spec

@@ -1,10 +1,13 @@
 """Training-time feature-map regularizers.
 
-The family ranges from plain Bernoulli dropout to the graph-reasoning
-regularizer: contiguous square blocks of a feature map are gated out and,
-instead of leaving zeros behind, a small stand-alone graph network built
-over randomly sampled feature vectors generates replacement distortions.
-Every variant is the exact identity in eval mode.
+The family ranges from plain Bernoulli dropout (per scalar, or per feature
+vector with ``spatial``) to the graph-reasoning regularizer: contiguous
+square blocks of a feature map are gated out and, instead of leaving zeros
+behind, a small stand-alone graph network built over randomly sampled
+feature vectors generates replacement distortions.  DropBlock is that
+regularizer with no vertices and no generator, so its gated blocks stay
+zero.  Every variant is the exact identity in eval mode, except partial
+graph reasoning's train-and-infer arm.
 
 Two stochastic branches drive the graph regularizer:
 
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,11 +49,9 @@ __all__ = [
     "RegularizerConfig",
     "DropMask",
     "VertexSet",
-    "AdjacencyMatrix",
     "GraphGeneratorParams",
     "SchedulerState",
     "dropout",
-    "spatial_dropout",
     "sample_block_mask",
     "sample_vertices",
     "build_adjacency",
@@ -60,9 +61,9 @@ __all__ = [
     "pool_expand_apply",
     "dropgraph_forward",
     "schedule_rho",
+    "current_rho",
     "DropGraph",
-    "ElementDropout",
-    "SpatialDropout",
+    "Dropout",
     "PartialGraphReasoning",
     "make_regularizer",
 ]
@@ -126,12 +127,6 @@ class VertexSet:
 
 
 @dataclass
-class AdjacencyMatrix:
-    entries: Tensor  # (n, n)
-    mode: str
-
-
-@dataclass
 class SchedulerState:
     """Progress of the drop-probability ramp over one training run."""
 
@@ -186,26 +181,19 @@ def _check_rho(rho: float):
 
 
 def dropout(x: Tensor, rho: float, rng: RngStream, mode: str = "train",
-            rescale: bool = False) -> Tensor:
-    """Zero each scalar independently with probability ``rho`` (train only)."""
+            rescale: bool = False, spatial: bool = False) -> Tensor:
+    """Zero each scalar independently with probability ``rho`` (train only).
+
+    With ``spatial`` a (batch, c, h, w) input gets one gate per
+    (batch, y, x), shared by all channels: whole feature vectors drop.
+    """
     _check_rho(rho)
     if mode == "eval" or rho == 0.0:
         return x
-    keep = (rng.uniform(size=x.data.shape) >= rho).astype(np.float64)
-    out = x * Tensor(keep)
-    if rescale:
-        out = out * (1.0 / (1.0 - rho))
-    return out
-
-
-def spatial_dropout(x: Tensor, rho: float, rng: RngStream, mode: str = "train",
-                    rescale: bool = False) -> Tensor:
-    """Zero whole feature vectors: one gate per (batch, y, x), all channels."""
-    _check_rho(rho)
-    if mode == "eval" or rho == 0.0:
-        return x
-    b, _, h, w = x.data.shape
-    keep = (rng.uniform(size=(b, 1, h, w)) >= rho).astype(np.float64)
+    shape = x.data.shape
+    if spatial:
+        shape = (shape[0], 1) + shape[2:]
+    keep = (rng.uniform(size=shape) >= rho).astype(np.float64)
     out = x * Tensor(keep)
     if rescale:
         out = out * (1.0 / (1.0 - rho))
@@ -309,8 +297,8 @@ def _tile_to(param: Tensor, n: int) -> Tensor:
 
 
 def build_adjacency(v: VertexSet, mode: str = "eq6", normalize: bool = False,
-                    learned_param: Tensor | None = None) -> AdjacencyMatrix:
-    """Construct the vertex dependency matrix.
+                    learned_param: Tensor | None = None) -> Tensor:
+    """Construct the (n, n) vertex dependency matrix.
 
     ``eq6`` couples dissimilar vertices strongly: one minus the row-softmax
     of pairwise dot-product similarities, scaled by 1/max(n-1, 1).  Rows of
@@ -320,15 +308,15 @@ def build_adjacency(v: VertexSet, mode: str = "eq6", normalize: bool = False,
     if n < 1:
         raise ContractError("build_adjacency requires at least one vertex")
     if mode == "identity":
-        return AdjacencyMatrix(Tensor(np.eye(n)), mode)
+        return Tensor(np.eye(n))
     if mode == "uniform":
-        return AdjacencyMatrix(Tensor(np.full((n, n), 1.0 / n)), mode)
+        return Tensor(np.full((n, n), 1.0 / n))
     if mode == "zero":
-        return AdjacencyMatrix(Tensor(np.zeros((n, n))), mode)
+        return Tensor(np.zeros((n, n)))
     if mode == "learned":
         if learned_param is None:
             raise ConfigError("learned adjacency mode needs a parameter matrix")
-        return AdjacencyMatrix(_tile_to(learned_param, n), mode)
+        return _tile_to(learned_param, n)
     vals = v.values
     if normalize:
         norm = ((vals * vals).sum(axis=1, keepdims=True) + 1e-12) ** 0.5
@@ -336,30 +324,27 @@ def build_adjacency(v: VertexSet, mode: str = "eq6", normalize: bool = False,
     sim = matmul(vals, vals.transpose())
     gated = softmax_rows(sim)
     if mode == "similarity":
-        return AdjacencyMatrix(gated, mode)
+        return gated
     if mode == "eq6":
-        a = (1.0 - gated) * (1.0 / max(n - 1, 1))
-        return AdjacencyMatrix(a, mode)
+        return (1.0 - gated) * (1.0 / max(n - 1, 1))
     raise ConfigError(f"unknown adjacency mode {mode!r}")
 
 
-def graph_reasoning(x: Tensor, a, w: Tensor) -> Tensor:
+def graph_reasoning(x: Tensor, a: Tensor, w: Tensor) -> Tensor:
     """One residual graph convolution: x + A x W."""
-    entries = a.entries if isinstance(a, AdjacencyMatrix) else a
-    return x + matmul(matmul(entries, x), w)
+    return x + matmul(matmul(a, x), w)
 
 
-def generate_graph_distortions(v: VertexSet, a: AdjacencyMatrix,
+def generate_graph_distortions(v: VertexSet, a: Tensor,
                                params: GraphGeneratorParams) -> Tensor:
     """Three-layer GCN bottleneck mapping vertex values to distortions.
 
     Channel flow c -> c/4 -> c/4 -> c; the middle layer is residual, the
     outer two are plain A.X.W maps, and all three share the same adjacency.
     """
-    av = matmul(a.entries, v.values)
-    h1 = relu(matmul(av, params.w_in))
+    h1 = relu(matmul(matmul(a, v.values), params.w_in))
     h2 = relu(graph_reasoning(h1, a, params.w_mid))
-    return matmul(matmul(a.entries, h2), params.w_out)
+    return matmul(matmul(a, h2), params.w_out)
 
 
 def generate_alt_distortions(v: VertexSet, kind: str, rng: RngStream) -> Tensor:
@@ -389,19 +374,31 @@ def pool_expand_apply(x: Tensor, m: DropMask, d: Tensor, v: VertexSet,
     unchanged; gradients flow into both ``x`` and ``d``.
     """
     b, c, h, w = x.data.shape
-    n = d.data.shape[0]
-    counts = np.bincount(v.indices[:, 0], minlength=b) if n else np.zeros(b, dtype=int)
-    pool = np.zeros((b, n))
-    row = 0
-    for bi, cnt in enumerate(counts):
-        if cnt:
-            pool[bi, row : row + cnt] = 1.0 / cnt
-            row += cnt
+    items = v.indices[:, 0]  # row i of d belongs to batch item items[i]
+    pool = np.zeros((b, len(items)))
+    pool[items, np.arange(len(items))] = 1.0 / np.bincount(items, minlength=b)[items]
     pooled = matmul(Tensor(pool), d)  # (b, c)
     u = rng.uniform(size=(b, 1, h, w))
     gate = m.gate[:, None, :, :]
     filler = Tensor((1.0 - gate) * u)
     return x * Tensor(gate) + pooled.reshape(b, c, 1, 1) * filler
+
+
+def _per_item(vertices: VertexSet, batch: int, fn) -> Tensor:
+    """Row-concatenate ``fn(bi, item_vertices)`` over the items that hold vertices.
+
+    Vertex rows are lexicographically sorted, so each batch item's rows form
+    a contiguous slice and the result keeps the rows of ``vertices`` in order.
+    """
+    counts = np.bincount(vertices.indices[:, 0], minlength=batch)
+    ends = np.cumsum(counts)
+    pieces = []
+    for bi in np.flatnonzero(counts):
+        lo, hi = int(ends[bi] - counts[bi]), int(ends[bi])
+        item = VertexSet(indices=vertices.indices[lo:hi],
+                         values=slice_axis(vertices.values, 0, lo, hi))
+        pieces.append(fn(int(bi), item))
+    return pieces[0] if len(pieces) == 1 else concat(pieces, axis=0)
 
 
 def dropgraph_forward(x: Tensor, cfg: RegularizerConfig,
@@ -421,38 +418,23 @@ def dropgraph_forward(x: Tensor, cfg: RegularizerConfig,
         return x
     b, c, h, w = x.data.shape
     if cfg.block_size > min(h, w):
-        raise ContractError(
-            f"block_size {cfg.block_size} exceeds feature map {h}x{w}"
-        )
-    rho_t = schedule_rho(sched) if sched is not None else cfg.rho_target
+        raise ContractError(f"block_size {cfg.block_size} exceeds feature map {h}x{w}")
     if mask is None:
-        mask = sample_block_mask(h, w, cfg.block_size, rho_t, rng.child("mask"), batch=b)
+        mask = sample_block_mask(h, w, cfg.block_size, current_rho(cfg, sched),
+                                 rng.child("mask"), batch=b)
     vertices = sample_vertices(x, cfg.alpha, rng.child("vertices"))
-    n = vertices.count
-    if n == 0 or cfg.generator_kind == "none":
-        d = Tensor(np.zeros((n, c)))
+
+    def distort(bi: int, item: VertexSet) -> Tensor:
+        if cfg.generator_kind != "graph":
+            return generate_alt_distortions(item, cfg.generator_kind, rng.child("noise", bi))
+        adj = build_adjacency(item, cfg.adjacency_mode, normalize=cfg.normalize_similarity,
+                              learned_param=learned_adjacency)
+        return generate_graph_distortions(item, adj, params)
+
+    if vertices.count == 0 or cfg.generator_kind == "none":
+        d = Tensor(np.zeros((vertices.count, c)))
     else:
-        # One graph per batch item: vertex rows are lexicographically sorted,
-        # so each item's rows form a contiguous slice.
-        counts = np.bincount(vertices.indices[:, 0], minlength=b)
-        pieces = []
-        lo = 0
-        for bi, cnt in enumerate(counts):
-            if cnt == 0:
-                continue
-            hi = lo + int(cnt)
-            item = VertexSet(indices=vertices.indices[lo:hi],
-                             values=slice_axis(vertices.values, 0, lo, hi))
-            adj = build_adjacency(item, cfg.adjacency_mode,
-                                  normalize=cfg.normalize_similarity,
-                                  learned_param=learned_adjacency)
-            if cfg.generator_kind == "graph":
-                pieces.append(generate_graph_distortions(item, adj, params))
-            else:
-                pieces.append(generate_alt_distortions(item, cfg.generator_kind,
-                                                       rng.child("noise", bi)))
-            lo = hi
-        d = pieces[0] if len(pieces) == 1 else concat(pieces, axis=0)
+        d = _per_item(vertices, b, distort)
     return pool_expand_apply(x, mask, d, vertices, rng.child("multipliers"))
 
 
@@ -482,6 +464,11 @@ def schedule_rho(s: SchedulerState) -> float:
     if s.kind == "f5":
         return rho * r * r * (3.0 - 2.0 * r)
     raise ConfigError(f"unknown scheduler kind {s.kind!r}")
+
+
+def current_rho(cfg: RegularizerConfig, sched: SchedulerState | None) -> float:
+    """Drop probability now: the scheduled ramp, or the target without a scheduler."""
+    return schedule_rho(sched) if sched is not None else cfg.rho_target
 
 
 # -- backbone-insertable modules ------------------------------------------------------
@@ -514,32 +501,21 @@ class DropGraph(Module):
                                  mask=mask, learned_adjacency=self.adjacency_param)
 
 
-class ElementDropout(Module):
-    """Classic per-scalar dropout as an insertion-point module."""
+class Dropout(Module):
+    """Per-scalar dropout, or whole-feature-vector dropout with ``spatial``,
+    as an insertion-point module."""
 
-    def __init__(self, cfg: RegularizerConfig):
+    def __init__(self, cfg: RegularizerConfig, spatial: bool = False):
         super().__init__()
         self.cfg = cfg
+        self.spatial = spatial
 
     def forward(self, x, rng, sched, mask=None):
         if not self.training:
             return x
-        rho = schedule_rho(sched) if sched is not None else self.cfg.rho_target
-        return dropout(x, rho, rng.child("dropout"), "train", self.cfg.rescale_dropout)
-
-
-class SpatialDropout(Module):
-    """Whole-feature-vector dropout as an insertion-point module."""
-
-    def __init__(self, cfg: RegularizerConfig):
-        super().__init__()
-        self.cfg = cfg
-
-    def forward(self, x, rng, sched, mask=None):
-        if not self.training:
-            return x
-        rho = schedule_rho(sched) if sched is not None else self.cfg.rho_target
-        return spatial_dropout(x, rho, rng.child("spatial"), "train", self.cfg.rescale_dropout)
+        site = rng.child("spatial" if self.spatial else "dropout")
+        return dropout(x, current_rho(self.cfg, sched), site, "train",
+                       self.cfg.rescale_dropout, spatial=self.spatial)
 
 
 class PartialGraphReasoning(Module):
@@ -587,27 +563,20 @@ class PartialGraphReasoning(Module):
             return x
         if self.strategy == "random":
             vertices = sample_vertices(x, self.alpha, rng.child("pgr_vertices"))
-            indices = vertices.indices
-            values = vertices.values
         else:
             indices = self._select_top(x)
-            values = take_spatial_vectors(x, indices[:, 0], indices[:, 1], indices[:, 2])
-        if indices.shape[0] == 0:
+            vertices = VertexSet(indices=indices, values=take_spatial_vectors(
+                x, indices[:, 0], indices[:, 1], indices[:, 2]))
+        if vertices.count == 0:
             return x
-        b = x.data.shape[0]
-        counts = np.bincount(indices[:, 0], minlength=b)
-        pieces = []
-        lo = 0
-        for cnt in counts:
-            if cnt == 0:
-                continue
-            hi = lo + int(cnt)
-            item = VertexSet(indices=indices[lo:hi], values=slice_axis(values, 0, lo, hi))
+
+        def reason(_, item: VertexSet) -> Tensor:
             adj = build_adjacency(item, self.adjacency_mode)
-            pieces.append(matmul(matmul(adj.entries, item.values), self.weight))
-            lo = hi
-        rows = pieces[0] if len(pieces) == 1 else concat(pieces, axis=0)
-        return replace_spatial_vectors(x, indices[:, 0], indices[:, 1], indices[:, 2], rows)
+            return matmul(matmul(adj, item.values), self.weight)
+
+        rows = _per_item(vertices, x.data.shape[0], reason)
+        idx = vertices.indices
+        return replace_spatial_vectors(x, idx[:, 0], idx[:, 1], idx[:, 2], rows)
 
 
 def make_regularizer(kind: str, channels: int, cfg: RegularizerConfig,
@@ -616,17 +585,12 @@ def make_regularizer(kind: str, channels: int, cfg: RegularizerConfig,
     """Insertion-point module factory for a regularizer kind, or None."""
     if kind == "none":
         return None
-    if kind == "dropout":
-        return ElementDropout(cfg)
-    if kind == "spatial_dropout":
-        return SpatialDropout(cfg)
+    if kind in ("dropout", "spatial_dropout"):
+        return Dropout(cfg, spatial=kind == "spatial_dropout")
     if kind == "dropblock":
-        mask_only = RegularizerConfig(
-            alpha=0.0, rho_target=cfg.rho_target, block_size=cfg.block_size,
-            adjacency_mode=cfg.adjacency_mode, generator_kind="none",
-            scheduler_kind=cfg.scheduler_kind,
-        )
-        return DropGraph(channels, mask_only, rng, spatial_size=spatial_size)
+        # The block mask alone: no vertices, no generator, no adjacency.
+        mask_only = replace(cfg, alpha=0.0, generator_kind="none", adjacency_mode="zero")
+        return DropGraph(channels, mask_only, rng)
     if kind == "dropgraph":
         return DropGraph(channels, cfg, rng, spatial_size=spatial_size)
     if kind == "pgr":

@@ -64,10 +64,6 @@ class RngStream:
     def normal(self, size=None, scale=1.0) -> np.ndarray:
         return self.generator.normal(0.0, scale, size=size)
 
-    def bernoulli(self, p: float, size=None) -> np.ndarray:
-        """0/1 float64 draws with P(1) = p."""
-        return (self.generator.random(size=size) < p).astype(np.float64)
-
     def integers(self, low: int, high: int, size=None):
         return self.generator.integers(low, high, size=size)
 

@@ -57,10 +57,6 @@ class SGD:
             v += g
             p.data = p.data - self.lr * v
 
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None
-
 
 @dataclass
 class EpochStats:

@@ -42,3 +42,13 @@ def test_truncated_checkpoint_raises_contract_error(tmp_path):
         path.write_bytes(raw[:cut])
         with pytest.raises(ContractError, match="truncated checkpoint"):
             load_checkpoint(path)
+
+
+def test_non_utf8_checkpoint_name_raises_contract_error(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(_small_model(4), path)
+    raw = bytearray(path.read_bytes())
+    raw[14] = 0xFF  # first byte of the first name
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ContractError, match="not UTF-8"):
+        load_checkpoint(path)

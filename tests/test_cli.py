@@ -54,9 +54,13 @@ def test_verify_exits_1_on_a_failed_check(monkeypatch, capsys):
     (_GRAPH, ["--threads", "1\nthreads = 2"], "threads: '#' and line breaks"),
     (_GRAPH, ["--axis", "alpha", "--values", "0.1,0.2#"], "--values: '#' and line breaks"),
     (_GRAPH, ["--axis", "alpha", "--values", "0.1\nreg.rho = 0.3"], "--values: '#'"),
+    ("reg.kind = pgr\nreg.adjacency = learned\n", [], "reg.adjacency: learned"),
+    (_GRAPH + "reg.adjacency = learned\n", [], "reg.adjacency: learned"),
+    (_GRAPH, ["--axis", "adjacency_mode", "--values", "eq6,learned"], "reg.adjacency: learned"),
 ], ids=["missing_file", "bad_key", "seeds_not_int", "seeds_empty_entry", "two_seeds",
         "threads_0", "values_empty", "value_out_of_range", "value_unknown",
-        "seeds_comment", "threads_newline", "values_comment", "values_newline"])
+        "seeds_comment", "threads_newline", "values_comment", "values_newline",
+        "pgr_learned", "node_graph_dropgraph_learned", "sweep_node_graph_learned"])
 def test_config_errors_exit_2_before_any_output(tmp_path, capsys, text, extra, message):
     config = _write(tmp_path, text) if text is not None else str(tmp_path / "missing.cfg")
     out = tmp_path / "out"
@@ -83,8 +87,23 @@ def test_bad_axis_is_rejected_by_the_argument_parser(tmp_path):
     assert info.value.code == 2
 
 
-def test_divergence_exits_3(tmp_path):
-    text = "task = node_graph\ntrain.epochs = 5\ntrain.lr = 1e200\n"
+def test_node_graph_dropblock_ignores_the_adjacency(tmp_path):
+    # DropBlock has no graph, so a learned adjacency needs no map size.
+    text = "task = node_graph\nreg.kind = dropblock\nreg.adjacency = learned\ntrain.epochs = 2\n"
+    assert cli.main(["run", _write(tmp_path, text), "--out-dir", str(tmp_path / "out")]) == 0
+
+
+def _assert_diverges(tmp_path, text):
     out = tmp_path / "out"
     assert cli.main(["run", _write(tmp_path, text), "--out-dir", str(out)]) == 3
     assert '"status": "diverged"' in (out / "runs.jsonl").read_text()
+
+
+def test_divergence_exits_3(tmp_path):
+    _assert_diverges(tmp_path, "task = node_graph\ntrain.epochs = 5\ntrain.lr = 1e200\n")
+
+
+def test_image_divergence_exits_3(tmp_path):
+    # One step per epoch: the first blows the weights up, the second's loss is not finite.
+    _assert_diverges(tmp_path, "task = image\ndata.train_count = 32\ndata.val_count = 8\n"
+                               "train.epochs = 2\ntrain.lr = 1e200\n")

@@ -5,7 +5,6 @@ import pytest
 from dropgraph.errors import ConfigError, ContractError
 from dropgraph.gradcheck import grad_check, min_relu_margin
 from dropgraph.regularizers import (
-    AdjacencyMatrix,
     DropGraph,
     GraphGeneratorParams,
     PartialGraphReasoning,
@@ -23,7 +22,6 @@ from dropgraph.regularizers import (
     sample_block_mask,
     sample_vertices,
     schedule_rho,
-    spatial_dropout,
 )
 from dropgraph.rng import RngStream
 from dropgraph.tensor import Tensor
@@ -86,7 +84,7 @@ def test_dropout_rho_out_of_range():
 
 def test_spatial_dropout_drops_whole_vectors():
     x = Tensor(RNG.normal(size=(4, 8, 10, 10)) + 5.0)
-    out = spatial_dropout(x, 0.5, RngStream(5, ("s",)), "train")
+    out = dropout(x, 0.5, RngStream(5, ("s",)), "train", spatial=True)
     per_position_zero = (out.data == 0).all(axis=1)
     per_position_kept = (out.data != 0).all(axis=1)
     assert (per_position_zero | per_position_kept).all()
@@ -94,7 +92,7 @@ def test_spatial_dropout_drops_whole_vectors():
 
 def test_spatial_dropout_rate():
     x = Tensor(np.ones((10, 4, 100, 100)))
-    out = spatial_dropout(x, 0.3, RngStream(6, ("s2",)), "train")
+    out = dropout(x, 0.3, RngStream(6, ("s2",)), "train", spatial=True)
     rate = float((out.data[:, 0] == 0).mean())
     assert abs(rate - 0.3) <= 0.005
 
@@ -212,12 +210,12 @@ def test_sample_vertices_alpha_range():
 
 def test_adjacency_single_vertex_is_zero():
     a = build_adjacency(make_vertices([[3.0, 1.0]]), "eq6")
-    npt.assert_array_equal(a.entries.data, [[0.0]])
+    npt.assert_array_equal(a.data, [[0.0]])
 
 
 def test_adjacency_two_identical_vertices():
     a = build_adjacency(make_vertices([[1.0, 2.0], [1.0, 2.0]]), "eq6")
-    npt.assert_allclose(a.entries.data, [[0.5, 0.5], [0.5, 0.5]], atol=1e-14)
+    npt.assert_allclose(a.data, [[0.5, 0.5], [0.5, 0.5]], atol=1e-14)
 
 
 def test_adjacency_frozen_three_vertex_case():
@@ -228,7 +226,7 @@ def test_adjacency_frozen_three_vertex_case():
         [0.4223187982515181966, 0.2888406008742409017, 0.2888406008742409017],
         [0.39402922119145727746, 0.39402922119145727746, 0.21194155761708544507],
     ]
-    npt.assert_allclose(a.entries.data, want, rtol=1e-13)
+    npt.assert_allclose(a.data, want, rtol=1e-13)
 
 
 def test_adjacency_row_sums_and_bounds():
@@ -236,7 +234,7 @@ def test_adjacency_row_sums_and_bounds():
         n = int(RNG.integers(2, 10))
         c = int(RNG.integers(1, 8))
         a = build_adjacency(make_vertices(RNG.normal(size=(n, c)) * 3), "eq6")
-        e = a.entries.data
+        e = a.data
         npt.assert_allclose(e.sum(axis=1), np.ones(n), atol=1e-10)
         assert (e >= 0).all() and (e <= 1).all()
 
@@ -246,29 +244,29 @@ def test_adjacency_diagonal_minimal_for_normalized_vectors():
         n = int(RNG.integers(2, 8))
         vals = RNG.normal(size=(n, 5))
         vals /= np.linalg.norm(vals, axis=1, keepdims=True)
-        e = build_adjacency(make_vertices(vals), "eq6").entries.data
+        e = build_adjacency(make_vertices(vals), "eq6").data
         for i in range(n):
             assert e[i, i] <= e[i].min() + 1e-12
 
 
 def test_adjacency_other_modes():
     v = make_vertices(RNG.normal(size=(4, 3)))
-    npt.assert_array_equal(build_adjacency(v, "identity").entries.data, np.eye(4))
-    npt.assert_array_equal(build_adjacency(v, "uniform").entries.data, np.full((4, 4), 0.25))
-    npt.assert_array_equal(build_adjacency(v, "zero").entries.data, np.zeros((4, 4)))
-    sim = build_adjacency(v, "similarity").entries.data
+    npt.assert_array_equal(build_adjacency(v, "identity").data, np.eye(4))
+    npt.assert_array_equal(build_adjacency(v, "uniform").data, np.full((4, 4), 0.25))
+    npt.assert_array_equal(build_adjacency(v, "zero").data, np.zeros((4, 4)))
+    sim = build_adjacency(v, "similarity").data
     npt.assert_allclose(sim.sum(axis=1), np.ones(4), atol=1e-12)
 
 
 def test_adjacency_learned_crop_and_tile():
     param = Tensor(RNG.normal(size=(4, 4)), requires_grad=True)
     small = build_adjacency(make_vertices(RNG.normal(size=(3, 2))), "learned", learned_param=param)
-    npt.assert_array_equal(small.entries.data, param.data[:3, :3])
+    npt.assert_array_equal(small.data, param.data[:3, :3])
     big = build_adjacency(make_vertices(RNG.normal(size=(7, 2))), "learned", learned_param=param)
-    assert big.entries.data.shape == (7, 7)
-    npt.assert_array_equal(big.entries.data[:4, :4], param.data)
-    npt.assert_array_equal(big.entries.data[4:7, 4:7], param.data[:3, :3])
-    big.entries.sum().backward()
+    assert big.data.shape == (7, 7)
+    npt.assert_array_equal(big.data[:4, :4], param.data)
+    npt.assert_array_equal(big.data[4:7, 4:7], param.data[:3, :3])
+    big.sum().backward()
     assert param.grad is not None
 
 
@@ -304,7 +302,7 @@ def test_graph_reasoning_matches_matmul_oracle():
 def test_generator_zero_adjacency_gives_zero():
     params = GraphGeneratorParams(8, RngStream(16, ("p",)))
     v = make_vertices(RNG.normal(size=(5, 8)))
-    a = AdjacencyMatrix(Tensor(np.zeros((5, 5))), "zero")
+    a = Tensor(np.zeros((5, 5)))
     out = generate_graph_distortions(v, a, params)
     npt.assert_array_equal(out.data, np.zeros((5, 8)))
 
@@ -323,7 +321,7 @@ def test_generator_matches_three_stage_oracle():
     vals = RNG.normal(size=(2, 4))
     v = make_vertices(vals)
     a = build_adjacency(v, "eq6")
-    an = a.entries.data
+    an = a.data
     h1 = np.maximum(an @ vals @ params.w_in.data, 0)
     h2 = np.maximum(h1 + an @ h1 @ params.w_mid.data, 0)
     want = an @ h2 @ params.w_out.data
@@ -568,7 +566,7 @@ def test_pgr_replaces_selected_rows_with_avw():
     x = Tensor(RNG.normal(size=(1, 4, 3, 3)))
     out = mod(x, RngStream(2, ("f",)))
     vals = x.data[0].reshape(4, 9).T  # all positions, scan order
-    a = build_adjacency(make_vertices(vals), "eq6").entries.data
+    a = build_adjacency(make_vertices(vals), "eq6").data
     want = a @ vals @ mod.weight.data
     npt.assert_allclose(out.data[0].reshape(4, 9).T, want, rtol=1e-10)
 
