@@ -7,7 +7,8 @@ Subcommands:
 * ``sweep <config> --axis <name> --values <list>`` - run the cross product
   of one regularizer axis against the shared seeds; emit a tidy long-format
   CSV for plotting.
-* ``verify`` - run the invariant suite and print a pass/fail table.
+* ``verify`` - run the invariant suite and print a pass/fail table, after
+  one line naming the conv backend, the tensor dtype and the numpy version.
 
 ``--seeds``, ``--out-dir``, ``--threads`` and each sweep value are applied as
 ``key = value`` lines appended to the config file's text, so they pass the
@@ -25,9 +26,13 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from . import _conv
 from .config import _FIELD_BY_KEY, ExperimentConfig, config_to_text, parse_config
 from .data import gen_images, gen_sbm, save_graph_dataset, save_image_dataset
 from .errors import ConfigError, DropGraphError
+from .tensor import Tensor
 from .train import multi_seed, summarize_records, write_run_records
 from .verify import CHECK_NAMES, run_checks
 
@@ -145,6 +150,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     names = args.check or None
+    print(f"backend {_conv.BACKEND}  dtype {Tensor(0.0).data.dtype}  numpy {np.__version__}")
     results = run_checks(names)
     width = max(len(r.name) for r in results)
     failures = 0

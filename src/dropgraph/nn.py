@@ -56,14 +56,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias, stride: int = 1, padding: int = 0) -
         raise DimensionError(
             f"conv2d padded size ({h + 2 * padding}x{w + 2 * padding}) smaller than kernel {k}"
         )
-    xp = (
-        np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        if padding
-        else np.ascontiguousarray(x.data)
-    )
     oh = (h + 2 * padding - k) // stride + 1
     ow = (w + 2 * padding - k) // stride + 1
-    out = _conv.conv_forward(xp, kernel.data, stride, oh, ow)
+    out = _conv.conv_forward(x.data, kernel.data, stride, oh, ow, padding)
     if bias is not None:
         out += bias.data[None, :, None, None]
 
@@ -74,25 +69,12 @@ def conv2d(x: Tensor, kernel: Tensor, bias, stride: int = 1, padding: int = 0) -
         if bias is not None and bias.requires_grad:
             bias._accum(g.sum(axis=(0, 2, 3)))
         if kernel.requires_grad:
-            kernel._accum(_conv.conv_dw(xp, g, stride, k))
+            kernel._accum(_conv.conv_dw(x.data, g, stride, k, padding))
         if x.requires_grad:
             # dx = full correlation of the stride-dilated output grad with the
-            # spatially flipped kernel, evaluated in padded coordinates.
-            if stride == 1:
-                gd = g
-            else:
-                gd = np.zeros((n, cout, (oh - 1) * stride + 1, (ow - 1) * stride + 1))
-                gd[:, :, ::stride, ::stride] = g
-            gp = np.pad(gd, ((0, 0), (0, 0), (k - 1, k - 1), (k - 1, k - 1)))
-            used = _conv.conv_dx_full(gp, kernel.data)
-            fh, fw = used.shape[2], used.shape[3]
-            hp, wp = xp.shape[2], xp.shape[3]
-            if fh == hp and fw == wp and padding == 0:
-                x._accum(used)
-            else:
-                dxp = np.zeros((n, cin, hp, wp))
-                dxp[:, :, :fh, :fw] = used
-                x._accum(dxp[:, :, padding : padding + h, padding : padding + w])
+            # spatially flipped kernel, over a grid that yields exactly (h, w).
+            gp = _conv.dx_grid(g, stride, padding, k, h, w)
+            x._accum(_conv.conv_dx_full(gp, kernel.data))
 
     return Tensor._result(out, parents, backward, "conv2d")
 

@@ -487,7 +487,7 @@ class DropGraph(Module):
             else None
         )
         self.adjacency_param = None
-        if cfg.adjacency_mode == "learned":
+        if cfg.adjacency_mode == "learned" and self.params is not None:
             if spatial_size is None:
                 raise ConfigError("learned adjacency needs the insertion point's spatial size")
             k = max(1, math.ceil(cfg.alpha * spatial_size[0] * spatial_size[1]))

@@ -9,6 +9,7 @@ from dropgraph.backbones import (
     load_checkpoint,
     save_checkpoint,
 )
+from dropgraph.config import parse_config
 from dropgraph.errors import ContractError
 from dropgraph.rng import RngStream
 
@@ -52,3 +53,14 @@ def test_non_utf8_checkpoint_name_raises_contract_error(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(ContractError, match="not UTF-8"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("generator,learned", [("graph", 4), ("avg_pool", 0), ("random_noise", 0)])
+def test_learned_adjacency_only_for_the_graph_generator(generator, learned):
+    """Generators that read no adjacency get no learned adjacency parameter."""
+    cfg = parse_config(f"task = image\nreg.kind = dropgraph\nreg.generator = {generator}\n"
+                       "reg.adjacency = learned\n")
+    model = TinyResNet(cfg.resnet_config(), RngStream(5), reg_kind="dropgraph",
+                       reg_cfg=cfg.regularizer_config())
+    names = [name for name, _ in model.named_parameters()]
+    assert sum(name.endswith("adjacency_param") for name in names) == learned

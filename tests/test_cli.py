@@ -1,6 +1,7 @@
 """The documented exit codes of ``dropgraph``: 0 success, 1 verification
 failure, 2 configuration/parse error, 3 training divergence."""
 
+import numpy as np
 import pytest
 
 from dropgraph import cli
@@ -37,7 +38,9 @@ def test_verify_exits_1_on_a_failed_check(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_checks", lambda names: [
         CheckResult("ok_check", True, "", 0.0), CheckResult("bad_check", False, "off", 0.0)])
     assert cli.main(["verify"]) == 1
-    assert "1/2 checks passed" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "1/2 checks passed" in out
+    assert out.splitlines()[0] == f"backend numpy  dtype float64  numpy {np.__version__}"
 
 
 @pytest.mark.parametrize("text, extra, message", [

@@ -100,14 +100,60 @@ def test_conv_kernel_larger_than_padded_input():
         conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 3, 3))), None)
 
 
-@pytest.mark.parametrize("stride,pad,h", [(1, 1, 5), (2, 0, 7), (2, 1, 6), (3, 0, 8)])
+def conv_dx_naive(g, k, stride, pad, h, w):
+    """Scatter loop for the input gradient, matching ``conv_naive`` term by term."""
+    n, cout, oh, ow = g.shape
+    _, cin, kk, _ = k.shape
+    dx = np.zeros((n, cin, h, w))
+    for ni in range(n):
+        for co in range(cout):
+            for oy in range(oh):
+                for ox in range(ow):
+                    for ci in range(cin):
+                        for u in range(kk):
+                            for v in range(kk):
+                                iy, ix = oy * stride + u - pad, ox * stride + v - pad
+                                if 0 <= iy < h and 0 <= ix < w:
+                                    dx[ni, ci, iy, ix] += g[ni, co, oy, ox] * k[co, ci, u, v]
+    return dx
+
+
+# Every stride with every padding up to the largest kernel; the input is h x (h+1),
+# so (size + 2*pad - k) % stride is both zero and nonzero for stride 2.
+CONV_GRID = list(dict.fromkeys(
+    [(1, 1, 5), (2, 0, 7), (2, 1, 6), (3, 0, 8)]
+    + [(stride, pad, 5 + stride) for stride in (1, 2, 3) for pad in range(6)]
+))
+KERNEL_SIZES = (1, 3, 5)
+
+
+@pytest.mark.parametrize("stride,pad,h", CONV_GRID)
 def test_conv_gradients(stride, pad, h):
-    x = Tensor(RNG.normal(size=(2, 3, h, h)), requires_grad=True)
-    k = Tensor(RNG.normal(size=(4, 3, 3, 3)), requires_grad=True)
-    b = Tensor(RNG.normal(size=(4,)), requires_grad=True)
-    assert grad_check(lambda t: (conv2d(t, k, b, stride, pad) ** 2).sum(), x) <= 1e-5
-    assert grad_check(lambda t: (conv2d(x, t, b, stride, pad) ** 2).sum(), k) <= 1e-5
-    assert grad_check(lambda t: (conv2d(x, k, t, stride, pad) ** 2).sum(), b) <= 1e-5
+    """Finite differences, for each kernel size k >= pad."""
+    for k in KERNEL_SIZES:
+        if k < pad:
+            continue
+        x = Tensor(RNG.normal(size=(2, 2, h, h + 1)), requires_grad=True)
+        kern = Tensor(RNG.normal(size=(3, 2, k, k)), requires_grad=True)
+        b = Tensor(RNG.normal(size=(3,)), requires_grad=True)
+        assert grad_check(lambda t: (conv2d(t, kern, b, stride, pad) ** 2).sum(), x) <= 1e-5
+        assert grad_check(lambda t: (conv2d(x, t, b, stride, pad) ** 2).sum(), kern) <= 1e-5
+        assert grad_check(lambda t: (conv2d(x, kern, t, stride, pad) ** 2).sum(), b) <= 1e-5
+
+
+@pytest.mark.parametrize("stride,pad,h", CONV_GRID)
+def test_conv_input_gradient_matches_scatter_loop(stride, pad, h):
+    for k in KERNEL_SIZES:
+        if k < pad:
+            continue
+        x = Tensor(RNG.normal(size=(2, 3, h, h + 1)), requires_grad=True)
+        kern = RNG.normal(size=(4, 3, k, k))
+        out = conv2d(x, Tensor(kern), None, stride, pad)
+        g = RNG.normal(size=out.data.shape)
+        (out * Tensor(g)).sum().backward()
+        want = conv_dx_naive(g, kern, stride, pad, h, h + 1)
+        assert x.grad.shape == x.data.shape
+        assert _rel_err(x.grad, want) <= 1e-12, (k, stride, pad, h)
 
 
 # -- batch norm ---------------------------------------------------------------------
