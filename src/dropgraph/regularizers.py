@@ -17,6 +17,15 @@ Two stochastic branches drive the graph regularizer:
   ``alpha``, pairwise adjacency ``A``, and a three-layer GCN bottleneck
   that maps vertex values to distortions.
 
+Every batch item gets its own graph, and one insertion point runs all of
+them at once in a padded layout: ``VertexSet.by_item`` gathers item i's
+``n_i`` vertices into rows ``:n_i`` of a (b, n_max, c) stack whose other
+rows are zero.  Adjacency and GCN layers are then single stacked tensor
+ops over the batch.  The softmax is masked to each item's own vertices,
+per-item scales such as 1/max(n_i - 1, 1) are (b, 1, 1) arrays, and pad
+rows and columns of ``A`` are exactly zero, so each item's result equals
+its stand-alone graph up to floating-point summation order.
+
 Each stochastic site draws from its own named RNG path, so any site can be
 replayed in isolation and configurations that ignore a site (for example a
 zero adjacency) still consume identical randomness elsewhere.
@@ -35,14 +44,12 @@ from .nn import Module
 from .rng import RngStream
 from .tensor import (
     Tensor,
-    concat,
     matmul,
     relu,
-    slice_axis,
-    softmax_rows,
-    take_spatial_vectors,
-    tmean,
     replace_spatial_vectors,
+    softmax_rows,
+    take_rows,
+    take_spatial_vectors,
 )
 
 __all__ = [
@@ -116,14 +123,76 @@ class DropMask:
 
 @dataclass
 class VertexSet:
-    """Sampled feature vectors: positions plus their (n, c) value matrix."""
+    """Sampled feature vectors: their positions and their values.
+
+    ``values`` is either one graph over all rows of ``indices``, shape
+    (n, c), or, from ``by_item``, one graph per batch item padded to the
+    largest item: item i's vertices fill rows ``:counts[i]`` of
+    ``values[i]`` in ``indices`` order, and the rows after them are zero.
+    """
 
     indices: np.ndarray  # (n, 3) int rows (batch, y, x), lexicographically sorted
-    values: Tensor  # (n, c)
+    values: Tensor  # (n, c), or (b, n_max, c) when counts is set
+    counts: np.ndarray | None = None  # (b,) vertices per item of the padded layout
 
     @property
     def count(self) -> int:
         return self.indices.shape[0]
+
+    @property
+    def valid(self) -> np.ndarray | None:
+        """(b, n_max) True at the vertex rows, or None when no row is padding."""
+        return None if self.counts is None else _valid_rows(self.counts)
+
+    def sizes(self) -> np.ndarray:
+        """Vertices per graph, shaped to broadcast against (..., n, n)."""
+        if self.counts is None:
+            return np.float64(self.values.data.shape[0])
+        return self.counts[:, None, None].astype(np.float64)
+
+    def row_mask(self) -> np.ndarray:
+        """(..., n, 1): 1 at vertex rows, 0 at pad rows."""
+        shape = self.values.data.shape[:-1] + (1,)
+        if self.counts is None:
+            return np.ones(shape)
+        return (np.arange(shape[1]) < self.counts[:, None])[:, :, None].astype(np.float64)
+
+    def positions(self) -> tuple:
+        """(ib, iy, ix) arrays of the rows of ``values``; pad rows point at (i, 0, 0)."""
+        if self.counts is None:
+            return tuple(self.indices.T)
+        return _padded_positions(self.indices, self.counts)
+
+    def by_item(self, x: Tensor) -> VertexSet:
+        """The same vertices gathered from ``x`` as one padded graph per batch item.
+
+        A single-item batch is already one graph and is returned as it is.
+        """
+        if x.data.shape[0] == 1:
+            return self
+        counts = np.bincount(self.indices[:, 0], minlength=x.data.shape[0])
+        values = take_spatial_vectors(x, *_padded_positions(self.indices, counts),
+                                      valid=_valid_rows(counts))
+        return VertexSet(self.indices, values, counts)
+
+
+def _valid_rows(counts: np.ndarray) -> np.ndarray | None:
+    """(b, n_max) True at rows below each item's count; None when every item fills n_max."""
+    n_max = counts.max()
+    if (counts == n_max).all():
+        return None
+    return np.arange(n_max) < counts[:, None]
+
+
+def _padded_positions(indices: np.ndarray, counts: np.ndarray) -> tuple:
+    """(ib, iy, ix), each (b, n_max), of the padded rows; pad rows point at (i, 0, 0)."""
+    ib, iy, ix = indices.T
+    rank = np.arange(len(ib)) - (np.cumsum(counts) - counts)[ib]
+    pos = np.zeros((3, len(counts), counts.max()), dtype=np.intp)
+    pos[0] = np.arange(len(counts))[:, None]
+    pos[1, ib, rank] = iy
+    pos[2, ib, rank] = ix
+    return tuple(pos)
 
 
 @dataclass
@@ -276,57 +345,59 @@ def sample_vertices(x: Tensor, alpha: float, rng: RngStream) -> VertexSet:
         indices = np.zeros((0, 3), dtype=np.intp)
         return VertexSet(indices=indices, values=take_spatial_vectors(x, [], [], []))
     selected = rng.child("select").uniform(size=(b, h, w)) < alpha
-    for bi in range(b):
-        if not selected[bi].any():
-            flat = int(rng.child("force", bi).integers(0, h * w))
-            selected[bi, flat // w, flat % w] = True
+    for bi in np.flatnonzero(~selected.reshape(b, h * w).any(axis=1)):
+        flat = int(rng.child("force", int(bi)).integers(0, h * w))
+        selected[bi, flat // w, flat % w] = True
     indices = np.argwhere(selected)  # lexicographic (b, y, x): unique, sorted
     values = take_spatial_vectors(x, indices[:, 0], indices[:, 1], indices[:, 2])
     return VertexSet(indices=indices, values=values)
 
 
-def _tile_to(param: Tensor, n: int) -> Tensor:
-    """Resize a square parameter matrix to n x n by truncation or tiling."""
-    k = param.data.shape[0]
-    if n <= k:
-        return slice_axis(slice_axis(param, 0, 0, n), 1, 0, n)
-    reps = -(-n // k)  # ceil
-    rows = concat([param] * reps, axis=0)
-    grid = concat([rows] * reps, axis=1)
-    return slice_axis(slice_axis(grid, 0, 0, n), 1, 0, n)
-
-
 def build_adjacency(v: VertexSet, mode: str = "eq6", normalize: bool = False,
                     learned_param: Tensor | None = None) -> Tensor:
-    """Construct the (n, n) vertex dependency matrix.
+    """Construct the (n, n) vertex dependency matrix of each graph in ``v``.
 
     ``eq6`` couples dissimilar vertices strongly: one minus the row-softmax
     of pairwise dot-product similarities, scaled by 1/max(n-1, 1).  Rows of
     the result sum to 1 for n >= 2; a single vertex yields the zero matrix.
+    For padded graphs the result is (b, n_max, n_max), each item's matrix
+    computed over its own n vertices, with pad rows and columns exactly 0.
     """
-    n = v.count
-    if n < 1:
+    if v.count < 1:
         raise ContractError("build_adjacency requires at least one vertex")
-    if mode == "identity":
-        return Tensor(np.eye(n))
-    if mode == "uniform":
-        return Tensor(np.full((n, n), 1.0 / n))
-    if mode == "zero":
-        return Tensor(np.zeros((n, n)))
+    m = v.values.data.shape[-2]
+    valid = v.valid
+    pairs = None if valid is None else valid[:, :, None] & valid[:, None, :]
+    if mode in ("identity", "uniform", "zero"):
+        if mode == "identity":
+            a = np.eye(m)
+        elif mode == "uniform":
+            a = np.ones((m, m)) / v.sizes()
+        else:
+            a = np.zeros((m, m))
+        return Tensor(a if pairs is None else a * pairs)
     if mode == "learned":
         if learned_param is None:
             raise ConfigError("learned adjacency mode needs a parameter matrix")
-        return _tile_to(learned_param, n)
+        # Truncate or tile the (k, k) parameter to (m, m): entry (i, j) is
+        # param[i % k, j % k].
+        k = learned_param.data.shape[0]
+        r = np.arange(m) % k
+        a = take_rows(learned_param.reshape(k * k), r[:, None] * k + r[None, :])
+        return a if pairs is None else a * pairs
     vals = v.values
     if normalize:
-        norm = ((vals * vals).sum(axis=1, keepdims=True) + 1e-12) ** 0.5
+        norm = ((vals * vals).sum(axis=-1, keepdims=True) + 1e-12) ** 0.5
         vals = vals / norm
     sim = matmul(vals, vals.transpose())
-    gated = softmax_rows(sim)
+    gated = softmax_rows(sim, pairs)
     if mode == "similarity":
         return gated
     if mode == "eq6":
-        return (1.0 - gated) * (1.0 / max(n - 1, 1))
+        scale = -1.0 / np.maximum(v.sizes() - 1.0, 1.0)
+        # (1 - S) * scale written as (S - 1) * -scale, which negates the
+        # scale instead of the (b, n, n) stack; the result is the same bits.
+        return (gated - 1.0) * (scale if pairs is None else pairs * scale)
     raise ConfigError(f"unknown adjacency mode {mode!r}")
 
 
@@ -341,25 +412,36 @@ def generate_graph_distortions(v: VertexSet, a: Tensor,
 
     Channel flow c -> c/4 -> c/4 -> c; the middle layer is residual, the
     outer two are plain A.X.W maps, and all three share the same adjacency.
+    The first layer is evaluated as A.(X.W), which narrows its n^2 term to
+    c/4 channels.  Pad rows of a padded ``a`` are zero, so they stay zero.
     """
-    h1 = relu(matmul(matmul(a, v.values), params.w_in))
+    h1 = relu(matmul(a, matmul(v.values, params.w_in)))
     h2 = relu(graph_reasoning(h1, a, params.w_mid))
     return matmul(matmul(a, h2), params.w_out)
 
 
 def generate_alt_distortions(v: VertexSet, kind: str, rng: RngStream) -> Tensor:
-    """Non-learned distortion generators used as ablation baselines."""
-    n, c = v.values.data.shape
-    if n < 1:
+    """Non-learned distortion generators used as ablation baselines.
+
+    Padded graphs get zero pad rows; for ``random_noise`` item i of a padded
+    set draws from ``rng.child(i)``.
+    """
+    if v.count < 1:
         raise ContractError("distortion generation requires at least one vertex")
     if kind == "avg_pool":
-        mean_row = tmean(v.values, axis=0, keepdims=True)
-        return mean_row * Tensor(np.ones((n, 1)))
+        mean_row = v.values.sum(axis=-2, keepdims=True) / np.maximum(v.sizes(), 1.0)
+        return mean_row * v.row_mask()
     if kind == "random_noise":
         # Scale is detached: the noise magnitude follows the vertex statistics
         # but contributes no gradient path of its own.
-        std = v.values.data.std(axis=0)
-        return Tensor(rng.normal(size=(n, c)) * std)
+        vals = v.values.data
+        if v.counts is None:
+            return Tensor(rng.normal(size=vals.shape) * vals.std(axis=0))
+        noise = np.zeros_like(vals)
+        for bi in np.flatnonzero(v.counts):
+            item = vals[bi, : v.counts[bi]]
+            noise[bi, : len(item)] = rng.child(int(bi)).normal(size=item.shape) * item.std(axis=0)
+        return Tensor(noise)
     raise ConfigError(f"unknown alternative generator {kind!r}")
 
 
@@ -371,34 +453,21 @@ def pool_expand_apply(x: Tensor, m: DropMask, d: Tensor, v: VertexSet,
     c-vector, broadcast back over the spatial grid, scaled by a uniform(0,1)
     multiplier drawn per spatial position (shared across channels), and
     written wherever the mask gate is 0.  Kept positions pass through
-    unchanged; gradients flow into both ``x`` and ``d``.
+    unchanged; gradients flow into both ``x`` and ``d``.  ``d`` has the
+    layout of ``v.values``: one row per vertex, or padded per item.
     """
     b, c, h, w = x.data.shape
-    items = v.indices[:, 0]  # row i of d belongs to batch item items[i]
-    pool = np.zeros((b, len(items)))
-    pool[items, np.arange(len(items))] = 1.0 / np.bincount(items, minlength=b)[items]
-    pooled = matmul(Tensor(pool), d)  # (b, c)
+    if v.counts is None:
+        items = v.indices[:, 0]  # row i of d belongs to batch item items[i]
+        pool = np.zeros((b, len(items)))
+        pool[items, np.arange(len(items))] = 1.0 / np.bincount(items, minlength=b)[items]
+    else:
+        pool = v.row_mask().transpose(0, 2, 1) / np.maximum(v.sizes(), 1.0)  # (b, 1, n_max)
+    pooled = matmul(Tensor(pool), d)
     u = rng.uniform(size=(b, 1, h, w))
     gate = m.gate[:, None, :, :]
     filler = Tensor((1.0 - gate) * u)
     return x * Tensor(gate) + pooled.reshape(b, c, 1, 1) * filler
-
-
-def _per_item(vertices: VertexSet, batch: int, fn) -> Tensor:
-    """Row-concatenate ``fn(bi, item_vertices)`` over the items that hold vertices.
-
-    Vertex rows are lexicographically sorted, so each batch item's rows form
-    a contiguous slice and the result keeps the rows of ``vertices`` in order.
-    """
-    counts = np.bincount(vertices.indices[:, 0], minlength=batch)
-    ends = np.cumsum(counts)
-    pieces = []
-    for bi in np.flatnonzero(counts):
-        lo, hi = int(ends[bi] - counts[bi]), int(ends[bi])
-        item = VertexSet(indices=vertices.indices[lo:hi],
-                         values=slice_axis(vertices.values, 0, lo, hi))
-        pieces.append(fn(int(bi), item))
-    return pieces[0] if len(pieces) == 1 else concat(pieces, axis=0)
 
 
 def dropgraph_forward(x: Tensor, cfg: RegularizerConfig,
@@ -410,9 +479,10 @@ def dropgraph_forward(x: Tensor, cfg: RegularizerConfig,
 
     Eval mode returns the input untouched and runs no graph computation.
     Train mode samples the block mask and the vertex set, builds one
-    adjacency per batch item, generates distortions, and applies them at
-    the masked positions.  ``mask`` can be passed in to share a gate across
-    insertion points (skip paths); fresh multipliers are always drawn.
+    padded graph per batch item, generates distortions for all of them at
+    once, and applies them at the masked positions.  ``mask`` can be passed
+    in to share a gate across insertion points (skip paths); fresh
+    multipliers are always drawn.
     """
     if mode == "eval":
         return x
@@ -423,18 +493,17 @@ def dropgraph_forward(x: Tensor, cfg: RegularizerConfig,
         mask = sample_block_mask(h, w, cfg.block_size, current_rho(cfg, sched),
                                  rng.child("mask"), batch=b)
     vertices = sample_vertices(x, cfg.alpha, rng.child("vertices"))
-
-    def distort(bi: int, item: VertexSet) -> Tensor:
-        if cfg.generator_kind != "graph":
-            return generate_alt_distortions(item, cfg.generator_kind, rng.child("noise", bi))
-        adj = build_adjacency(item, cfg.adjacency_mode, normalize=cfg.normalize_similarity,
-                              learned_param=learned_adjacency)
-        return generate_graph_distortions(item, adj, params)
-
     if vertices.count == 0 or cfg.generator_kind == "none":
         d = Tensor(np.zeros((vertices.count, c)))
     else:
-        d = _per_item(vertices, b, distort)
+        vertices = vertices.by_item(x)
+        if cfg.generator_kind == "graph":
+            adj = build_adjacency(vertices, cfg.adjacency_mode,
+                                  normalize=cfg.normalize_similarity,
+                                  learned_param=learned_adjacency)
+            d = generate_graph_distortions(vertices, adj, params)
+        else:
+            d = generate_alt_distortions(vertices, cfg.generator_kind, rng.child("noise"))
     return pool_expand_apply(x, mask, d, vertices, rng.child("multipliers"))
 
 
@@ -549,12 +618,11 @@ class PartialGraphReasoning(Module):
         b, _, h, w = x.data.shape
         k = max(1, int(round(self.alpha * h * w)))
         mag = np.sqrt((x.data * x.data).sum(axis=1)).reshape(b, h * w)
-        selected = np.zeros((b, h, w), dtype=bool)
-        for bi in range(b):
-            # lexsort: descending magnitude, position index breaks ties.
-            order = np.lexsort((np.arange(h * w), -mag[bi]))[:k]
-            selected[bi, order // w, order % w] = True
-        return np.argwhere(selected)
+        # Stable sort: descending magnitude, position index breaks ties.
+        order = np.argsort(-mag, axis=1, kind="stable")[:, :k]
+        selected = np.zeros((b, h * w), dtype=bool)
+        selected[np.arange(b)[:, None], order] = True
+        return np.argwhere(selected.reshape(b, h, w))
 
     def forward(self, x: Tensor, rng: RngStream, sched=None, mask=None) -> Tensor:
         if not self.training and not self.active_in_eval:
@@ -569,14 +637,10 @@ class PartialGraphReasoning(Module):
                 x, indices[:, 0], indices[:, 1], indices[:, 2]))
         if vertices.count == 0:
             return x
-
-        def reason(_, item: VertexSet) -> Tensor:
-            adj = build_adjacency(item, self.adjacency_mode)
-            return matmul(matmul(adj, item.values), self.weight)
-
-        rows = _per_item(vertices, x.data.shape[0], reason)
-        idx = vertices.indices
-        return replace_spatial_vectors(x, idx[:, 0], idx[:, 1], idx[:, 2], rows)
+        graphs = vertices.by_item(x)
+        adj = build_adjacency(graphs, self.adjacency_mode)
+        rows = matmul(matmul(adj, graphs.values), self.weight)
+        return replace_spatial_vectors(x, *graphs.positions(), rows, valid=graphs.valid)
 
 
 def make_regularizer(kind: str, channels: int, cfg: RegularizerConfig,

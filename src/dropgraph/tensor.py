@@ -24,8 +24,6 @@ __all__ = [
     "matmul",
     "relu",
     "softmax_rows",
-    "slice_axis",
-    "concat",
     "take_spatial_vectors",
     "replace_spatial_vectors",
 ]
@@ -344,35 +342,28 @@ def reshape(a: Tensor, shape) -> Tensor:
     return Tensor._result(out_data, (a,), backward, "reshape")
 
 
+def _matrix_t(x: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix in a stack: the last two axes swapped."""
+    return x.T if x.ndim == 2 else np.swapaxes(x, -1, -2)
+
+
 def transpose(a: Tensor, axes=None) -> Tensor:
-    out_data = a.data.transpose(axes) if axes else a.data.T
-    inv = np.argsort(axes) if axes else None
+    """Permute the axes; without ``axes``, swap the last two (each matrix of a stack)."""
+    if axes is None:
+        out_data = _matrix_t(a.data)
+    else:
+        out_data = a.data.transpose(axes)
+        inv = np.argsort(axes)
 
     def backward(g):
         if a.requires_grad:
-            a._accum(g.transpose(inv) if axes else g.T)
+            a._accum(_matrix_t(g) if axes is None else g.transpose(inv))
 
     return Tensor._result(out_data, (a,), backward, "transpose")
 
 
-def slice_axis(a: Tensor, axis: int, lo: int, hi: int) -> Tensor:
-    """Contiguous slice ``a[..., lo:hi, ...]`` along one axis."""
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(lo, hi)
-    idx = tuple(idx)
-    out_data = a.data[idx]
-
-    def backward(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            ga[idx] = g
-            a._accum(ga)
-
-    return Tensor._result(out_data, (a,), backward, "slice_axis")
-
-
 def take_rows(a: Tensor, idx) -> Tensor:
-    """Gather rows of a 2-D tensor by index (indices may repeat)."""
+    """Gather ``a[idx]`` along the first axis; ``idx`` may have any shape and repeat."""
     idx = np.asarray(idx, dtype=np.intp)
     out_data = a.data[idx]
 
@@ -385,32 +376,17 @@ def take_rows(a: Tensor, idx) -> Tensor:
     return Tensor._result(out_data, (a,), backward, "take_rows")
 
 
-def concat(tensors, axis=0) -> Tensor:
-    tensors = tuple(_lift(t) for t in tensors)
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t._accum(g[tuple(idx)])
-
-    return Tensor._result(out_data, tensors, backward, "concat")
-
-
 # -- linear algebra ----------------------------------------------------------
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product over the last two axes; leading axes broadcast as a stack."""
     a, b = _lift(a), _lift(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
+    if a.data.ndim < 2 or b.data.ndim < 2:
         raise DimensionError(
-            f"matmul expects 2-D operands, got {a.data.shape} and {b.data.shape}"
+            f"matmul expects operands of at least 2 dims, got {a.data.shape} and {b.data.shape}"
         )
-    if a.data.shape[1] != b.data.shape[0]:
+    if a.data.shape[-1] != b.data.shape[-2]:
         raise DimensionError(
             f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}"
         )
@@ -418,25 +394,43 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accum(g @ b.data.T)
+            ga = g @ _matrix_t(b.data)
+            a._accum(ga if ga.shape == a.data.shape else _sum_to_shape(ga, a.data.shape))
         if b.requires_grad:
-            b._accum(a.data.T @ g)
+            if b.data.ndim == 2:
+                # One matrix shared by a stack: one GEMM over all the stack's rows.
+                gb = a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = _sum_to_shape(_matrix_t(a.data) @ g, b.data.shape)
+            b._accum(gb)
 
     return Tensor._result(out_data, (a, b), backward, "matmul")
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax of a 2-D tensor, stabilized by row-max subtraction."""
-    if a.data.ndim != 2:
-        raise DimensionError(f"softmax_rows expects a 2-D tensor, got {a.data.shape}")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+def softmax_rows(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Softmax over the last axis, stabilized by subtracting the row maximum.
+
+    With a boolean ``mask`` (broadcastable to ``a``) only the True entries
+    of a row compete: the others get probability 0 and no gradient, and a
+    row with no True entry is all zeros.
+    """
+    if a.data.ndim < 1:
+        raise DimensionError("softmax_rows expects at least 1 dim, got a scalar")
+    y = a.data if mask is None else np.where(mask, a.data, -np.inf)
+    top = y.max(axis=-1, keepdims=True)
+    top[np.isneginf(top)] = 0.0  # a row with no True entry
+    y = y - top
+    np.exp(y, out=y)
+    # A row sums to at least 1 (its maximum gives exp(0)) unless no entry is True.
+    y /= np.maximum(y.sum(axis=-1, keepdims=True), 1.0)
 
     def backward(g):
         if a.requires_grad:
             # dX = Y * (g - sum(g * Y, rows))
-            a._accum(y * (g - (g * y).sum(axis=1, keepdims=True)))
+            gy = g * y
+            np.subtract(g, gy.sum(axis=-1, keepdims=True), out=gy)
+            gy *= y
+            a._accum(gy)
 
     return Tensor._result(y, (a,), backward, "softmax_rows")
 
@@ -444,40 +438,50 @@ def softmax_rows(a: Tensor) -> Tensor:
 # -- spatial gather / scatter -------------------------------------------------
 
 
-def take_spatial_vectors(x: Tensor, ib, iy, ix) -> Tensor:
-    """Gather feature vectors at positions (ib[i], :, iy[i], ix[i]) into (n, c).
+def take_spatial_vectors(x: Tensor, ib, iy, ix, valid=None) -> Tensor:
+    """Gather feature vectors at positions (ib, :, iy, ix) into shape ``ib.shape + (c,)``.
 
-    Positions must be unique; the backward scatter relies on it.
+    Positions must be unique; the backward scatter relies on it.  With a
+    boolean ``valid`` of the index shape only its True entries are
+    positions: the others read as zero rows and take no gradient.
     """
-    ib = np.asarray(ib, dtype=np.intp)
-    iy = np.asarray(iy, dtype=np.intp)
-    ix = np.asarray(ix, dtype=np.intp)
+    ib, iy, ix = (np.asarray(i, dtype=np.intp) for i in (ib, iy, ix))
     out_data = x.data[ib, :, iy, ix]
+    if valid is not None:
+        out_data[~valid] = 0.0
+        ib, iy, ix = ib[valid], iy[valid], ix[valid]
 
     def backward(g):
         if x.requires_grad:
             gx = np.zeros_like(x.data)
-            gx[ib, :, iy, ix] = g
+            gx[ib, :, iy, ix] = g if valid is None else g[valid]
             x._accum(gx)
 
     return Tensor._result(out_data, (x,), backward, "take_spatial_vectors")
 
 
-def replace_spatial_vectors(x: Tensor, ib, iy, ix, rows: Tensor) -> Tensor:
+def replace_spatial_vectors(x: Tensor, ib, iy, ix, rows: Tensor, valid=None) -> Tensor:
     """Copy of ``x`` with feature vectors at the given positions replaced by ``rows``.
 
-    Positions must be unique.
+    ``rows`` has shape ``ib.shape + (c,)`` and positions must be unique.
+    With a boolean ``valid`` only its True entries are written; the other
+    rows are ignored and get zero gradient.
     """
-    ib = np.asarray(ib, dtype=np.intp)
-    iy = np.asarray(iy, dtype=np.intp)
-    ix = np.asarray(ix, dtype=np.intp)
+    ib, iy, ix = (np.asarray(i, dtype=np.intp) for i in (ib, iy, ix))
     rows = _lift(rows)
+    if valid is not None:
+        ib, iy, ix = ib[valid], iy[valid], ix[valid]
     out_data = x.data.copy()
-    out_data[ib, :, iy, ix] = rows.data
+    out_data[ib, :, iy, ix] = rows.data if valid is None else rows.data[valid]
 
     def backward(g):
         if rows.requires_grad:
-            rows._accum(g[ib, :, iy, ix])
+            if valid is None:
+                rows._accum(g[ib, :, iy, ix])
+            else:
+                gr = np.zeros_like(rows.data)
+                gr[valid] = g[ib, :, iy, ix]
+                rows._accum(gr)
         if x.requires_grad:
             gx = g.copy()
             gx[ib, :, iy, ix] = 0.0

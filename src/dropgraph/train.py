@@ -96,7 +96,7 @@ def _build_image_model(cfg: ExperimentConfig, rng: RngStream) -> TinyResNet:
                       pgr_active_in_eval=cfg.reg_pgr_active_in_eval)
 
 
-def _evaluate_image(model, xs, ys, rng, batch: int = 256):
+def _evaluate_image(model, xs, ys, rng, batch: int = 32):
     model.eval()
     total_loss = 0.0
     correct = 0

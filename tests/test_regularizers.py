@@ -5,6 +5,7 @@ import pytest
 from dropgraph.errors import ConfigError, ContractError
 from dropgraph.gradcheck import grad_check, min_relu_margin
 from dropgraph.regularizers import (
+    ADJACENCY_MODES,
     DropGraph,
     GraphGeneratorParams,
     PartialGraphReasoning,
@@ -198,6 +199,22 @@ def test_sample_vertices_forces_one_when_empty():
     x = Tensor(RNG.normal(size=(6, 4, 4, 4)))
     v = sample_vertices(x, 1e-9, RngStream(15, ("f",)))
     npt.assert_array_equal(np.bincount(v.indices[:, 0], minlength=6), np.ones(6))
+
+
+def test_sample_vertices_forced_draws_replay_the_per_item_loop():
+    # Only the empty items draw from ("force", item), exactly as a loop over
+    # every item would, so the sampled sets do not depend on how the empty
+    # items are found.
+    b, h, w, alpha = 12, 3, 3, 0.06
+    v = sample_vertices(Tensor(np.zeros((b, 2, h, w))), alpha, RngStream(16, ("vf",)))
+    rng = RngStream(16, ("vf",))
+    selected = rng.child("select").uniform(size=(b, h, w)) < alpha
+    empty = [bi for bi in range(b) if not selected[bi].any()]
+    assert 0 < len(empty) < b
+    for bi in empty:
+        flat = int(rng.child("force", bi).integers(0, h * w))
+        selected[bi, flat // w, flat % w] = True
+    npt.assert_array_equal(v.indices, np.argwhere(selected))
 
 
 def test_sample_vertices_alpha_range():
@@ -616,3 +633,179 @@ def test_config_validation_messages():
         RegularizerConfig(block_size=4)
     with pytest.raises(ConfigError, match="adjacency"):
         RegularizerConfig(adjacency_mode="banana")
+
+
+# -- padded per-item graphs against a per-item oracle --------------------------------------
+
+
+def oracle_adjacency(vals, mode, normalize=False, param=None):
+    n = len(vals)
+    if mode == "identity":
+        return np.eye(n)
+    if mode == "uniform":
+        return np.full((n, n), 1.0 / n)
+    if mode == "zero":
+        return np.zeros((n, n))
+    if mode == "learned":
+        r = np.arange(n) % len(param)
+        return param[np.ix_(r, r)]
+    if normalize:
+        vals = vals / np.sqrt((vals * vals).sum(axis=1, keepdims=True) + 1e-12)
+    sim = vals @ vals.T
+    e = np.exp(sim - sim.max(axis=1, keepdims=True))
+    gated = e / e.sum(axis=1, keepdims=True)
+    return gated if mode == "similarity" else (1.0 - gated) / max(n - 1, 1)
+
+
+def oracle_dropgraph(x, cfg, params, learned, rng):
+    """dropgraph_forward with one graph per batch item, in plain numpy."""
+    b, c, h, w = x.shape
+    gate = sample_block_mask(h, w, cfg.block_size, cfg.rho_target, rng.child("mask"),
+                             batch=b).gate[:, None]
+    idx = sample_vertices(Tensor(x), cfg.alpha, rng.child("vertices")).indices
+    pooled = np.zeros((b, c))
+    for bi in range(b):
+        pos = idx[idx[:, 0] == bi]
+        vals = x[bi][:, pos[:, 1], pos[:, 2]].T
+        if cfg.generator_kind == "graph":
+            a = oracle_adjacency(vals, cfg.adjacency_mode, cfg.normalize_similarity, learned)
+            h1 = np.maximum(a @ vals @ params.w_in.data, 0.0)
+            h2 = np.maximum(h1 + a @ h1 @ params.w_mid.data, 0.0)
+            d = a @ h2 @ params.w_out.data
+        elif cfg.generator_kind == "avg_pool":
+            d = np.tile(vals.mean(axis=0), (len(vals), 1))
+        else:
+            d = rng.child("noise", bi).normal(size=vals.shape) * vals.std(axis=0)
+        pooled[bi] = d.mean(axis=0)
+    u = rng.child("multipliers").uniform(size=(b, 1, h, w))
+    return x * gate + pooled[:, :, None, None] * (1.0 - gate) * u
+
+
+def relative_error(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+BRANCH_CASES = ([(mode, norm, "graph") for mode in ADJACENCY_MODES for norm in (False, True)]
+                + [("eq6", False, "avg_pool"), ("eq6", False, "random_noise")])
+
+
+@pytest.mark.parametrize("mode, normalize, generator", BRANCH_CASES)
+def test_padded_branch_matches_per_item_oracle(mode, normalize, generator):
+    cfg = RegularizerConfig(alpha=0.15, rho_target=0.4, adjacency_mode=mode,
+                            generator_kind=generator, normalize_similarity=normalize,
+                            scheduler_kind="constant")
+    x = RNG.normal(size=(4, 8, 4, 4))
+    rng = RngStream(3, ("fw",))
+    counts = np.bincount(sample_vertices(Tensor(x), cfg.alpha, rng.child("vertices"))
+                         .indices[:, 0], minlength=4)
+    assert 1 in counts and len(set(counts)) > 2  # uneven, with a one-vertex item
+    params = GraphGeneratorParams(8, RngStream(35, ("p",))) if generator == "graph" else None
+    learned = Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
+    got = dropgraph_forward(Tensor(x), cfg, params, None, rng, "train",
+                            learned_adjacency=learned if mode == "learned" else None)
+    want = oracle_dropgraph(x, cfg, params, learned.data, rng)
+    assert relative_error(got.data, want) <= 1e-12
+
+
+@pytest.mark.parametrize("strategy", ["random", "top"])
+@pytest.mark.parametrize("mode", ["eq6", "similarity", "uniform"])
+def test_pgr_padded_matches_per_item_oracle(strategy, mode):
+    mod = PartialGraphReasoning(8, 0.15, RngStream(36, ("pgr",)), strategy=strategy,
+                                adjacency_mode=mode)
+    x = RNG.normal(size=(4, 8, 4, 4))
+    rng = RngStream(5, ("f",))
+    if strategy == "random":
+        idx = sample_vertices(Tensor(x), 0.15, rng.child("pgr_vertices")).indices
+        counts = np.bincount(idx[:, 0], minlength=4)
+        assert 1 in counts and len(set(counts)) > 2
+    else:
+        idx = mod._select_top(Tensor(x))
+    want = x.copy()
+    for bi in range(4):
+        pos = idx[idx[:, 0] == bi]
+        vals = x[bi][:, pos[:, 1], pos[:, 2]].T
+        want[bi][:, pos[:, 1], pos[:, 2]] = (oracle_adjacency(vals, mode) @ vals
+                                             @ mod.weight.data).T
+    got = mod(Tensor(x), rng)
+    assert relative_error(got.data, want) <= 1e-12
+
+
+def test_select_top_keeps_the_lexsort_order_on_ties():
+    mod = PartialGraphReasoning(3, 0.3, RngStream(37, ("pgr",)), strategy="top")
+    # Few distinct magnitudes: most positions tie with others.
+    x = RNG.integers(-1, 2, size=(5, 3, 6, 6)).astype(np.float64)
+    b, _, h, w = x.shape
+    k = max(1, int(round(0.3 * h * w)))
+    mag = np.sqrt((x * x).sum(axis=1)).reshape(b, h * w)
+    selected = np.zeros((b, h, w), dtype=bool)
+    for bi in range(b):
+        order = np.lexsort((np.arange(h * w), -mag[bi]))[:k]
+        selected[bi, order // w, order % w] = True
+    assert len(np.unique(mag)) < 10
+    npt.assert_array_equal(mod._select_top(Tensor(x)), np.argwhere(selected))
+
+
+@pytest.mark.parametrize("adjacency", ["eq6", "similarity", "learned"])
+def test_dropgraph_gradients_with_unequal_items(adjacency):
+    cfg = RegularizerConfig(alpha=0.3, rho_target=0.4, block_size=3,
+                            adjacency_mode=adjacency, scheduler_kind="constant")
+    for attempt in range(30):
+        params = GraphGeneratorParams(4, RngStream(38, ("p", adjacency, attempt)))
+        learned = (Tensor(1.0 / 11 + 0.05 * RNG.normal(size=(11, 11)))
+                   if adjacency == "learned" else None)
+        x = Tensor(RNG.normal(size=(3, 4, 6, 6)), requires_grad=True)
+        rng = RngStream(400 + attempt, ("fw",))
+        counts = np.bincount(sample_vertices(x, cfg.alpha, rng.child("vertices"))
+                             .indices[:, 0], minlength=3)
+        if len(set(counts)) < 3:
+            continue  # every item must be padded to a different degree
+
+        def f(t, params=params, learned=learned, rng=rng):
+            return (dropgraph_forward(t, cfg, params, None, rng, "train",
+                                      learned_adjacency=learned) ** 2).sum()
+
+        out = f(x)
+        if min_relu_margin(out) < 1e-3:
+            continue
+        out.backward()
+        if not all(p.grad is not None and np.any(p.grad) for p in params.parameters()):
+            continue
+        assert grad_check(f, x) <= 1e-5
+        for name, p in list(params.named_parameters()):
+            def fp(t, name=name, p=p):
+                setattr(params, name, t)
+                try:
+                    return f(x)
+                finally:
+                    setattr(params, name, p)
+
+            assert grad_check(fp, Tensor(p.data.copy(), requires_grad=True)) <= 1e-5
+        if learned is not None:
+            assert grad_check(lambda t: f(x, learned=t), learned) <= 1e-5
+        break
+    else:
+        pytest.fail("no kink-free instance with unequal items and live gradients found")
+
+
+def tape_nodes(root):
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
+
+
+def test_dropgraph_tape_does_not_grow_with_the_batch():
+    # One padded graph per insertion point: the same tape for any batch size.
+    mod = DropGraph(16, RegularizerConfig(rho_target=0.1, scheduler_kind="constant"),
+                    RngStream(39, ("m",)))
+    sizes = []
+    for b in (2, 32):
+        x = Tensor(RNG.normal(size=(b, 16, 8, 8)), requires_grad=True)
+        rng = RngStream(40, ("fw",))
+        counts = np.bincount(sample_vertices(x, 0.2, rng.child("vertices")).indices[:, 0])
+        assert counts.min() < counts.max()  # padded at both sizes
+        sizes.append(tape_nodes(mod(x, rng, None)))
+    assert sizes[0] == sizes[1] <= 40

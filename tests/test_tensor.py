@@ -7,12 +7,10 @@ from dropgraph.gradcheck import grad_check, min_relu_margin
 from dropgraph.rng import RngStream
 from dropgraph.tensor import (
     Tensor,
-    concat,
     matmul,
     no_grad,
     relu,
     replace_spatial_vectors,
-    slice_axis,
     softmax_rows,
     take_spatial_vectors,
 )
@@ -189,8 +187,6 @@ def test_grad_check_rejects_non_scalar():
         ("reshape", lambda t: (t.reshape(6) * np.arange(6.0)).sum()),
         ("transpose", lambda t: (t.transpose() * 1.5).sum()),
         ("softmax", lambda t: (softmax_rows(t) ** 2).sum()),
-        ("slice", lambda t: slice_axis(t, 1, 1, 3).sum()),
-        ("concat", lambda t: (concat([t, t * 2.0], axis=0) ** 2).sum()),
     ],
 )
 def test_primitive_gradients(name, f):
@@ -272,3 +268,86 @@ def test_operations_deterministic():
     o2, g2 = build(5)
     npt.assert_array_equal(o1, o2)
     npt.assert_array_equal(g1, g2)
+
+
+# -- stacked matmul and masked softmax ------------------------------------------
+
+
+def test_matmul_stacks_match_the_per_matrix_products():
+    a = RNG.normal(size=(3, 4, 5))
+    b = RNG.normal(size=(3, 5, 2))
+    w = RNG.normal(size=(5, 2))
+    m = RNG.normal(size=(4, 4))
+    npt.assert_allclose(matmul(Tensor(a), Tensor(b)).data,
+                        np.stack([a[i] @ b[i] for i in range(3)]), rtol=1e-13)
+    npt.assert_allclose(matmul(Tensor(a), Tensor(w)).data,
+                        np.stack([a[i] @ w for i in range(3)]), rtol=1e-13)
+    npt.assert_allclose(matmul(Tensor(m), Tensor(a)).data,
+                        np.stack([m @ a[i] for i in range(3)]), rtol=1e-13)
+
+
+def test_matmul_stack_gradients_sum_over_broadcast_dims():
+    a = Tensor(RNG.normal(size=(3, 4, 5)))
+    b = Tensor(RNG.normal(size=(3, 5, 2)))
+    w = Tensor(RNG.normal(size=(5, 2)))
+    m = Tensor(RNG.normal(size=(4, 4)))
+    probe = RNG.normal(size=(3, 4, 2))
+    assert grad_check(lambda t: (matmul(t, b) * probe).sum(), a) <= 1e-8
+    assert grad_check(lambda t: (matmul(a, t) * probe).sum(), b) <= 1e-8
+    # A 2-D weight shared by the stack: its gradient sums over the stack.
+    assert grad_check(lambda t: (matmul(a, t) * probe).sum(), w) <= 1e-8
+    assert grad_check(lambda t: (matmul(t, w) ** 2).sum(), a) <= 1e-6
+    assert grad_check(lambda t: (matmul(t, a) ** 2).sum(), m) <= 1e-6
+    assert grad_check(lambda t: (matmul(m, t) ** 2).sum(), a) <= 1e-6
+
+
+def test_matmul_rejects_vectors():
+    with pytest.raises(DimensionError):
+        matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))))
+
+
+def test_masked_softmax_pads_get_zero_probability_and_gradient():
+    a = RNG.normal(size=(2, 3, 4)) * 3
+    a[0, :, 3] = 1e6  # huge pad entries must not matter
+    mask = np.ones((2, 3, 4), dtype=bool)
+    mask[0, :, 3] = False
+    mask[1, 2, :] = False  # a fully padded row
+    t = Tensor(a, requires_grad=True)
+    y = softmax_rows(t, mask)
+    assert np.isfinite(y.data).all()
+    npt.assert_array_equal(y.data[~mask], 0.0)
+    npt.assert_allclose(y.data[0, :, :3], softmax_rows(Tensor(a[0, :, :3])).data, rtol=1e-14)
+    npt.assert_allclose(y.data[1, :2], softmax_rows(Tensor(a[1, :2])).data, rtol=1e-14)
+    probe = RNG.normal(size=a.shape)
+    (y * probe).sum().backward()
+    assert np.isfinite(t.grad).all()
+    npt.assert_array_equal(t.grad[~mask], 0.0)
+    assert grad_check(lambda u: ((softmax_rows(u, mask) * probe) ** 2).sum(),
+                      Tensor(np.where(mask, a, 0.3))) <= 1e-6
+
+
+def test_unmasked_softmax_is_unchanged_by_an_all_true_mask():
+    a = RNG.normal(size=(3, 5))
+    npt.assert_array_equal(softmax_rows(Tensor(a), np.ones((3, 5), dtype=bool)).data,
+                           softmax_rows(Tensor(a)).data)
+
+
+def test_gather_scatter_with_valid_entries():
+    ib = np.array([[0, 0], [1, 1]])
+    iy = np.array([[2, 0], [0, 3]])
+    ix = np.array([[1, 0], [3, 2]])
+    valid = np.array([[True, False], [True, True]])  # slot (0, 1) is padding
+    x = Tensor(RNG.normal(size=(2, 3, 4, 4)))
+    rows = take_spatial_vectors(x, ib, iy, ix, valid=valid)
+    npt.assert_array_equal(rows.data[0, 1], 0.0)
+    npt.assert_array_equal(rows.data[1, 1], x.data[1, :, 3, 2])
+    assert grad_check(lambda t: (take_spatial_vectors(t, ib, iy, ix, valid=valid) ** 2).sum(),
+                      x) <= 1e-5
+    new = Tensor(RNG.normal(size=(2, 2, 3)))
+    out = replace_spatial_vectors(x, ib, iy, ix, new, valid=valid)
+    npt.assert_array_equal(out.data[0, :, 0, 0], x.data[0, :, 0, 0])  # pad slot not written
+    npt.assert_array_equal(out.data[1, :, 0, 3], new.data[1, 0])
+    assert grad_check(lambda t: (replace_spatial_vectors(x, ib, iy, ix, t, valid=valid) ** 2)
+                      .sum(), new) <= 1e-5
+    assert grad_check(lambda t: (replace_spatial_vectors(t, ib, iy, ix, new, valid=valid) ** 2)
+                      .sum(), x) <= 1e-5
