@@ -104,18 +104,20 @@ class ResidualBlock(Module):
         h = relu(conv_bn(self.conv1, self.bn1, x))
         h = relu(conv_bn(self.conv2, self.bn2, h))
         sk = x if self.projection is None else conv_bn(self.projection, self.proj_bn, x)
-        if self.training:
-            mask = None
-            if (isinstance(self.main_reg, DropGraph) and isinstance(self.skip_reg, DropGraph)):
-                # One block mask shared by the main and skip distortions.
-                b, _, hh, ww = h.data.shape
-                cfg = self.main_reg.cfg
-                mask = sample_block_mask(hh, ww, cfg.block_size, current_rho(cfg, sched),
-                                         rng.child("block_mask"), batch=b)
-            if self.main_reg is not None:
-                h = self.main_reg(h, rng.child("main"), sched, mask=mask)
-            if self.skip_reg is not None:
-                sk = self.skip_reg(sk, rng.child("skip"), sched, mask=mask)
+        # The regularizers run in eval too: each is the identity there, except
+        # partial graph reasoning's train-and-infer arm.
+        mask = None
+        if (self.training and isinstance(self.main_reg, DropGraph)
+                and isinstance(self.skip_reg, DropGraph)):
+            # One block mask shared by the main and skip distortions.
+            b, _, hh, ww = h.data.shape
+            cfg = self.main_reg.cfg
+            mask = sample_block_mask(hh, ww, cfg.block_size, current_rho(cfg, sched),
+                                     rng.child("block_mask"), batch=b)
+        if self.main_reg is not None:
+            h = self.main_reg(h, rng.child("main"), sched, mask=mask)
+        if self.skip_reg is not None:
+            sk = self.skip_reg(sk, rng.child("skip"), sched, mask=mask)
         return h + sk
 
 
@@ -176,7 +178,14 @@ class TinyResNet(Module):
 
 @dataclass
 class GraphInstance:
-    """One node-classification problem on a fixed graph."""
+    """One node-classification problem on a fixed graph.
+
+    ``propagated_features`` is ``normalized_adjacency @ node_features``,
+    the first GCN layer's propagation.  It depends on no parameter, so it
+    is computed once here (as SGC does) instead of in every forward.  The
+    instance is treated as immutable: the derived array is not refreshed
+    if the arrays it came from are changed or rebound later.
+    """
 
     node_features: np.ndarray  # (n, f)
     normalized_adjacency: np.ndarray  # (n, n), symmetric degree-normalized A+I
@@ -184,6 +193,10 @@ class GraphInstance:
     train_idx: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     val_idx: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     test_idx: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    propagated_features: np.ndarray = field(init=False, repr=False)  # (n, f)
+
+    def __post_init__(self):
+        self.propagated_features = self.normalized_adjacency @ self.node_features
 
 
 @dataclass
@@ -203,30 +216,43 @@ class TwoLayerGcn(Module):
     Node features are treated as a (1, hidden, n, 1) map inside the
     regularizer, so vertex sampling picks node rows and block masking with
     s=1 is per-node gating.
+
+    Both layers multiply the dense (n, n) ``A`` by the narrow side.  The
+    first reads ``A X`` from ``GraphInstance.propagated_features``, so
+    ``A`` meets the features once per graph, not once per forward.  The
+    second is evaluated as ``A (H W2) + b2``: ``H W2`` has ``classes``
+    columns where ``H`` has ``hidden``, which makes the n^2 product (and
+    its gradient) hidden/classes times cheaper.  The bias is added after
+    ``A``, because the rows of ``A`` do not sum to 1.  ``layer2`` stays a
+    ``Linear``, so checkpoints keep the names ``layer2.weight`` and
+    ``layer2.bias``.
     """
 
     def __init__(self, cfg: TwoLayerGcnConfig, rng: RngStream,
-                 reg_kind: str = "none", reg_cfg: RegularizerConfig | None = None):
+                 reg_kind: str = "none", reg_cfg: RegularizerConfig | None = None,
+                 pgr_strategy: str = "random", pgr_active_in_eval: bool = False):
         super().__init__()
         self.cfg = cfg
         self.layer1 = Linear(cfg.in_features, cfg.hidden, rng.child("gcn1"))
         self.layer2 = Linear(cfg.hidden, cfg.classes, rng.child("gcn2"))
         reg_cfg = reg_cfg or RegularizerConfig(block_size=1)
-        self.reg = make_regularizer(reg_kind, cfg.hidden, reg_cfg, rng.child("reg"))
+        self.reg = make_regularizer(reg_kind, cfg.hidden, reg_cfg, rng.child("reg"),
+                                    pgr_strategy=pgr_strategy,
+                                    pgr_active_in_eval=pgr_active_in_eval)
 
     def forward(self, g: GraphInstance, rng: RngStream | None = None,
                 sched: SchedulerState | None = None) -> Tensor:
         if rng is None:
             rng = RngStream(0).child("unseeded_forward")
-        ahat = Tensor(g.normalized_adjacency)
-        x = Tensor(g.node_features)
-        h = relu(self.layer1(matmul(ahat, x)))
-        if self.reg is not None and self.training:
+        h = relu(self.layer1(Tensor(g.propagated_features)))
+        if self.reg is not None:
+            # In eval the regularizer is the identity (but for partial graph
+            # reasoning's train-and-infer arm) and the detour is views only.
             n, c = h.data.shape
             as_map = h.transpose().reshape(1, c, n, 1)
-            as_map = self.reg(as_map, rng.child("reg"), sched)
-            h = as_map.reshape(c, n).transpose()
-        return self.layer2(matmul(ahat, h))
+            h = self.reg(as_map, rng.child("reg"), sched).reshape(c, n).transpose()
+        ahat = Tensor(g.normalized_adjacency)
+        return matmul(ahat, matmul(h, self.layer2.weight)) + self.layer2.bias
 
 
 # -- parameter checkpoints --------------------------------------------------------------

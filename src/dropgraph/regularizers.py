@@ -18,7 +18,7 @@ Two stochastic branches drive the graph regularizer:
   that maps vertex values to distortions.
 
 Every batch item gets its own graph, and one insertion point runs all of
-them at once in a padded layout: ``VertexSet.by_item`` gathers item i's
+them at once in a padded layout: ``sample_vertices`` gathers item i's
 ``n_i`` vertices into rows ``:n_i`` of a (b, n_max, c) stack whose other
 rows are zero.  Adjacency and GCN layers are then single stacked tensor
 ops over the batch.  The softmax is masked to each item's own vertices,
@@ -126,9 +126,10 @@ class VertexSet:
     """Sampled feature vectors: their positions and their values.
 
     ``values`` is either one graph over all rows of ``indices``, shape
-    (n, c), or, from ``by_item``, one graph per batch item padded to the
-    largest item: item i's vertices fill rows ``:counts[i]`` of
-    ``values[i]`` in ``indices`` order, and the rows after them are zero.
+    (n, c), or one graph per batch item padded to the largest item: item
+    i's vertices fill rows ``:counts[i]`` of ``values[i]`` in ``indices``
+    order, and the rows after them are zero.  ``_gather_vertices`` picks
+    the layout: flat for a one-item batch, padded otherwise.
     """
 
     indices: np.ndarray  # (n, 3) int rows (batch, y, x), lexicographically sorted
@@ -163,17 +164,20 @@ class VertexSet:
             return tuple(self.indices.T)
         return _padded_positions(self.indices, self.counts)
 
-    def by_item(self, x: Tensor) -> VertexSet:
-        """The same vertices gathered from ``x`` as one padded graph per batch item.
 
-        A single-item batch is already one graph and is returned as it is.
-        """
-        if x.data.shape[0] == 1:
-            return self
-        counts = np.bincount(self.indices[:, 0], minlength=x.data.shape[0])
-        values = take_spatial_vectors(x, *_padded_positions(self.indices, counts),
-                                      valid=_valid_rows(counts))
-        return VertexSet(self.indices, values, counts)
+def _gather_vertices(x: Tensor, indices: np.ndarray) -> VertexSet:
+    """The feature vectors of ``x`` at ``indices``, one graph per batch item.
+
+    A one-item batch is one flat (n, c) graph; a larger batch is padded
+    (see ``VertexSet``).  Every item must hold at least one vertex.
+    """
+    b = x.data.shape[0]
+    if b == 1:
+        return VertexSet(indices, take_spatial_vectors(x, *indices.T))
+    counts = np.bincount(indices[:, 0], minlength=b)
+    values = take_spatial_vectors(x, *_padded_positions(indices, counts),
+                                  valid=_valid_rows(counts))
+    return VertexSet(indices, values, counts)
 
 
 def _valid_rows(counts: np.ndarray) -> np.ndarray | None:
@@ -337,6 +341,8 @@ def sample_vertices(x: Tensor, alpha: float, rng: RngStream) -> VertexSet:
 
     When alpha > 0 an item whose draw comes up empty gets one forced vertex
     at a uniform random position, so the per-item vertex count is >= 1.
+    The values come in their graph layout (``_gather_vertices``); at
+    alpha = 0 the set is empty and flat.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ContractError(f"alpha must lie in [0, 1], got {alpha}")
@@ -348,9 +354,7 @@ def sample_vertices(x: Tensor, alpha: float, rng: RngStream) -> VertexSet:
     for bi in np.flatnonzero(~selected.reshape(b, h * w).any(axis=1)):
         flat = int(rng.child("force", int(bi)).integers(0, h * w))
         selected[bi, flat // w, flat % w] = True
-    indices = np.argwhere(selected)  # lexicographic (b, y, x): unique, sorted
-    values = take_spatial_vectors(x, indices[:, 0], indices[:, 1], indices[:, 2])
-    return VertexSet(indices=indices, values=values)
+    return _gather_vertices(x, np.argwhere(selected))  # lexicographic (b, y, x)
 
 
 def build_adjacency(v: VertexSet, mode: str = "eq6", normalize: bool = False,
@@ -486,7 +490,7 @@ def dropgraph_forward(x: Tensor, cfg: RegularizerConfig,
     """
     if mode == "eval":
         return x
-    b, c, h, w = x.data.shape
+    b, _, h, w = x.data.shape
     if cfg.block_size > min(h, w):
         raise ContractError(f"block_size {cfg.block_size} exceeds feature map {h}x{w}")
     if mask is None:
@@ -494,16 +498,14 @@ def dropgraph_forward(x: Tensor, cfg: RegularizerConfig,
                                  rng.child("mask"), batch=b)
     vertices = sample_vertices(x, cfg.alpha, rng.child("vertices"))
     if vertices.count == 0 or cfg.generator_kind == "none":
-        d = Tensor(np.zeros((vertices.count, c)))
+        d = Tensor(np.zeros(vertices.values.data.shape))
+    elif cfg.generator_kind == "graph":
+        adj = build_adjacency(vertices, cfg.adjacency_mode,
+                              normalize=cfg.normalize_similarity,
+                              learned_param=learned_adjacency)
+        d = generate_graph_distortions(vertices, adj, params)
     else:
-        vertices = vertices.by_item(x)
-        if cfg.generator_kind == "graph":
-            adj = build_adjacency(vertices, cfg.adjacency_mode,
-                                  normalize=cfg.normalize_similarity,
-                                  learned_param=learned_adjacency)
-            d = generate_graph_distortions(vertices, adj, params)
-        else:
-            d = generate_alt_distortions(vertices, cfg.generator_kind, rng.child("noise"))
+        d = generate_alt_distortions(vertices, cfg.generator_kind, rng.child("noise"))
     return pool_expand_apply(x, mask, d, vertices, rng.child("multipliers"))
 
 
@@ -630,14 +632,9 @@ class PartialGraphReasoning(Module):
         if self.alpha == 0.0:
             return x
         if self.strategy == "random":
-            vertices = sample_vertices(x, self.alpha, rng.child("pgr_vertices"))
+            graphs = sample_vertices(x, self.alpha, rng.child("pgr_vertices"))
         else:
-            indices = self._select_top(x)
-            vertices = VertexSet(indices=indices, values=take_spatial_vectors(
-                x, indices[:, 0], indices[:, 1], indices[:, 2]))
-        if vertices.count == 0:
-            return x
-        graphs = vertices.by_item(x)
+            graphs = _gather_vertices(x, self._select_top(x))
         adj = build_adjacency(graphs, self.adjacency_mode)
         rows = matmul(matmul(adj, graphs.values), self.weight)
         return replace_spatial_vectors(x, *graphs.positions(), rows, valid=graphs.valid)

@@ -5,13 +5,20 @@ import pytest
 from dropgraph.backbones import (
     TinyResNet,
     TinyResNetConfig,
+    TwoLayerGcn,
+    TwoLayerGcnConfig,
     apply_checkpoint,
     load_checkpoint,
     save_checkpoint,
 )
 from dropgraph.config import parse_config
+from dropgraph.data import SbmGraphSpec, gen_sbm, save_graph_dataset
 from dropgraph.errors import ContractError
+from dropgraph.gradcheck import grad_check, min_relu_margin
+from dropgraph.nn import cross_entropy
+from dropgraph.regularizers import RegularizerConfig, SchedulerState
 from dropgraph.rng import RngStream
+from dropgraph.tensor import Tensor, no_grad, take_rows
 
 
 def _small_model(seed: int) -> TinyResNet:
@@ -64,3 +71,87 @@ def test_learned_adjacency_only_for_the_graph_generator(generator, learned):
                        reg_cfg=cfg.regularizer_config())
     names = [name for name, _ in model.named_parameters()]
     assert sum(name.endswith("adjacency_param") for name in names) == learned
+
+
+# -- two-layer GCN -----------------------------------------------------------------------
+
+_SMALL_SBM = SbmGraphSpec(nodes=36, communities=3, p_in=0.3, p_out=0.05,
+                          labeled_per_class=4, feature_dim=4, seed=3)
+
+
+def _gcn(reg_kind="none", **kwargs) -> TwoLayerGcn:
+    return TwoLayerGcn(TwoLayerGcnConfig(in_features=4), RngStream(8), reg_kind=reg_kind,
+                       reg_cfg=RegularizerConfig(block_size=1, rho_target=0.3), **kwargs)
+
+
+def _textbook_gcn(model: TwoLayerGcn, g) -> np.ndarray:
+    """A relu(A X W1 + b1) W2 + b2, multiplied left to right."""
+    a = g.normalized_adjacency
+    h = np.maximum((a @ g.node_features) @ model.layer1.weight.data + model.layer1.bias.data, 0.0)
+    return (a @ h) @ model.layer2.weight.data + model.layer2.bias.data
+
+
+@pytest.mark.parametrize("spec", [SbmGraphSpec(), _SMALL_SBM], ids=["default", "small"])
+def test_propagated_features_are_the_propagation_and_not_cached(spec, tmp_path):
+    g = gen_sbm(spec)
+    npt.assert_array_equal(g.propagated_features, g.normalized_adjacency @ g.node_features)
+    path = tmp_path / "graph.dgd"
+    save_graph_dataset(g, spec, path)
+    raw = path.read_bytes()
+    header_len = int.from_bytes(raw[8:12], "little")
+    assert b"propagated_features" not in raw[12 : 12 + header_len]
+
+
+@pytest.mark.parametrize("reg_kind,training", [("none", True), ("none", False),
+                                               ("dropgraph", False)])
+def test_gcn_matches_the_textbook_order(reg_kind, training):
+    g = gen_sbm(_SMALL_SBM)
+    model = _gcn(reg_kind)
+    # Move the biases off zero so a misplaced bias would show.
+    model.layer1.bias.data = RngStream(9).normal(size=16)
+    model.layer2.bias.data = RngStream(10).normal(size=3)
+    if not training:
+        model.eval()
+    with no_grad():
+        out = model(g, RngStream(11), None).data
+    expected = _textbook_gcn(model, g)
+    npt.assert_allclose(out, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("layer", ["layer1", "layer2"])
+def test_gcn_weight_gradients_through_a_regularized_train_forward(layer):
+    g = gen_sbm(_SMALL_SBM)
+    model = _gcn("dropgraph")
+    sched = SchedulerState(5, 10, "f1", 0.3)
+
+    def loss(_):
+        logits = model(g, RngStream(12, ("step",)), sched)
+        return cross_entropy(take_rows(logits, g.train_idx), g.labels[g.train_idx])
+
+    weight = getattr(model, layer).weight
+    assert min_relu_margin(loss(weight)) > 1e-4
+    assert grad_check(loss, weight) < 1e-6
+
+
+def _eval_outputs(model, x_or_graph):
+    model.eval()
+    with no_grad():
+        return model(x_or_graph, RngStream(13, ("eval",)), None).data
+
+
+@pytest.mark.parametrize("strategy", ["random", "top"])
+def test_pgr_train_and_infer_arm_runs_in_eval_on_both_backbones(strategy):
+    cfg = TinyResNetConfig(stem_channels=4, groups=((1, 4), (1, 8)), image_size=8)
+    x = Tensor(RngStream(14).normal(size=(2, 1, 8, 8)))
+    g = gen_sbm(_SMALL_SBM)
+    cases = [
+        (lambda **kw: TinyResNet(cfg, RngStream(15), **kw), x),
+        (lambda **kw: _gcn(**kw), g),
+    ]
+    for build, inputs in cases:
+        bare = _eval_outputs(build(reg_kind="none"), inputs)
+        off = _eval_outputs(build(reg_kind="pgr", pgr_strategy=strategy), inputs)
+        on = _eval_outputs(build(reg_kind="pgr", pgr_strategy=strategy,
+                                 pgr_active_in_eval=True), inputs)
+        npt.assert_array_equal(off, bare)
+        assert np.abs(on - bare).max() > 1e-6

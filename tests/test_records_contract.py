@@ -1,0 +1,65 @@
+"""The records-contract diff, on two short configs run twice in-process."""
+
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+_TOOL = Path(__file__).resolve().parent.parent / "tools" / "records_contract.py"
+_spec = importlib.util.spec_from_file_location("records_contract", _TOOL)
+rc = sys.modules.setdefault("records_contract", importlib.util.module_from_spec(_spec))
+_spec.loader.exec_module(rc)
+
+_CONFIGS = {name: rc.CONFIGS[name] for name in ("image-dropgraph-eq6-constant", "graph-dropgraph")}
+
+
+@pytest.fixture(scope="module")
+def two_runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    rc.run_configs(root / "a", _CONFIGS)
+    rc.run_configs(root / "b", _CONFIGS)
+    return root / "a", root / "b"
+
+
+def test_repeated_runs_keep_the_contract(two_runs):
+    a, b = two_runs
+    for name in _CONFIGS:
+        for fname in rc.COMPARED:
+            assert (a / name / fname).exists(), (name, fname)
+    # wall_time_s differs between the two runs and is the one field left out.
+    assert (a / "graph-dropgraph" / "runs.jsonl").read_text() != (
+        b / "graph-dropgraph" / "runs.jsonl").read_text()
+    assert rc.diff_outputs(a, b, _CONFIGS) == []
+    assert "--- exit 0" in (a / "graph-dropgraph" / "console.txt").read_text()
+
+
+def test_changed_number_is_reported_with_its_relative_deviation(two_runs, tmp_path):
+    a, b = two_runs
+    changed = tmp_path / "changed"
+    for name in _CONFIGS:
+        (changed / name).mkdir(parents=True)
+        for fname in rc.COMPARED:
+            (changed / name / fname).write_bytes((b / name / fname).read_bytes())
+    summary = changed / "graph-dropgraph" / "summary.csv"
+    lines = summary.read_text().splitlines()
+    cells = lines[1].split(",")
+    old = float(cells[5])
+    cells[5] = repr(old * (1 + 1e-9))
+    lines[1] = ",".join(cells)
+    summary.write_text("\n".join(lines) + "\n")
+    (changed / "image-dropgraph-eq6-constant" / "config.txt").unlink()
+
+    diffs = sorted(rc.diff_outputs(a, changed, _CONFIGS), key=lambda d: d.config)
+    assert [(d.config, d.file) for d in diffs] == [
+        ("graph-dropgraph", "summary.csv"), ("image-dropgraph-eq6-constant", "config.txt")]
+    assert diffs[0].deviation == pytest.approx(1e-9, rel=1e-3)
+    assert math.isinf(diffs[1].deviation)
+
+
+def test_max_relative_deviation_reads_only_free_standing_numbers():
+    assert rc.max_relative_deviation("acc 0.5, loss 2.0", "acc 0.5, loss 2.5") == 0.2
+    assert rc.max_relative_deviation("hash b549c9 f5", "hash b549c8 f5") == math.inf
+    assert rc.max_relative_deviation("x = 0", "x = 0") == 0.0
+    assert rc.max_relative_deviation("loss NaN", "loss 1.0") != 0.0

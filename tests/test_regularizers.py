@@ -187,12 +187,26 @@ def test_sample_vertices_expected_count():
 
 
 def test_sample_vertices_values_match_positions():
+    # A batch of two comes padded: item i's vertices fill rows :counts[i] of
+    # values[i] in indices order, and the pad rows are zero.
     x = Tensor(RNG.normal(size=(2, 3, 6, 6)))
     v = sample_vertices(x, 0.3, RngStream(14, ("vm",)))
-    for row, (b, y, xx) in zip(v.values.data, v.indices):
-        npt.assert_array_equal(row, x.data[b, :, y, xx])
+    npt.assert_array_equal(v.counts, np.bincount(v.indices[:, 0], minlength=2))
+    assert v.values.data.shape == (2, v.counts.max(), 3)
+    for bi in range(2):
+        own = v.indices[v.indices[:, 0] == bi]
+        npt.assert_array_equal(v.values.data[bi, : len(own)], x.data[bi, :, own[:, 1], own[:, 2]])
+        npt.assert_array_equal(v.values.data[bi, len(own) :], 0.0)
     # uniqueness
     assert len({tuple(t) for t in v.indices}) == v.count
+
+
+def test_sample_vertices_one_item_is_one_flat_graph():
+    x = Tensor(RNG.normal(size=(1, 3, 6, 6)))
+    v = sample_vertices(x, 0.3, RngStream(14, ("vm1",)))
+    assert v.counts is None
+    for row, (b, y, xx) in zip(v.values.data, v.indices, strict=True):
+        npt.assert_array_equal(row, x.data[b, :, y, xx])
 
 
 def test_sample_vertices_forces_one_when_empty():
@@ -380,7 +394,7 @@ def test_pool_expand_all_ones_mask_is_identity():
 
     x = Tensor(RNG.normal(size=(2, 4, 6, 6)))
     v = sample_vertices(x, 0.5, RngStream(20, ("v",)))
-    d = Tensor(RNG.normal(size=(v.count, 4)))
+    d = Tensor(RNG.normal(size=v.values.data.shape))
     m = DropMask(gate=np.ones((2, 6, 6)), dropped_fraction=0.0)
     out = pool_expand_apply(x, m, d, v, RngStream(20, ("u",)))
     npt.assert_array_equal(out.data, x.data)
@@ -391,7 +405,7 @@ def test_pool_expand_zero_distortions_zero_dropped():
 
     x = Tensor(RNG.normal(size=(2, 4, 6, 6)) + 3.0)
     v = sample_vertices(x, 0.5, RngStream(21, ("v",)))
-    d = Tensor(np.zeros((v.count, 4)))
+    d = Tensor(np.zeros(v.values.data.shape))
     gate = np.ones((2, 6, 6))
     gate[0, 2, 3] = 0.0
     gate[1, 0, 0] = 0.0
