@@ -229,16 +229,13 @@ class TwoLayerGcn(Module):
     """
 
     def __init__(self, cfg: TwoLayerGcnConfig, rng: RngStream,
-                 reg_kind: str = "none", reg_cfg: RegularizerConfig | None = None,
-                 pgr_strategy: str = "random", pgr_active_in_eval: bool = False):
+                 reg_kind: str = "none", reg_cfg: RegularizerConfig | None = None):
         super().__init__()
         self.cfg = cfg
         self.layer1 = Linear(cfg.in_features, cfg.hidden, rng.child("gcn1"))
         self.layer2 = Linear(cfg.hidden, cfg.classes, rng.child("gcn2"))
         reg_cfg = reg_cfg or RegularizerConfig(block_size=1)
-        self.reg = make_regularizer(reg_kind, cfg.hidden, reg_cfg, rng.child("reg"),
-                                    pgr_strategy=pgr_strategy,
-                                    pgr_active_in_eval=pgr_active_in_eval)
+        self.reg = make_regularizer(reg_kind, cfg.hidden, reg_cfg, rng.child("reg"))
 
     def forward(self, g: GraphInstance, rng: RngStream | None = None,
                 sched: SchedulerState | None = None) -> Tensor:

@@ -16,7 +16,7 @@ from dropgraph.data import SbmGraphSpec, gen_sbm, save_graph_dataset
 from dropgraph.errors import ContractError
 from dropgraph.gradcheck import grad_check, min_relu_margin
 from dropgraph.nn import cross_entropy
-from dropgraph.regularizers import RegularizerConfig, SchedulerState
+from dropgraph.regularizers import PartialGraphReasoning, RegularizerConfig, SchedulerState
 from dropgraph.rng import RngStream
 from dropgraph.tensor import Tensor, no_grad, take_rows
 
@@ -143,15 +143,21 @@ def _eval_outputs(model, x_or_graph):
 def test_pgr_train_and_infer_arm_runs_in_eval_on_both_backbones(strategy):
     cfg = TinyResNetConfig(stem_channels=4, groups=((1, 4), (1, 8)), image_size=8)
     x = Tensor(RngStream(14).normal(size=(2, 1, 8, 8)))
-    g = gen_sbm(_SMALL_SBM)
-    cases = [
-        (lambda **kw: TinyResNet(cfg, RngStream(15), **kw), x),
-        (lambda **kw: _gcn(**kw), g),
-    ]
-    for build, inputs in cases:
-        bare = _eval_outputs(build(reg_kind="none"), inputs)
-        off = _eval_outputs(build(reg_kind="pgr", pgr_strategy=strategy), inputs)
-        on = _eval_outputs(build(reg_kind="pgr", pgr_strategy=strategy,
-                                 pgr_active_in_eval=True), inputs)
-        npt.assert_array_equal(off, bare)
-        assert np.abs(on - bare).max() > 1e-6
+
+    def resnet(active_in_eval):
+        return TinyResNet(cfg, RngStream(15), reg_kind="pgr", pgr_strategy=strategy,
+                          pgr_active_in_eval=active_in_eval)
+
+    def gcn(active_in_eval):
+        # Configs reach PGR on images only; the GCN gets the module directly.
+        model = _gcn("none")
+        model.reg = PartialGraphReasoning(16, 0.5, RngStream(16), strategy=strategy,
+                                          active_in_eval=active_in_eval)
+        return model
+
+    cases = [(lambda: TinyResNet(cfg, RngStream(15)), resnet, x),
+             (lambda: _gcn("none"), gcn, gen_sbm(_SMALL_SBM))]
+    for build_bare, build_pgr, inputs in cases:
+        bare = _eval_outputs(build_bare(), inputs)
+        npt.assert_array_equal(_eval_outputs(build_pgr(False), inputs), bare)
+        assert np.abs(_eval_outputs(build_pgr(True), inputs) - bare).max() > 1e-6

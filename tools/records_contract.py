@@ -1,7 +1,7 @@
 """Records contract: run one fixed list of short configs in two source trees
 and diff what each run leaves behind.
 
-    python tools/records_contract.py <parent-rev> [--keep DIR]
+    python tools/records_contract.py <parent-rev>
 
 The parent revision is exported with ``git archive`` into a temporary
 directory (no worktree is registered, so nothing is left in ``.git`` if the
@@ -188,17 +188,21 @@ def _export(rev: str, dest: Path):
     archive = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", rev],
                              capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest, filter="data")
+        # The archive is the repo's own tree; the extraction filter is used
+        # where this Python has it (3.10.12+, 3.11.4+, 3.12+).
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(dest, filter="data")
+        else:
+            tar.extractall(dest)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_rev", help="git revision to compare this checkout against")
-    parser.add_argument("--keep", help="write both output sets under this directory")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="records_contract_") as tmp:
-        root = Path(args.keep) if args.keep else Path(tmp)
-        parent_tree = Path(tmp) / "parent_tree"
+        root = Path(tmp)
+        parent_tree = root / "parent_tree"
         _export(args.parent_rev, parent_tree)
         _run_tree(parent_tree / "src", root / "parent")
         _run_tree(REPO / "src", root / "head")
