@@ -31,7 +31,6 @@ from .regularizers import (
     GraphGeneratorParams,
     PartialGraphReasoning,
     RegularizerConfig,
-    SchedulerState,
     VertexSet,
     build_adjacency,
     dropgraph_forward,

@@ -16,15 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
 from .nn import BatchNorm2d, Conv2d, Linear, Module, conv_bn, global_avg_pool
-from .regularizers import (
-    MASK_KINDS,
-    DropGraph,
-    RegularizerConfig,
-    SchedulerState,
-    current_rho,
-    make_regularizer,
-    sample_block_mask,
-)
+from .regularizers import MASK_KINDS, RegularizerConfig, make_regularizer, sample_block_mask
 from .rng import RngStream
 from .tensor import Tensor, matmul, relu
 
@@ -69,14 +61,14 @@ class TinyResNetConfig:
         # Groups after the first start with a stride-2 block.
         return self.image_size // (2**group)
 
-    def check_block_size(self, reg_kind: str, block_size: int):
+    def check_block_size(self, reg_cfg: RegularizerConfig):
         """Mask-sampling regularizers need every regularized map to hold one block."""
-        if reg_kind not in MASK_KINDS:
+        if reg_cfg.kind not in MASK_KINDS:
             return
         for g in self.regularize_groups:
             size = self.spatial_size_of_group(g)
-            if size < block_size:
-                raise ConfigError(f"block_size {block_size} exceeds the group {g} "
+            if size < reg_cfg.block_size:
+                raise ConfigError(f"block_size {reg_cfg.block_size} exceeds the group {g} "
                                   f"feature map ({size}x{size})")
 
 
@@ -100,37 +92,38 @@ class ResidualBlock(Module):
         self.main_reg = main_reg
         self.skip_reg = skip_reg
 
-    def forward(self, x: Tensor, rng: RngStream, sched: SchedulerState | None) -> Tensor:
+    def forward(self, x: Tensor, rng: RngStream, rho: float | None) -> Tensor:
         h = relu(conv_bn(self.conv1, self.bn1, x))
         h = relu(conv_bn(self.conv2, self.bn2, h))
         sk = x if self.projection is None else conv_bn(self.projection, self.proj_bn, x)
         # The regularizers run in eval too: each is the identity there, except
         # partial graph reasoning's train-and-infer arm.
         mask = None
-        if (self.training and isinstance(self.main_reg, DropGraph)
-                and isinstance(self.skip_reg, DropGraph)):
-            # One block mask shared by the main and skip distortions.
+        if self.training and self.skip_reg is not None:
+            # One block mask shared by the main and skip DropGraphs (mask kinds).
             b, _, hh, ww = h.data.shape
-            cfg = self.main_reg.cfg
-            mask = sample_block_mask(hh, ww, cfg.block_size, current_rho(cfg, sched),
+            mask = sample_block_mask(hh, ww, self.main_reg.cfg.block_size, rho,
                                      rng.child("block_mask"), batch=b)
         if self.main_reg is not None:
-            h = self.main_reg(h, rng.child("main"), sched, mask=mask)
+            h = self.main_reg(h, rng.child("main"), rho, mask=mask)
         if self.skip_reg is not None:
-            sk = self.skip_reg(sk, rng.child("skip"), sched, mask=mask)
+            sk = self.skip_reg(sk, rng.child("skip"), rho, mask=mask)
         return h + sk
 
 
 class TinyResNet(Module):
-    """Stem conv, residual groups, global average pool, linear head."""
+    """Stem conv, residual groups, global average pool, linear head.
+
+    ``reg_cfg`` (kind included) places the regularizers; ``forward`` takes
+    the step's drop probability ``rho``, which evaluation passes as None.
+    """
 
     def __init__(self, cfg: TinyResNetConfig, rng: RngStream,
-                 reg_kind: str = "none", reg_cfg: RegularizerConfig | None = None,
-                 pgr_strategy: str = "random", pgr_active_in_eval: bool = False):
+                 reg_cfg: RegularizerConfig | None = None):
         super().__init__()
         self.cfg = cfg
         reg_cfg = reg_cfg or RegularizerConfig()
-        cfg.check_block_size(reg_kind, reg_cfg.block_size)
+        cfg.check_block_size(reg_cfg)
         self.stem = Conv2d(cfg.in_channels, cfg.stem_channels, 3, rng.child("stem"),
                            stride=1, padding=1)
         self.stem_bn = BatchNorm2d(cfg.stem_channels)
@@ -142,16 +135,13 @@ class TinyResNet(Module):
             for bi in range(n_blocks):
                 stride = 2 if (gi > 0 and bi == 0) else 1
                 main_reg = skip_reg = None
-                if reg_kind != "none" and gi in cfg.regularize_groups:
-                    main_reg = make_regularizer(
-                        reg_kind, cout, reg_cfg, rng.child("reg", reg_index),
-                        spatial_size=(size, size), pgr_strategy=pgr_strategy,
-                        pgr_active_in_eval=pgr_active_in_eval)
+                if reg_cfg.kind != "none" and gi in cfg.regularize_groups:
+                    main_reg = make_regularizer(reg_cfg, cout, rng.child("reg", reg_index),
+                                                spatial_size=(size, size))
                     reg_index += 1
-                    if cfg.regularize_skip and reg_kind in MASK_KINDS:
-                        skip_reg = make_regularizer(
-                            reg_kind, cout, reg_cfg, rng.child("reg", reg_index),
-                            spatial_size=(size, size))
+                    if cfg.regularize_skip and reg_cfg.kind in MASK_KINDS:
+                        skip_reg = make_regularizer(reg_cfg, cout, rng.child("reg", reg_index),
+                                                    spatial_size=(size, size))
                         reg_index += 1
                 blocks.append(ResidualBlock(cin, cout, stride, rng.child("block", gi, bi),
                                             main_reg=main_reg, skip_reg=skip_reg))
@@ -160,7 +150,7 @@ class TinyResNet(Module):
         self.head = Linear(cin, cfg.classes, rng.child("head"))
 
     def forward(self, x: Tensor, rng: RngStream | None = None,
-                sched: SchedulerState | None = None) -> Tensor:
+                rho: float | None = None) -> Tensor:
         if x.data.ndim != 4:
             raise DimensionError(f"expected (batch, c, h, w) input, got {x.data.shape}")
         if min(x.data.shape[2], x.data.shape[3]) < 8:
@@ -169,7 +159,7 @@ class TinyResNet(Module):
             rng = RngStream(0).child("unseeded_forward")
         h = relu(conv_bn(self.stem, self.stem_bn, x))
         for i, block in enumerate(self.blocks):
-            h = block(h, rng.child("block", i), sched)
+            h = block(h, rng.child("block", i), rho)
         return self.head(global_avg_pool(h))
 
 
@@ -226,19 +216,21 @@ class TwoLayerGcn(Module):
     ``A``, because the rows of ``A`` do not sum to 1.  ``layer2`` stays a
     ``Linear``, so checkpoints keep the names ``layer2.weight`` and
     ``layer2.bias``.
+
+    ``reg_cfg`` (kind included) builds the regularizer; ``forward`` takes
+    the step's drop probability ``rho``, which evaluation passes as None.
     """
 
     def __init__(self, cfg: TwoLayerGcnConfig, rng: RngStream,
-                 reg_kind: str = "none", reg_cfg: RegularizerConfig | None = None):
+                 reg_cfg: RegularizerConfig | None = None):
         super().__init__()
         self.cfg = cfg
         self.layer1 = Linear(cfg.in_features, cfg.hidden, rng.child("gcn1"))
         self.layer2 = Linear(cfg.hidden, cfg.classes, rng.child("gcn2"))
-        reg_cfg = reg_cfg or RegularizerConfig(block_size=1)
-        self.reg = make_regularizer(reg_kind, cfg.hidden, reg_cfg, rng.child("reg"))
+        self.reg = make_regularizer(reg_cfg or RegularizerConfig(), cfg.hidden, rng.child("reg"))
 
     def forward(self, g: GraphInstance, rng: RngStream | None = None,
-                sched: SchedulerState | None = None) -> Tensor:
+                rho: float | None = None) -> Tensor:
         if rng is None:
             rng = RngStream(0).child("unseeded_forward")
         h = relu(self.layer1(Tensor(g.propagated_features)))
@@ -247,7 +239,7 @@ class TwoLayerGcn(Module):
             # reasoning's train-and-infer arm) and the detour is views only.
             n, c = h.data.shape
             as_map = h.transpose().reshape(1, c, n, 1)
-            h = self.reg(as_map, rng.child("reg"), sched).reshape(c, n).transpose()
+            h = self.reg(as_map, rng.child("reg"), rho).reshape(c, n).transpose()
         ahat = Tensor(g.normalized_adjacency)
         return matmul(ahat, matmul(h, self.layer2.weight)) + self.layer2.bias
 

@@ -6,7 +6,8 @@ Subcommands:
   write per-run records (JSONL), a summary CSV, and the dataset cache.
 * ``sweep <config> --axis <name> --values <list>`` - run the cross product
   of one regularizer axis against the shared seeds; emit a tidy long-format
-  CSV for plotting.
+  CSV for plotting.  Each value writes its own records file, so two values
+  that parse to the same value (``0.1,0.10``) are a config error.
 * ``verify`` - run the invariant suite and print a pass/fail table, after
   one line naming the conv backend, the tensor dtype and the numpy version.
 
@@ -128,6 +129,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--values: no value given")
     sweep_cfgs = [parse_config(f"{text}\n{key} = {v}") for v in raw_values]
     values = [getattr(c, _FIELD_BY_KEY[key]) for c in sweep_cfgs]
+    if len(set(values)) < len(values):
+        raise ConfigError(f"--values: {raw_values} parse to repeated values {values}")
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _print_header(cfg, f"sweep --axis {args.axis}")

@@ -25,7 +25,6 @@ from .regularizers import MASK_KINDS, RegularizerConfig
 
 __all__ = ["ExperimentConfig", "parse_config", "config_to_text"]
 
-REG_KINDS = ("none", "dropout", "spatial_dropout", "dropblock", "dropgraph", "pgr")
 TASKS = ("image", "node_graph")
 MIN_SEEDS = 3  # the median/min/max summary of a config needs at least three runs
 
@@ -96,6 +95,7 @@ class ExperimentConfig:
     def regularizer_config(self) -> RegularizerConfig:
         with _section("reg"):
             return RegularizerConfig(
+                kind=self.reg_kind,
                 alpha=self.reg_alpha,
                 rho_target=self.reg_rho,
                 block_size=self.reg_block_size,
@@ -104,6 +104,8 @@ class ExperimentConfig:
                 scheduler_kind=self.reg_scheduler,
                 rescale_dropout=self.reg_rescale_dropout,
                 normalize_similarity=self.reg_normalize_similarity,
+                pgr_strategy=self.reg_pgr_strategy,
+                pgr_active_in_eval=self.reg_pgr_active_in_eval,
             )
 
     def image_spec(self) -> SyntheticImageSpec:
@@ -225,10 +227,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         fail("seeds", f"at least {MIN_SEEDS} seeds are required, got {len(cfg.seeds)}")
     if cfg.threads < 1:
         fail("threads", f"must be >= 1, got {cfg.threads}")
-    if cfg.reg_kind not in REG_KINDS:
-        fail("reg.kind", f"must be one of {REG_KINDS}, got {cfg.reg_kind!r}")
-    if cfg.reg_pgr_strategy not in ("random", "top"):
-        fail("reg.pgr_strategy", f"must be 'random' or 'top', got {cfg.reg_pgr_strategy!r}")
+    reg = cfg.regularizer_config()
     if cfg.reg_kind == "pgr" and cfg.task != "image":
         fail("reg.kind", "pgr is only available for the image task")
     # A learned adjacency is sized from the insertion point's map; pgr has no
@@ -248,12 +247,11 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if any(not (0.0 < p <= 1.0) for p in cfg.train_lr_decay_points):
         fail("train.lr_decay_points", f"points must lie in (0, 1], got {cfg.train_lr_decay_points}")
 
-    cfg.regularizer_config()
     if cfg.task == "image":
         cfg.image_spec()
         resnet = cfg.resnet_config()
         with _section("reg"):
-            resnet.check_block_size(cfg.reg_kind, cfg.reg_block_size)
+            resnet.check_block_size(reg)
     else:
         cfg.graph_spec()
         cfg.gcn_config()

@@ -6,8 +6,9 @@ square blocks of a feature map are gated out and, instead of leaving zeros
 behind, a small stand-alone graph network built over randomly sampled
 feature vectors generates replacement distortions.  DropBlock is that
 regularizer with no vertices and no generator, so its gated blocks stay
-zero.  Every variant is the exact identity in eval mode, except partial
-graph reasoning's train-and-infer arm.
+zero.  ``dropout`` and ``dropgraph_forward`` are training-time functions:
+each insertion-point module returns its input when its ``training`` flag is
+off, except partial graph reasoning's train-and-infer arm.
 
 Two stochastic branches drive the graph regularizer:
 
@@ -57,7 +58,6 @@ __all__ = [
     "DropMask",
     "VertexSet",
     "GraphGeneratorParams",
-    "SchedulerState",
     "dropout",
     "sample_block_mask",
     "sample_vertices",
@@ -68,7 +68,6 @@ __all__ = [
     "pool_expand_apply",
     "dropgraph_forward",
     "schedule_rho",
-    "current_rho",
     "DropGraph",
     "Dropout",
     "PartialGraphReasoning",
@@ -78,6 +77,7 @@ __all__ = [
 ADJACENCY_MODES = ("eq6", "learned", "similarity", "identity", "uniform", "zero")
 GENERATOR_KINDS = ("graph", "random_noise", "avg_pool", "none")
 SCHEDULER_KINDS = ("f1", "f2", "f3", "f4", "f5", "constant")
+REG_KINDS = ("none", "dropout", "spatial_dropout", "dropblock", "dropgraph", "pgr")
 # Regularizer kinds that sample a block mask, the only ones that read block_size.
 MASK_KINDS = ("dropblock", "dropgraph")
 
@@ -87,8 +87,9 @@ MASK_KINDS = ("dropblock", "dropgraph")
 
 @dataclass
 class RegularizerConfig:
-    """Settings for one regularizer instance."""
+    """Settings for one regularizer: its kind and every knob the kinds read."""
 
+    kind: str = "none"
     alpha: float = 0.2
     rho_target: float = 0.1
     block_size: int = 3
@@ -97,8 +98,12 @@ class RegularizerConfig:
     scheduler_kind: str = "f1"
     rescale_dropout: bool = False
     normalize_similarity: bool = False
+    pgr_strategy: str = "random"
+    pgr_active_in_eval: bool = False
 
     def __post_init__(self):
+        if self.kind not in REG_KINDS:
+            raise ConfigError(f"kind must be one of {REG_KINDS}, got {self.kind!r}")
         if not (0.0 <= self.alpha <= 1.0):
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not (0.0 <= self.rho_target < 1.0):
@@ -111,6 +116,8 @@ class RegularizerConfig:
             raise ConfigError(f"generator_kind must be one of {GENERATOR_KINDS}, got {self.generator_kind!r}")
         if self.scheduler_kind not in SCHEDULER_KINDS:
             raise ConfigError(f"scheduler_kind must be one of {SCHEDULER_KINDS}, got {self.scheduler_kind!r}")
+        if self.pgr_strategy not in ("random", "top"):
+            raise ConfigError(f"pgr_strategy must be 'random' or 'top', got {self.pgr_strategy!r}")
 
 
 @dataclass
@@ -172,6 +179,8 @@ def _gather_vertices(x: Tensor, indices: np.ndarray) -> VertexSet:
     (see ``VertexSet``).  Every item must hold at least one vertex.
     """
     b = x.data.shape[0]
+    # Flat for speed: padding the node-graph task's one (1, c, n, 1) map made its
+    # regularizer 8-23% slower (2-core Xeon VM), and changed random_noise's RNG stream.
     if b == 1:
         return VertexSet(indices, take_spatial_vectors(x, *indices.T))
     counts = np.bincount(indices[:, 0], minlength=b)
@@ -197,22 +206,6 @@ def _padded_positions(indices: np.ndarray, counts: np.ndarray) -> tuple:
     pos[1, ib, rank] = iy
     pos[2, ib, rank] = ix
     return tuple(pos)
-
-
-@dataclass
-class SchedulerState:
-    """Progress of the drop-probability ramp over one training run."""
-
-    step: int
-    total_steps: int
-    kind: str = "f1"
-    rho_target: float = 0.1
-
-    def __post_init__(self):
-        if self.total_steps <= 0:
-            raise ConfigError(f"total_steps must be positive, got {self.total_steps}")
-        if self.kind not in SCHEDULER_KINDS:
-            raise ConfigError(f"scheduler kind must be one of {SCHEDULER_KINDS}, got {self.kind!r}")
 
 
 class GraphGeneratorParams(Module):
@@ -248,20 +241,22 @@ class GraphGeneratorParams(Module):
 # -- classic dropout baselines ---------------------------------------------------
 
 
-def _check_rho(rho: float):
-    if not (0.0 <= rho < 1.0):
+def _check_rho(rho: float | None):
+    if rho is None or not (0.0 <= rho < 1.0):
         raise ContractError(f"drop probability must lie in [0, 1), got {rho}")
 
 
-def dropout(x: Tensor, rho: float, rng: RngStream, mode: str = "train",
-            rescale: bool = False, spatial: bool = False) -> Tensor:
-    """Zero each scalar independently with probability ``rho`` (train only).
+def dropout(x: Tensor, rho: float, rng: RngStream, rescale: bool = False,
+            spatial: bool = False) -> Tensor:
+    """Zero each scalar independently with probability ``rho``.
 
-    With ``spatial`` a (batch, c, h, w) input gets one gate per
-    (batch, y, x), shared by all channels: whole feature vectors drop.
+    A training-time function: inference skips it (``Dropout`` returns its
+    input out of training).  With ``spatial`` a (batch, c, h, w) input gets
+    one gate per (batch, y, x), shared by all channels: whole feature
+    vectors drop.
     """
     _check_rho(rho)
-    if mode == "eval" or rho == 0.0:
+    if rho == 0.0:
         return x
     shape = x.data.shape
     if spatial:
@@ -475,27 +470,22 @@ def pool_expand_apply(x: Tensor, m: DropMask, d: Tensor, v: VertexSet,
 
 
 def dropgraph_forward(x: Tensor, cfg: RegularizerConfig,
-                      params: GraphGeneratorParams | None,
-                      sched: SchedulerState | None, rng: RngStream,
-                      mode: str = "train", mask: DropMask | None = None,
+                      params: GraphGeneratorParams | None, rho: float, rng: RngStream,
+                      mask: DropMask | None = None,
                       learned_adjacency: Tensor | None = None) -> Tensor:
-    """Full regularizer forward pass.
+    """Full training-time regularizer forward pass; inference skips it.
 
-    Eval mode returns the input untouched and runs no graph computation.
-    Train mode samples the block mask and the vertex set, builds one
-    padded graph per batch item, generates distortions for all of them at
-    once, and applies them at the masked positions.  ``mask`` can be passed
-    in to share a gate across insertion points (skip paths); fresh
-    multipliers are always drawn.
+    Samples the block mask at drop probability ``rho`` and the vertex set,
+    builds one padded graph per batch item, generates distortions for all
+    of them at once, and applies them at the masked positions.  ``mask``
+    can be passed in to share a gate across insertion points (skip paths);
+    ``rho`` is then not read.  Fresh multipliers are always drawn.
     """
-    if mode == "eval":
-        return x
     b, _, h, w = x.data.shape
     if cfg.block_size > min(h, w):
         raise ContractError(f"block_size {cfg.block_size} exceeds feature map {h}x{w}")
     if mask is None:
-        mask = sample_block_mask(h, w, cfg.block_size, current_rho(cfg, sched),
-                                 rng.child("mask"), batch=b)
+        mask = sample_block_mask(h, w, cfg.block_size, rho, rng.child("mask"), batch=b)
     vertices = sample_vertices(x, cfg.alpha, rng.child("vertices"))
     if vertices.count == 0 or cfg.generator_kind == "none":
         d = Tensor(np.zeros(vertices.values.data.shape))
@@ -512,34 +502,34 @@ def dropgraph_forward(x: Tensor, cfg: RegularizerConfig,
 # -- drop-probability schedulers ------------------------------------------------------
 
 
-def schedule_rho(s: SchedulerState) -> float:
-    """Scheduled drop probability at the state's step.
+def schedule_rho(cfg: RegularizerConfig, step: int, total_steps: int) -> float:
+    """Drop probability at ``step`` of a ``total_steps``-long training run.
 
-    All ramps start at 0, end at rho_target, and are nondecreasing; the
-    quadratic ramp lies below every other one pointwise.
+    ``cfg.scheduler_kind`` picks the ramp and ``cfg.rho_target`` its end
+    value.  All ramps start at 0, end at rho_target, and are nondecreasing;
+    the quadratic ramp lies below every other one pointwise.  The trainer
+    calls this once per step and passes the float to the model.
     """
-    if s.step < 0 or s.step > s.total_steps:
-        raise ContractError(f"step {s.step} outside [0, {s.total_steps}]")
-    r = s.step / s.total_steps
-    rho = s.rho_target
-    if s.kind == "constant":
+    if total_steps <= 0:
+        raise ContractError(f"total_steps must be positive, got {total_steps}")
+    if step < 0 or step > total_steps:
+        raise ContractError(f"step {step} outside [0, {total_steps}]")
+    r = step / total_steps
+    rho = cfg.rho_target
+    kind = cfg.scheduler_kind
+    if kind == "constant":
         return rho
-    if s.kind == "f1":
+    if kind == "f1":
         return rho * r
-    if s.kind == "f2":
+    if kind == "f2":
         return rho * r * r
-    if s.kind == "f3":
+    if kind == "f3":
         return rho * math.sqrt(r)
-    if s.kind == "f4":
+    if kind == "f4":
         return rho * (1.0 - math.cos(math.pi * r)) / 2.0
-    if s.kind == "f5":
+    if kind == "f5":
         return rho * r * r * (3.0 - 2.0 * r)
-    raise ConfigError(f"unknown scheduler kind {s.kind!r}")
-
-
-def current_rho(cfg: RegularizerConfig, sched: SchedulerState | None) -> float:
-    """Drop probability now: the scheduled ramp, or the target without a scheduler."""
-    return schedule_rho(sched) if sched is not None else cfg.rho_target
+    raise ConfigError(f"unknown scheduler kind {kind!r}")
 
 
 # -- backbone-insertable modules ------------------------------------------------------
@@ -565,28 +555,28 @@ class DropGraph(Module):
             init = (1.0 + 0.01 * rng.child("adj").normal(size=(k, k))) / k
             self.adjacency_param = Tensor(init, requires_grad=True)
 
-    def forward(self, x: Tensor, rng: RngStream, sched: SchedulerState | None,
+    def forward(self, x: Tensor, rng: RngStream, rho: float | None,
                 mask: DropMask | None = None) -> Tensor:
-        mode = "train" if self.training else "eval"
-        return dropgraph_forward(x, self.cfg, self.params, sched, rng, mode,
+        if not self.training:
+            return x
+        return dropgraph_forward(x, self.cfg, self.params, rho, rng,
                                  mask=mask, learned_adjacency=self.adjacency_param)
 
 
 class Dropout(Module):
-    """Per-scalar dropout, or whole-feature-vector dropout with ``spatial``,
-    as an insertion-point module."""
+    """Per-scalar dropout, or whole-feature-vector dropout for kind
+    ``spatial_dropout``, as an insertion-point module."""
 
-    def __init__(self, cfg: RegularizerConfig, spatial: bool = False):
+    def __init__(self, cfg: RegularizerConfig):
         super().__init__()
         self.cfg = cfg
-        self.spatial = spatial
+        self.spatial = cfg.kind == "spatial_dropout"
 
-    def forward(self, x, rng, sched, mask=None):
+    def forward(self, x, rng, rho, mask=None):
         if not self.training:
             return x
         site = rng.child("spatial" if self.spatial else "dropout")
-        return dropout(x, current_rho(self.cfg, sched), site, "train",
-                       self.cfg.rescale_dropout, spatial=self.spatial)
+        return dropout(x, rho, site, self.cfg.rescale_dropout, spatial=self.spatial)
 
 
 class PartialGraphReasoning(Module):
@@ -594,23 +584,15 @@ class PartialGraphReasoning(Module):
 
     The selected feature vectors are replaced by A V W (non-residual); the
     rest of the map passes through.  Used by the sampling-strategy study:
-    ``strategy`` picks random Bernoulli(alpha) sampling or the top
-    alpha-fraction of positions by vector norm, and ``active_in_eval``
-    switches between the train-only and train-and-infer arms.
+    ``cfg.pgr_strategy`` picks random Bernoulli(alpha) sampling or the top
+    alpha-fraction of positions by vector norm, and ``cfg.pgr_active_in_eval``
+    switches between the train-only and train-and-infer arms.  It reads no
+    drop probability.
     """
 
-    def __init__(self, channels: int, alpha: float, rng: RngStream,
-                 strategy: str = "random", active_in_eval: bool = False,
-                 adjacency_mode: str = "eq6"):
+    def __init__(self, channels: int, cfg: RegularizerConfig, rng: RngStream):
         super().__init__()
-        if strategy not in ("random", "top"):
-            raise ConfigError(f"strategy must be 'random' or 'top', got {strategy!r}")
-        if not (0.0 <= alpha <= 1.0):
-            raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
-        self.alpha = alpha
-        self.strategy = strategy
-        self.active_in_eval = active_in_eval
-        self.adjacency_mode = adjacency_mode
+        self.cfg = cfg
         self.weight = Tensor(
             rng.child("pgr_w").normal(size=(channels, channels), scale=math.sqrt(2.0 / channels)),
             requires_grad=True,
@@ -618,7 +600,7 @@ class PartialGraphReasoning(Module):
 
     def _select_top(self, x: Tensor) -> np.ndarray:
         b, _, h, w = x.data.shape
-        k = max(1, int(round(self.alpha * h * w)))
+        k = max(1, int(round(self.cfg.alpha * h * w)))
         mag = np.sqrt((x.data * x.data).sum(axis=1)).reshape(b, h * w)
         # Stable sort: descending magnitude, position index breaks ties.
         order = np.argsort(-mag, axis=1, kind="stable")[:, :k]
@@ -626,37 +608,35 @@ class PartialGraphReasoning(Module):
         selected[np.arange(b)[:, None], order] = True
         return np.argwhere(selected.reshape(b, h, w))
 
-    def forward(self, x: Tensor, rng: RngStream, sched=None, mask=None) -> Tensor:
-        if not self.training and not self.active_in_eval:
+    def forward(self, x: Tensor, rng: RngStream, rho=None, mask=None) -> Tensor:
+        if not self.training and not self.cfg.pgr_active_in_eval:
             return x
-        if self.alpha == 0.0:
+        if self.cfg.alpha == 0.0:
             return x
-        if self.strategy == "random":
-            graphs = sample_vertices(x, self.alpha, rng.child("pgr_vertices"))
+        if self.cfg.pgr_strategy == "random":
+            graphs = sample_vertices(x, self.cfg.alpha, rng.child("pgr_vertices"))
         else:
             graphs = _gather_vertices(x, self._select_top(x))
-        adj = build_adjacency(graphs, self.adjacency_mode)
+        adj = build_adjacency(graphs, self.cfg.adjacency_mode)
         rows = matmul(matmul(adj, graphs.values), self.weight)
         return replace_spatial_vectors(x, *graphs.positions(), rows, valid=graphs.valid)
 
 
-def make_regularizer(kind: str, channels: int, cfg: RegularizerConfig,
-                     rng: RngStream, spatial_size=None, pgr_strategy: str = "random",
-                     pgr_active_in_eval: bool = False):
-    """Insertion-point module factory for a regularizer kind, or None."""
-    if kind == "none":
+def make_regularizer(cfg: RegularizerConfig, channels: int, rng: RngStream,
+                     spatial_size=None):
+    """The insertion-point module of ``cfg.kind``, or None for ``none``.
+
+    Each is called as ``reg(x, rng, rho, mask=None)`` and returns its input
+    when its ``training`` flag is off (PGR's train-and-infer arm aside).
+    """
+    if cfg.kind == "none":
         return None
-    if kind in ("dropout", "spatial_dropout"):
-        return Dropout(cfg, spatial=kind == "spatial_dropout")
-    if kind == "dropblock":
+    if cfg.kind in ("dropout", "spatial_dropout"):
+        return Dropout(cfg)
+    if cfg.kind == "dropblock":
         # The block mask alone: no vertices, no generator, no adjacency.
         mask_only = replace(cfg, alpha=0.0, generator_kind="none", adjacency_mode="zero")
         return DropGraph(channels, mask_only, rng)
-    if kind == "dropgraph":
+    if cfg.kind == "dropgraph":
         return DropGraph(channels, cfg, rng, spatial_size=spatial_size)
-    if kind == "pgr":
-        return PartialGraphReasoning(channels, cfg.alpha, rng,
-                                     strategy=pgr_strategy,
-                                     active_in_eval=pgr_active_in_eval,
-                                     adjacency_mode=cfg.adjacency_mode)
-    raise ConfigError(f"unknown regularizer kind {kind!r}")
+    return PartialGraphReasoning(channels, cfg, rng)  # kind "pgr"

@@ -21,7 +21,7 @@ from .config import MIN_SEEDS, ExperimentConfig, config_to_text
 from .data import gen_images, gen_sbm
 from .errors import ConfigError
 from .nn import cross_entropy
-from .regularizers import SchedulerState, schedule_rho
+from .regularizers import schedule_rho
 from .rng import RngStream
 from .tensor import Tensor, no_grad, take_rows
 
@@ -90,12 +90,6 @@ def _lr_at(cfg: ExperimentConfig, epoch: int) -> float:
     return lr
 
 
-def _build_image_model(cfg: ExperimentConfig, rng: RngStream) -> TinyResNet:
-    return TinyResNet(cfg.resnet_config(), rng, reg_kind=cfg.reg_kind,
-                      reg_cfg=cfg.regularizer_config(), pgr_strategy=cfg.reg_pgr_strategy,
-                      pgr_active_in_eval=cfg.reg_pgr_active_in_eval)
-
-
 def _evaluate_image(model, xs, ys, rng, batch: int = 32):
     model.eval()
     total_loss = 0.0
@@ -114,19 +108,18 @@ def _evaluate_image(model, xs, ys, rng, batch: int = 32):
 def _train_image(cfg: ExperimentConfig, seed: int) -> RunRecord:
     ds = gen_images(cfg.image_spec())
     rng = RngStream(seed)
-    model = _build_image_model(cfg, rng.child("init"))
+    reg_cfg = cfg.regularizer_config()
+    model = TinyResNet(cfg.resnet_config(), rng.child("init"), reg_cfg)
     opt = SGD(model.parameters(), cfg.train_lr, cfg.train_momentum, cfg.train_weight_decay)
     record = RunRecord(config_hash=cfg.config_hash(), seed=seed)
     n_train = ds.train_x.shape[0]
     steps_per_epoch = math.ceil(n_train / cfg.train_batch_size)
-    sched = SchedulerState(0, cfg.train_epochs * steps_per_epoch,
-                           cfg.reg_scheduler, cfg.reg_rho)
+    total_steps = cfg.train_epochs * steps_per_epoch
     start = time.perf_counter()
     global_step = 0
     for epoch in range(cfg.train_epochs):
         opt.lr = _lr_at(cfg, epoch)
-        sched.step = global_step
-        rho_start = schedule_rho(sched)
+        rho_start = schedule_rho(reg_cfg, global_step, total_steps)
         order = rng.child("shuffle", epoch).permutation(n_train)
         epoch_loss = 0.0
         epoch_correct = 0
@@ -139,8 +132,8 @@ def _train_image(cfg: ExperimentConfig, seed: int) -> RunRecord:
                 if flips.any():
                     xb = xb.copy()
                     xb[flips] = xb[flips][:, :, :, ::-1]
-            sched.step = global_step
-            logits = model(Tensor(xb), rng.child("step", global_step), sched)
+            rho = schedule_rho(reg_cfg, global_step, total_steps)
+            logits = model(Tensor(xb), rng.child("step", global_step), rho)
             loss = cross_entropy(logits, yb)
             if not np.isfinite(loss.item()):
                 record.status = "diverged"
@@ -152,8 +145,7 @@ def _train_image(cfg: ExperimentConfig, seed: int) -> RunRecord:
             epoch_loss += loss.item() * len(yb)
             epoch_correct += int((logits.data.argmax(axis=1) == yb).sum())
             global_step += 1
-        sched.step = global_step
-        rho_end = schedule_rho(sched)
+        rho_end = schedule_rho(reg_cfg, global_step, total_steps)
         val_loss, val_acc = _evaluate_image(model, ds.val_x, ds.val_y,
                                             rng.child("eval", epoch))
         record.epochs.append(EpochStats(
@@ -183,17 +175,15 @@ def _evaluate_graph(model, g: GraphInstance, idx, rng):
 def _train_graph(cfg: ExperimentConfig, seed: int) -> RunRecord:
     g = gen_sbm(cfg.graph_spec())
     rng = RngStream(seed)
-    model = TwoLayerGcn(cfg.gcn_config(), rng.child("init"), reg_kind=cfg.reg_kind,
-                        reg_cfg=cfg.regularizer_config())
+    reg_cfg = cfg.regularizer_config()
+    model = TwoLayerGcn(cfg.gcn_config(), rng.child("init"), reg_cfg)
     opt = SGD(model.parameters(), cfg.train_lr, cfg.train_momentum, cfg.train_weight_decay)
     record = RunRecord(config_hash=cfg.config_hash(), seed=seed)
-    sched = SchedulerState(0, cfg.train_epochs, cfg.reg_scheduler, cfg.reg_rho)
     start = time.perf_counter()
     for epoch in range(cfg.train_epochs):
         opt.lr = _lr_at(cfg, epoch)
-        sched.step = epoch
-        rho_start = schedule_rho(sched)
-        logits = model(g, rng.child("step", epoch), sched)
+        rho_start = schedule_rho(reg_cfg, epoch, cfg.train_epochs)
+        logits = model(g, rng.child("step", epoch), rho_start)
         loss = cross_entropy(take_rows(logits, g.train_idx), g.labels[g.train_idx])
         if not np.isfinite(loss.item()):
             record.status = "diverged"
@@ -202,8 +192,7 @@ def _train_graph(cfg: ExperimentConfig, seed: int) -> RunRecord:
         model.zero_grad()
         loss.backward()
         opt.step()
-        sched.step = epoch + 1
-        rho_end = schedule_rho(sched)
+        rho_end = schedule_rho(reg_cfg, epoch + 1, cfg.train_epochs)
         train_acc = float((logits.data[g.train_idx].argmax(axis=1)
                            == g.labels[g.train_idx]).mean())
         val_loss, val_acc = _evaluate_graph(model, g, g.val_idx, rng.child("eval", epoch))
@@ -237,14 +226,15 @@ def _pool_worker(args):
 def multi_seed(configs, seeds, threads: int = 1):
     """Run the (config x seed) grid; returns records grouped per config.
 
-    Runs are independent; with threads > 1 they execute on a process pool.
+    Runs are independent; with threads > 1 they execute on a process pool
+    of ``min(threads, runs)`` workers.
     Results are assembled in deterministic (config, seed) order either way.
     """
     if len(seeds) < MIN_SEEDS:
         raise ConfigError(f"multi_seed needs at least {MIN_SEEDS} seeds, got {len(seeds)}")
     tasks = [(cfg, seed) for cfg in configs for seed in seeds]
     if threads > 1:
-        with multiprocessing.Pool(processes=threads) as pool:
+        with multiprocessing.Pool(processes=min(threads, len(tasks))) as pool:
             flat = pool.map(_pool_worker, tasks)
     else:
         flat = [_pool_worker(t) for t in tasks]

@@ -32,7 +32,6 @@ from .nn import batchnorm_train, conv2d, cross_entropy, global_avg_pool
 from .regularizers import (
     GraphGeneratorParams,
     RegularizerConfig,
-    SchedulerState,
     VertexSet,
     build_adjacency,
     dropgraph_forward,
@@ -130,11 +129,10 @@ def check_gradient_soundness():
         attempt += 1
         params = GraphGeneratorParams(4, RngStream(500 + attempt, ("p",)))
         x = Tensor(rng.normal(size=(1, 4, 6, 6)), requires_grad=True)
-        sched = SchedulerState(50, 100, "constant", cfg.rho_target)
 
         def f(t, a=attempt):
-            return (dropgraph_forward(t, cfg, params, sched,
-                                      RngStream(900 + a, ("fw",)), "train") ** 2).sum()
+            return (dropgraph_forward(t, cfg, params, cfg.rho_target,
+                                      RngStream(900 + a, ("fw",))) ** 2).sum()
 
         out = f(x)
         if min_relu_margin(out) < 1e-3:
@@ -150,8 +148,8 @@ def check_gradient_soundness():
             def fp(t, name=name, p=p, a=attempt):
                 setattr(params, name, t)
                 try:
-                    return (dropgraph_forward(x, cfg, params, sched,
-                                              RngStream(900 + a, ("fw",)), "train") ** 2).sum()
+                    return (dropgraph_forward(x, cfg, params, cfg.rho_target,
+                                              RngStream(900 + a, ("fw",))) ** 2).sum()
                 finally:
                     setattr(params, name, p)
 
@@ -170,31 +168,30 @@ def check_gradient_soundness():
 def check_inference_skip_identity():
     rng = np.random.default_rng(202)
     kinds = [
-        ("dropgraph", RegularizerConfig()),
-        ("dropgraph", RegularizerConfig(adjacency_mode="uniform")),
-        ("dropgraph", RegularizerConfig(adjacency_mode="learned")),
-        ("dropgraph", RegularizerConfig(generator_kind="avg_pool")),
-        ("dropblock", RegularizerConfig()),
-        ("dropout", RegularizerConfig()),
-        ("spatial_dropout", RegularizerConfig()),
-        ("pgr", RegularizerConfig()),  # train-only arm
+        RegularizerConfig(kind="dropgraph"),
+        RegularizerConfig(kind="dropgraph", adjacency_mode="uniform"),
+        RegularizerConfig(kind="dropgraph", adjacency_mode="learned"),
+        RegularizerConfig(kind="dropgraph", generator_kind="avg_pool"),
+        RegularizerConfig(kind="dropblock"),
+        RegularizerConfig(kind="dropout"),
+        RegularizerConfig(kind="spatial_dropout"),
+        RegularizerConfig(kind="pgr"),  # train-only arm
     ]
     cnn_cfg = TinyResNetConfig(image_size=16)
     with tempfile.TemporaryDirectory(prefix="dropgraph_verify_") as tmp_dir:
-        for i, (kind, reg_cfg) in enumerate(kinds):
-            reg = TinyResNet(cnn_cfg, RngStream(7, ("init",)), reg_kind=kind, reg_cfg=reg_cfg)
+        for i, reg_cfg in enumerate(kinds):
+            reg = TinyResNet(cnn_cfg, RngStream(7, ("init",)), reg_cfg)
             # a few training steps so parameters and BN stats move
-            sched = SchedulerState(10, 100, "f1", reg_cfg.rho_target)
             for step in range(3):
                 x = Tensor(rng.normal(size=(4, 1, 16, 16)))
-                out = reg(x, RngStream(11, ("step", step, i)), sched)
+                out = reg(x, RngStream(11, ("step", step, i)), schedule_rho(reg_cfg, 10, 100))
                 loss = cross_entropy(out, rng.integers(0, 4, size=4))
                 reg.zero_grad()
                 loss.backward()
                 for p in reg.parameters():
                     if p.grad is not None:
                         p.data = p.data - 0.05 * p.grad
-            bare = TinyResNet(cnn_cfg, RngStream(7, ("init",)), reg_kind="none")
+            bare = TinyResNet(cnn_cfg, RngStream(7, ("init",)))
             path = os.path.join(tmp_dir, f"state_{i}.ckpt")
             save_checkpoint(reg, path)
             # The bare model loads its own names; the regularizer's extra
@@ -208,15 +205,13 @@ def check_inference_skip_identity():
                     a = reg(x)
                     b = bare(x)
                 if not np.array_equal(a.data, b.data):
-                    return False, f"cnn eval outputs differ for kind={kind}"
+                    return False, f"cnn eval outputs differ for kind={reg_cfg.kind}"
     # graph backbone
     g = gen_sbm(SbmGraphSpec(nodes=120, labeled_per_class=10, seed=3))
     for kind in ("dropgraph", "dropout"):
-        reg_cfg = RegularizerConfig(block_size=1, alpha=0.15)
-        gm = TwoLayerGcn(TwoLayerGcnConfig(in_features=16), RngStream(9, ("g",)),
-                         reg_kind=kind, reg_cfg=reg_cfg)
-        bare = TwoLayerGcn(TwoLayerGcnConfig(in_features=16), RngStream(9, ("g",)),
-                           reg_kind="none")
+        reg_cfg = RegularizerConfig(kind=kind, block_size=1, alpha=0.15)
+        gm = TwoLayerGcn(TwoLayerGcnConfig(in_features=16), RngStream(9, ("g",)), reg_cfg)
+        bare = TwoLayerGcn(TwoLayerGcnConfig(in_features=16), RngStream(9, ("g",)))
         gm.eval()
         bare.eval()
         with no_grad():
@@ -235,9 +230,8 @@ def check_dropblock_degeneration(cases: int = 1000):
     cfg_none = RegularizerConfig(generator_kind="none")
     for i in range(cases):
         x = Tensor(rng.normal(size=(1, 8, 8, 8)))
-        sched = SchedulerState(60, 100, "f1", 0.3)
-        a = dropgraph_forward(x, cfg_zero, params, sched, RngStream(i, ("deg",)), "train")
-        b = dropgraph_forward(x, cfg_none, None, sched, RngStream(i, ("deg",)), "train")
+        a = dropgraph_forward(x, cfg_zero, params, 0.18, RngStream(i, ("deg",)))
+        b = dropgraph_forward(x, cfg_none, None, 0.18, RngStream(i, ("deg",)))
         if not np.array_equal(a.data, b.data):
             return False, f"outputs diverge at case {i}"
     return True, f"{cases} random inputs bit-identical"
@@ -292,18 +286,19 @@ def check_mask_rate_calibration(masks_per_cell: int = 10_000):
 
 def check_scheduler_contract():
     total = 1000
+    def ramp(kind):
+        cfg = RegularizerConfig(rho_target=0.1, scheduler_kind=kind)
+        return np.array([schedule_rho(cfg, t, total) for t in range(total + 1)])
+
     for kind in ("f1", "f2", "f3", "f4", "f5"):
-        vals = np.array([schedule_rho(SchedulerState(t, total, kind, 0.1))
-                         for t in range(total + 1)])
+        vals = ramp(kind)
         if vals[0] != 0.0:
             return False, f"{kind}(0) != 0"
         if abs(vals[-1] - 0.1) > 1e-15:
             return False, f"{kind}(T) != rho_target"
         if (np.diff(vals) < -1e-15).any():
             return False, f"{kind} not nondecreasing"
-    f1 = np.array([schedule_rho(SchedulerState(t, total, "f1", 0.1)) for t in range(total + 1)])
-    f2 = np.array([schedule_rho(SchedulerState(t, total, "f2", 0.1)) for t in range(total + 1)])
-    if (f2 > f1 + 1e-15).any():
+    if (ramp("f2") > ramp("f1") + 1e-15).any():
         return False, "f2 exceeds f1 somewhere"
     return True, "5 ramps on a 1000-point grid; f2 <= f1 pointwise"
 
@@ -315,12 +310,11 @@ def check_determinism_replay():
     cfg = RegularizerConfig(alpha=0.3, rho_target=0.2, scheduler_kind="constant")
     params = GraphGeneratorParams(8, RngStream(77, ("p",)))
     x = Tensor(np.random.default_rng(5).normal(size=(3, 8, 10, 10)))
-    sched = SchedulerState(5, 10, "constant", 0.2)
-    a = dropgraph_forward(x, cfg, params, sched, RngStream(123, ("r",)), "train")
-    b = dropgraph_forward(x, cfg, params, sched, RngStream(123, ("r",)), "train")
+    a = dropgraph_forward(x, cfg, params, cfg.rho_target, RngStream(123, ("r",)))
+    b = dropgraph_forward(x, cfg, params, cfg.rho_target, RngStream(123, ("r",)))
     if not np.array_equal(a.data, b.data):
         return False, "replay with identical seed/path differs"
-    c = dropgraph_forward(x, cfg, params, sched, RngStream(124, ("r",)), "train")
+    c = dropgraph_forward(x, cfg, params, cfg.rho_target, RngStream(124, ("r",)))
     if np.array_equal(a.data, c.data):
         return False, "different seed produced identical output"
     return True, "replay bit-identical; different seed differs"

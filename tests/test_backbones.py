@@ -16,7 +16,15 @@ from dropgraph.data import SbmGraphSpec, gen_sbm, save_graph_dataset
 from dropgraph.errors import ContractError
 from dropgraph.gradcheck import grad_check, min_relu_margin
 from dropgraph.nn import cross_entropy
-from dropgraph.regularizers import PartialGraphReasoning, RegularizerConfig, SchedulerState
+from dropgraph.regularizers import (
+    REG_KINDS,
+    DropGraph,
+    Dropout,
+    GraphGeneratorParams,
+    PartialGraphReasoning,
+    RegularizerConfig,
+    schedule_rho,
+)
 from dropgraph.rng import RngStream
 from dropgraph.tensor import Tensor, no_grad, take_rows
 
@@ -67,10 +75,35 @@ def test_learned_adjacency_only_for_the_graph_generator(generator, learned):
     """Generators that read no adjacency get no learned adjacency parameter."""
     cfg = parse_config(f"task = image\nreg.kind = dropgraph\nreg.generator = {generator}\n"
                        "reg.adjacency = learned\n")
-    model = TinyResNet(cfg.resnet_config(), RngStream(5), reg_kind="dropgraph",
-                       reg_cfg=cfg.regularizer_config())
+    model = TinyResNet(cfg.resnet_config(), RngStream(5), cfg.regularizer_config())
     names = [name for name, _ in model.named_parameters()]
     assert sum(name.endswith("adjacency_param") for name in names) == learned
+
+
+@pytest.mark.parametrize("kind", REG_KINDS)
+def test_the_spec_kind_picks_the_insertion_point_modules(kind):
+    cfg = parse_config(f"reg.kind = {kind}\nreg.pgr_strategy = top\n"
+                       "reg.pgr_active_in_eval = true\n")
+    model = TinyResNet(cfg.resnet_config(), RngStream(17), cfg.regularizer_config())
+    # The default model regularizes its last group, blocks 2 and 3, skip paths included.
+    assert all(b.main_reg is None and b.skip_reg is None for b in model.blocks[:2])
+    for block in model.blocks[2:]:
+        main, skip = block.main_reg, block.skip_reg
+        if kind == "none":
+            assert main is None and skip is None
+        elif kind in ("dropout", "spatial_dropout"):
+            assert type(main) is Dropout and main.spatial == (kind == "spatial_dropout")
+            assert skip is None
+        elif kind == "dropblock":
+            for reg in (main, skip):
+                assert type(reg) is DropGraph and reg.params is None
+                assert (reg.cfg.alpha, reg.cfg.generator_kind) == (0.0, "none")
+        elif kind == "dropgraph":
+            for reg in (main, skip):
+                assert type(reg) is DropGraph and type(reg.params) is GraphGeneratorParams
+        else:
+            assert type(main) is PartialGraphReasoning and skip is None
+            assert (main.cfg.pgr_strategy, main.cfg.pgr_active_in_eval) == ("top", True)
 
 
 # -- two-layer GCN -----------------------------------------------------------------------
@@ -79,9 +112,9 @@ _SMALL_SBM = SbmGraphSpec(nodes=36, communities=3, p_in=0.3, p_out=0.05,
                           labeled_per_class=4, feature_dim=4, seed=3)
 
 
-def _gcn(reg_kind="none", **kwargs) -> TwoLayerGcn:
-    return TwoLayerGcn(TwoLayerGcnConfig(in_features=4), RngStream(8), reg_kind=reg_kind,
-                       reg_cfg=RegularizerConfig(block_size=1, rho_target=0.3), **kwargs)
+def _gcn(reg_kind="none") -> TwoLayerGcn:
+    return TwoLayerGcn(TwoLayerGcnConfig(in_features=4), RngStream(8),
+                       RegularizerConfig(kind=reg_kind, block_size=1, rho_target=0.3))
 
 
 def _textbook_gcn(model: TwoLayerGcn, g) -> np.ndarray:
@@ -122,10 +155,10 @@ def test_gcn_matches_the_textbook_order(reg_kind, training):
 def test_gcn_weight_gradients_through_a_regularized_train_forward(layer):
     g = gen_sbm(_SMALL_SBM)
     model = _gcn("dropgraph")
-    sched = SchedulerState(5, 10, "f1", 0.3)
+    rho = schedule_rho(model.reg.cfg, 5, 10)
 
     def loss(_):
-        logits = model(g, RngStream(12, ("step",)), sched)
+        logits = model(g, RngStream(12, ("step",)), rho)
         return cross_entropy(take_rows(logits, g.train_idx), g.labels[g.train_idx])
 
     weight = getattr(model, layer).weight
@@ -144,15 +177,17 @@ def test_pgr_train_and_infer_arm_runs_in_eval_on_both_backbones(strategy):
     cfg = TinyResNetConfig(stem_channels=4, groups=((1, 4), (1, 8)), image_size=8)
     x = Tensor(RngStream(14).normal(size=(2, 1, 8, 8)))
 
+    def spec(alpha, active_in_eval):
+        return RegularizerConfig(kind="pgr", alpha=alpha, pgr_strategy=strategy,
+                                 pgr_active_in_eval=active_in_eval)
+
     def resnet(active_in_eval):
-        return TinyResNet(cfg, RngStream(15), reg_kind="pgr", pgr_strategy=strategy,
-                          pgr_active_in_eval=active_in_eval)
+        return TinyResNet(cfg, RngStream(15), spec(0.2, active_in_eval))
 
     def gcn(active_in_eval):
         # Configs reach PGR on images only; the GCN gets the module directly.
         model = _gcn("none")
-        model.reg = PartialGraphReasoning(16, 0.5, RngStream(16), strategy=strategy,
-                                          active_in_eval=active_in_eval)
+        model.reg = PartialGraphReasoning(16, spec(0.5, active_in_eval), RngStream(16))
         return model
 
     cases = [(lambda: TinyResNet(cfg, RngStream(15)), resnet, x),

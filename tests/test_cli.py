@@ -52,6 +52,8 @@ def test_verify_exits_1_on_a_failed_check(monkeypatch, capsys):
     (_GRAPH, ["--threads", "0"], "threads: must be >= 1, got 0"),
     (_GRAPH, ["--axis", "alpha", "--values", ","], "--values"),
     (_GRAPH, ["--axis", "alpha", "--values", "0.1,1.5"], "reg: alpha"),
+    (_GRAPH, ["--axis", "alpha", "--values", "0.1,0.2,0.10"],
+     "--values: ['0.1', '0.2', '0.10'] parse to repeated values [0.1, 0.2, 0.1]"),
     (_GRAPH, ["--axis", "scheduler", "--values", "f9"], "reg: scheduler_kind"),
     (_GRAPH, ["--seeds", "4,5,6#7"], "seeds: '#' and line breaks"),
     (_GRAPH, ["--threads", "1\nthreads = 2"], "threads: '#' and line breaks"),
@@ -61,8 +63,8 @@ def test_verify_exits_1_on_a_failed_check(monkeypatch, capsys):
     (_GRAPH + "reg.adjacency = learned\n", [], "reg.adjacency: learned"),
     (_GRAPH, ["--axis", "adjacency_mode", "--values", "eq6,learned"], "reg.adjacency: learned"),
 ], ids=["missing_file", "bad_key", "seeds_not_int", "seeds_empty_entry", "two_seeds",
-        "threads_0", "values_empty", "value_out_of_range", "value_unknown",
-        "seeds_comment", "threads_newline", "values_comment", "values_newline",
+        "threads_0", "values_empty", "value_out_of_range", "values_same_parsed_value",
+        "value_unknown", "seeds_comment", "threads_newline", "values_comment", "values_newline",
         "pgr_learned", "node_graph_dropgraph_learned", "sweep_node_graph_learned"])
 def test_config_errors_exit_2_before_any_output(tmp_path, capsys, text, extra, message):
     config = _write(tmp_path, text) if text is not None else str(tmp_path / "missing.cfg")

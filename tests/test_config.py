@@ -89,11 +89,10 @@ def test_block_size_rule_applies_to_mask_kinds_only():
     # dropout variants never read block_size, so a block larger than the map is harmless
     for kind in ("dropout", "spatial_dropout", "pgr"):
         cfg = parse_config(f"reg.kind = {kind}\nreg.block_size = 17")
-        TinyResNet(cfg.resnet_config(), RngStream(0), reg_kind=kind,
-                   reg_cfg=cfg.regularizer_config())
+        TinyResNet(cfg.resnet_config(), RngStream(0), cfg.regularizer_config())
     with pytest.raises(ConfigError, match="block_size 17"):
-        TinyResNet(TinyResNetConfig(), RngStream(0), reg_kind="dropblock",
-                   reg_cfg=RegularizerConfig(block_size=17))
+        TinyResNet(TinyResNetConfig(), RngStream(0),
+                   RegularizerConfig(kind="dropblock", block_size=17))
 
 
 def test_resnet_spec_requires_positive_channel_multiples_of_4():

@@ -2,15 +2,17 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from dropgraph import regularizers
 from dropgraph.errors import ConfigError, ContractError
 from dropgraph.gradcheck import grad_check, min_relu_margin
 from dropgraph.regularizers import (
     ADJACENCY_MODES,
+    MASK_KINDS,
     DropGraph,
+    Dropout,
     GraphGeneratorParams,
     PartialGraphReasoning,
     RegularizerConfig,
-    SchedulerState,
     VertexSet,
     build_adjacency,
     dropgraph_forward,
@@ -18,6 +20,7 @@ from dropgraph.regularizers import (
     generate_alt_distortions,
     generate_graph_distortions,
     graph_reasoning,
+    make_regularizer,
     pool_expand_apply,
     _block_seed_rate,
     sample_block_mask,
@@ -39,24 +42,32 @@ def make_vertices(values_array):
     return VertexSet(indices=indices, values=values)
 
 
+def make_pgr(channels, alpha, rng, **kwargs):
+    return PartialGraphReasoning(channels, RegularizerConfig(kind="pgr", alpha=alpha, **kwargs),
+                                 rng)
+
+
 # -- dropout baselines -------------------------------------------------------------
 
 
 def test_dropout_rho_zero_is_identity():
     x = Tensor(RNG.normal(size=(50,)))
-    out = dropout(x, 0.0, RngStream(1, ("d",)), "train")
+    out = dropout(x, 0.0, RngStream(1, ("d",)))
     npt.assert_array_equal(out.data, x.data)
 
 
 def test_dropout_eval_is_identity():
+    # Out of training the module returns its input; evaluation passes no rho.
     x = Tensor(RNG.normal(size=(50,)))
-    out = dropout(x, 0.7, RngStream(1, ("d",)), "eval")
-    npt.assert_array_equal(out.data, x.data)
+    for kind in ("dropout", "spatial_dropout"):
+        mod = Dropout(RegularizerConfig(kind=kind, rho_target=0.7))
+        mod.eval()
+        assert mod(x, RngStream(1, ("d",)), None) is x
 
 
 def test_dropout_monte_carlo_rate():
     x = Tensor(np.ones(1_000_000))
-    out = dropout(x, 0.3, RngStream(2, ("mc",)), "train")
+    out = dropout(x, 0.3, RngStream(2, ("mc",)))
     zeroed = float((out.data == 0).mean())
     assert abs(zeroed - 0.3) <= 0.002
 
@@ -64,7 +75,7 @@ def test_dropout_monte_carlo_rate():
 def test_dropout_expectation_unscaled():
     # E[dropout(x)] = (1-rho)*x for the literal gating variant
     draws = np.stack([
-        dropout(Tensor(np.ones(200)), 0.3, RngStream(3, ("e", i)), "train").data
+        dropout(Tensor(np.ones(200)), 0.3, RngStream(3, ("e", i))).data
         for i in range(500)
     ])
     npt.assert_allclose(draws.mean(axis=0), 0.7 * np.ones(200), atol=0.07)
@@ -72,7 +83,7 @@ def test_dropout_expectation_unscaled():
 
 def test_dropout_rescaled_preserves_expectation():
     draws = np.stack([
-        dropout(Tensor(np.ones(200)), 0.3, RngStream(4, ("r", i)), "train", rescale=True).data
+        dropout(Tensor(np.ones(200)), 0.3, RngStream(4, ("r", i)), rescale=True).data
         for i in range(500)
     ])
     npt.assert_allclose(draws.mean(axis=0), np.ones(200), atol=0.1)
@@ -80,12 +91,12 @@ def test_dropout_rescaled_preserves_expectation():
 
 def test_dropout_rho_out_of_range():
     with pytest.raises(ContractError):
-        dropout(Tensor(np.ones(3)), 1.0, RngStream(0), "train")
+        dropout(Tensor(np.ones(3)), 1.0, RngStream(0))
 
 
 def test_spatial_dropout_drops_whole_vectors():
     x = Tensor(RNG.normal(size=(4, 8, 10, 10)) + 5.0)
-    out = dropout(x, 0.5, RngStream(5, ("s",)), "train", spatial=True)
+    out = dropout(x, 0.5, RngStream(5, ("s",)), spatial=True)
     per_position_zero = (out.data == 0).all(axis=1)
     per_position_kept = (out.data != 0).all(axis=1)
     assert (per_position_zero | per_position_kept).all()
@@ -93,7 +104,7 @@ def test_spatial_dropout_drops_whole_vectors():
 
 def test_spatial_dropout_rate():
     x = Tensor(np.ones((10, 4, 100, 100)))
-    out = dropout(x, 0.3, RngStream(6, ("s2",)), "train", spatial=True)
+    out = dropout(x, 0.3, RngStream(6, ("s2",)), spatial=True)
     rate = float((out.data[:, 0] == 0).mean())
     assert abs(rate - 0.3) <= 0.005
 
@@ -436,24 +447,28 @@ def test_pool_expand_single_position_replay():
 # -- scheduler -------------------------------------------------------------------------
 
 
+def ramp(kind, rho_target=0.1):
+    return RegularizerConfig(scheduler_kind=kind, rho_target=rho_target)
+
+
 @pytest.mark.parametrize("kind", ["f1", "f2", "f3", "f4", "f5"])
 def test_scheduler_endpoints(kind):
-    assert schedule_rho(SchedulerState(0, 100, kind, 0.1)) == 0.0
-    assert abs(schedule_rho(SchedulerState(100, 100, kind, 0.1)) - 0.1) <= 1e-15
+    assert schedule_rho(ramp(kind), 0, 100) == 0.0
+    assert abs(schedule_rho(ramp(kind), 100, 100) - 0.1) <= 1e-15
 
 
 def test_scheduler_linear_midpoint():
-    assert abs(schedule_rho(SchedulerState(50, 100, "f1", 0.1)) - 0.05) <= 1e-15
+    assert abs(schedule_rho(ramp("f1"), 50, 100) - 0.05) <= 1e-15
 
 
 def test_scheduler_constant():
-    assert schedule_rho(SchedulerState(0, 100, "constant", 0.07)) == 0.07
+    assert schedule_rho(ramp("constant", 0.07), 0, 100) == 0.07
 
 
 def test_scheduler_monotone_and_bounded():
     grid = np.arange(0, 1001)
     for kind in ["f1", "f2", "f3", "f4", "f5", "constant"]:
-        vals = [schedule_rho(SchedulerState(int(t), 1000, kind, 0.1)) for t in grid]
+        vals = [schedule_rho(ramp(kind), int(t), 1000) for t in grid]
         diffs = np.diff(vals)
         assert (diffs >= -1e-15).all(), kind
         assert min(vals) >= 0.0 and max(vals) <= 0.1 + 1e-15
@@ -461,30 +476,38 @@ def test_scheduler_monotone_and_bounded():
 
 def test_scheduler_f2_is_weakest():
     for t in range(0, 1001, 7):
-        f2 = schedule_rho(SchedulerState(t, 1000, "f2", 0.1))
+        f2 = schedule_rho(ramp("f2"), t, 1000)
         for kind in ["f1", "f3", "f4", "f5"]:
-            assert f2 <= schedule_rho(SchedulerState(t, 1000, kind, 0.1)) + 1e-15
+            assert f2 <= schedule_rho(ramp(kind), t, 1000) + 1e-15
 
 
 def test_scheduler_step_bounds():
-    with pytest.raises(ContractError):
-        schedule_rho(SchedulerState(101, 100, "f1", 0.1))
+    for step in (-1, 101):
+        with pytest.raises(ContractError, match=f"step {step} outside"):
+            schedule_rho(ramp("f1"), step, 100)
+    for total in (0, -5):
+        with pytest.raises(ContractError, match="total_steps must be positive"):
+            schedule_rho(ramp("f1"), 0, total)
 
 
 # -- full regularizer forward -----------------------------------------------------------
 
 
 def pinned_forward(x, cfg, params, seed, step=50, mask=None, learned=None):
-    sched = SchedulerState(step, 100, cfg.scheduler_kind, cfg.rho_target)
-    return dropgraph_forward(x, cfg, params, sched, RngStream(seed, ("fw",)), "train",
-                             mask=mask, learned_adjacency=learned)
+    return dropgraph_forward(x, cfg, params, schedule_rho(cfg, step, 100),
+                             RngStream(seed, ("fw",)), mask=mask, learned_adjacency=learned)
 
 
-def test_dropgraph_eval_is_input():
-    cfg = RegularizerConfig()
+def test_dropgraph_eval_is_input(monkeypatch):
+    # Out of training the module returns its input and runs no graph computation.
+    def no_forward(*args, **kwargs):
+        raise AssertionError("dropgraph_forward ran in eval")
+
+    monkeypatch.setattr(regularizers, "dropgraph_forward", no_forward)
+    mod = DropGraph(8, RegularizerConfig(), RngStream(0))
+    mod.eval()
     x = Tensor(RNG.normal(size=(2, 8, 8, 8)))
-    out = dropgraph_forward(x, cfg, None, None, RngStream(0), "eval")
-    assert out is x
+    assert mod(x, RngStream(0), None) is x
 
 
 def test_dropgraph_rho_zero_identity():
@@ -585,7 +608,7 @@ def test_dropgraph_alt_generators_run():
 
 
 def test_pgr_train_only_eval_identity():
-    mod = PartialGraphReasoning(4, 0.5, RngStream(28, ("pgr",)))
+    mod = make_pgr(4, 0.5, RngStream(28, ("pgr",)))
     mod.eval()
     x = Tensor(RNG.normal(size=(2, 4, 5, 5)))
     out = mod(x, RngStream(1, ("e",)))
@@ -593,7 +616,7 @@ def test_pgr_train_only_eval_identity():
 
 
 def test_pgr_replaces_selected_rows_with_avw():
-    mod = PartialGraphReasoning(4, 1.0, RngStream(29, ("pgr",)), strategy="random")
+    mod = make_pgr(4, 1.0, RngStream(29, ("pgr",)), pgr_strategy="random")
     x = Tensor(RNG.normal(size=(1, 4, 3, 3)))
     out = mod(x, RngStream(2, ("f",)))
     vals = x.data[0].reshape(4, 9).T  # all positions, scan order
@@ -603,7 +626,7 @@ def test_pgr_replaces_selected_rows_with_avw():
 
 
 def test_pgr_top_strategy_deterministic():
-    mod = PartialGraphReasoning(4, 0.25, RngStream(30, ("pgr",)), strategy="top")
+    mod = make_pgr(4, 0.25, RngStream(30, ("pgr",)), pgr_strategy="top")
     x = Tensor(RNG.normal(size=(2, 4, 6, 6)))
     a = mod(x, RngStream(3, ("t",))).data
     b = mod(x, RngStream(99, ("other",))).data  # top sampling ignores rng
@@ -611,7 +634,7 @@ def test_pgr_top_strategy_deterministic():
 
 
 def test_pgr_active_in_eval():
-    mod = PartialGraphReasoning(4, 0.5, RngStream(31, ("pgr",)), active_in_eval=True)
+    mod = make_pgr(4, 0.5, RngStream(31, ("pgr",)), pgr_active_in_eval=True)
     mod.eval()
     x = Tensor(RNG.normal(size=(1, 4, 5, 5)))
     out = mod(x, RngStream(4, ("e",)))
@@ -647,6 +670,10 @@ def test_config_validation_messages():
         RegularizerConfig(block_size=4)
     with pytest.raises(ConfigError, match="adjacency"):
         RegularizerConfig(adjacency_mode="banana")
+    with pytest.raises(ConfigError, match="^kind must be one of"):
+        RegularizerConfig(kind="dropconnect")
+    with pytest.raises(ConfigError, match="^pgr_strategy"):
+        RegularizerConfig(pgr_strategy="bottom")
 
 
 # -- padded per-item graphs against a per-item oracle --------------------------------------
@@ -715,7 +742,7 @@ def test_padded_branch_matches_per_item_oracle(mode, normalize, generator):
     assert 1 in counts and len(set(counts)) > 2  # uneven, with a one-vertex item
     params = GraphGeneratorParams(8, RngStream(35, ("p",))) if generator == "graph" else None
     learned = Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
-    got = dropgraph_forward(Tensor(x), cfg, params, None, rng, "train",
+    got = dropgraph_forward(Tensor(x), cfg, params, cfg.rho_target, rng,
                             learned_adjacency=learned if mode == "learned" else None)
     want = oracle_dropgraph(x, cfg, params, learned.data, rng)
     assert relative_error(got.data, want) <= 1e-12
@@ -724,8 +751,8 @@ def test_padded_branch_matches_per_item_oracle(mode, normalize, generator):
 @pytest.mark.parametrize("strategy", ["random", "top"])
 @pytest.mark.parametrize("mode", ["eq6", "similarity", "uniform"])
 def test_pgr_padded_matches_per_item_oracle(strategy, mode):
-    mod = PartialGraphReasoning(8, 0.15, RngStream(36, ("pgr",)), strategy=strategy,
-                                adjacency_mode=mode)
+    mod = make_pgr(8, 0.15, RngStream(36, ("pgr",)), pgr_strategy=strategy,
+                   adjacency_mode=mode)
     x = RNG.normal(size=(4, 8, 4, 4))
     rng = RngStream(5, ("f",))
     if strategy == "random":
@@ -745,7 +772,7 @@ def test_pgr_padded_matches_per_item_oracle(strategy, mode):
 
 
 def test_select_top_keeps_the_lexsort_order_on_ties():
-    mod = PartialGraphReasoning(3, 0.3, RngStream(37, ("pgr",)), strategy="top")
+    mod = make_pgr(3, 0.3, RngStream(37, ("pgr",)), pgr_strategy="top")
     # Few distinct magnitudes: most positions tie with others.
     x = RNG.integers(-1, 2, size=(5, 3, 6, 6)).astype(np.float64)
     b, _, h, w = x.shape
@@ -775,7 +802,7 @@ def test_dropgraph_gradients_with_unequal_items(adjacency):
             continue  # every item must be padded to a different degree
 
         def f(t, params=params, learned=learned, rng=rng):
-            return (dropgraph_forward(t, cfg, params, None, rng, "train",
+            return (dropgraph_forward(t, cfg, params, cfg.rho_target, rng,
                                       learned_adjacency=learned) ** 2).sum()
 
         out = f(x)
@@ -821,5 +848,13 @@ def test_dropgraph_tape_does_not_grow_with_the_batch():
         rng = RngStream(40, ("fw",))
         counts = np.bincount(sample_vertices(x, 0.2, rng.child("vertices")).indices[:, 0])
         assert counts.min() < counts.max()  # padded at both sizes
-        sizes.append(tape_nodes(mod(x, rng, None)))
+        sizes.append(tape_nodes(mod(x, rng, 0.1)))
     assert sizes[0] == sizes[1] <= 40
+
+
+@pytest.mark.parametrize("kind", ["dropout", "spatial_dropout", *MASK_KINDS])
+def test_train_mode_call_without_a_drop_probability_is_rejected(kind):
+    # Evaluation passes rho = None; in training that is a caller's mistake.
+    mod = make_regularizer(RegularizerConfig(kind=kind), 8, RngStream(41, ("m",)))
+    with pytest.raises(ContractError, match="drop probability .* got None"):
+        mod(Tensor(np.ones((2, 8, 8, 8))), RngStream(42, ("fw",)), None)

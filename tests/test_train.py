@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from dropgraph import train
 from dropgraph.config import parse_config
 from dropgraph.train import multi_seed, run_experiment
 
@@ -33,3 +34,29 @@ def test_multi_seed_process_pool_matches_serial():
     assert [[_without_wall_time(r) for r in group] for group in pooled] == \
         [[_without_wall_time(r) for r in group] for group in serial]
     assert [[r.seed for r in group] for group in pooled] == [list(seeds)] * 2
+
+
+def test_multi_seed_starts_at_most_one_worker_per_run(monkeypatch):
+    started = []
+
+    class InlinePool:
+        """Records the worker count it was asked for and runs the tasks here."""
+
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(train.multiprocessing, "Pool", InlinePool)
+    monkeypatch.setattr(train, "run_experiment", lambda cfg, seed: (cfg.task, seed))
+    assert multi_seed([_GRAPH], (1, 2, 3), threads=8) == [
+        [("node_graph", 1), ("node_graph", 2), ("node_graph", 3)]]
+    assert multi_seed([_IMAGE, _GRAPH], (1, 2, 3), threads=4)[0][2] == ("image", 3)
+    assert started == [3, 4]

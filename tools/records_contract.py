@@ -42,8 +42,9 @@ _IMAGE = ("task = image\ndata.image_size = 16\ndata.train_count = 16\n"
           "data.val_count = 8\ntrain.batch_size = 8\ntrain.epochs = 2\n")
 _GRAPH = "task = node_graph\ntrain.epochs = 20\n"
 
-# Every reg.kind, generator and adjacency mode, both pgr strategies and arms,
-# and both tasks; each config runs the default three seeds.
+# Every reg.kind, generator, adjacency mode and ramp, both pgr strategies and
+# arms, and both tasks, with every generator on the node-graph task's one-item
+# (flat) vertex layout; each config runs the default three seeds.
 CONFIGS = {
     "image-none": _IMAGE,
     "image-dropout-rescale": _IMAGE + "reg.kind = dropout\nreg.rescale_dropout = true\n",
@@ -65,6 +66,9 @@ CONFIGS = {
     "image-dropgraph-avg-pool-all": _IMAGE + ("reg.kind = dropgraph\nreg.generator = avg_pool\n"
                                               "model.regularize_groups = all\n"),
     "image-dropgraph-no-generator": _IMAGE + "reg.kind = dropgraph\nreg.generator = none\n",
+    "image-dropgraph-f2": _IMAGE + "reg.kind = dropgraph\nreg.scheduler = f2\n",
+    "image-spatial-dropout-f3": _IMAGE + "reg.kind = spatial_dropout\nreg.scheduler = f3\n",
+    "image-dropblock-f4": _IMAGE + "reg.kind = dropblock\nreg.scheduler = f4\n",
     "graph-none": _GRAPH,
     "graph-dropout": _GRAPH + "reg.kind = dropout\n",
     "graph-spatial-dropout": _GRAPH + "reg.kind = spatial_dropout\n",
@@ -73,6 +77,9 @@ CONFIGS = {
     "graph-dropgraph-uniform-f5": _GRAPH + (
         "reg.kind = dropgraph\nreg.adjacency = uniform\nreg.scheduler = f5\n"),
     "graph-dropgraph-similarity": _GRAPH + "reg.kind = dropgraph\nreg.adjacency = similarity\n",
+    "graph-dropgraph-random-noise": _GRAPH + "reg.kind = dropgraph\nreg.generator = random_noise\n",
+    "graph-dropgraph-avg-pool": _GRAPH + "reg.kind = dropgraph\nreg.generator = avg_pool\n",
+    "graph-dropgraph-no-generator": _GRAPH + "reg.kind = dropgraph\nreg.generator = none\n",
 }
 
 COMPARED = ("runs.jsonl", "summary.csv", "config.txt", "console.txt")
