@@ -58,8 +58,8 @@ class TinyResNetConfig:
                 )
 
     def spatial_size_of_group(self, group: int) -> int:
-        # Groups after the first start with a stride-2 block.
-        return self.image_size // (2**group)
+        # Groups after the first start with a stride-2, padding-1 3x3 conv: n -> ceil(n/2).
+        return -(-self.image_size // 2**group)
 
     def check_block_size(self, reg_cfg: RegularizerConfig):
         """Mask-sampling regularizers need every regularized map to hold one block."""

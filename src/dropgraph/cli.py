@@ -6,8 +6,11 @@ Subcommands:
   write per-run records (JSONL), a summary CSV, and the dataset cache.
 * ``sweep <config> --axis <name> --values <list>`` - run the cross product
   of one regularizer axis against the shared seeds; emit a tidy long-format
-  CSV for plotting.  Each value writes its own records file, so two values
-  that parse to the same value (``0.1,0.10``) are a config error.
+  CSV for plotting.  ``--axis x`` sweeps ``reg.x`` for every ``reg.*`` key:
+  ``kind`` compares the regularizers, and the adjacency axis is ``adjacency``
+  (it had the spec field's old name, as did its file names and ``sweep.csv``
+  column).  Each value writes its own ``runs_<axis>_<value>.jsonl``, so two
+  values that parse to the same value (``0.1,0.10``) are a config error.
 * ``verify`` - run the invariant suite and print a pass/fail table, after
   one line naming the conv backend, the tensor dtype and the numpy version.
 
@@ -16,34 +19,42 @@ Subcommands:
 same parser and checks as the file itself; a bad override is a config error,
 and so is a ``#`` or a line break in one (it would end the value early).
 
-Exit codes: 0 success, 1 verification failure, 2 configuration/parse error,
-3 training divergence.  A config error prints one ``error: <key or section>:
-<message>`` line.
+Exit codes: 0 success, 1 verification failure, 2 configuration/parse error
+(an unreadable config file or an output directory that cannot be made
+included), 3 training divergence.  A config error prints one ``error: <key
+or section>: <message>`` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import _conv
-from .config import _FIELD_BY_KEY, ExperimentConfig, config_to_text, parse_config
+from .config import _FIELD_BY_KEY, ExperimentConfig, _format_value, config_to_text, parse_config
 from .data import gen_images, gen_sbm, save_graph_dataset, save_image_dataset
 from .errors import ConfigError, DropGraphError
 from .tensor import Tensor
 from .train import multi_seed, summarize_records, write_run_records
 from .verify import CHECK_NAMES, run_checks
 
-# sweep axis -> config key
-SWEEP_AXES = {
-    "alpha": "reg.alpha",
-    "rho": "reg.rho",
-    "adjacency_mode": "reg.adjacency",
-    "scheduler": "reg.scheduler",
-}
+# Sweep axis ``x`` is config key ``reg.x``.
+SWEEP_AXES = tuple(key.removeprefix("reg.") for key in _FIELD_BY_KEY if key.startswith("reg."))
+
+
+@contextmanager
+def _usage_errors(key: str):
+    """An OSError reading the config file or making the output directory: exit 2."""
+    try:
+        yield
+    except FileNotFoundError as exc:
+        raise ConfigError(f"file not found: {exc.filename}") from None
+    except OSError as exc:
+        raise ConfigError(f"{key}: {exc.strerror}: {exc.filename}") from None
 
 
 def _check_override(key: str, value: str) -> str:
@@ -56,7 +67,8 @@ def _check_override(key: str, value: str) -> str:
 
 def _config_text(args) -> str:
     """The config file's text with the command-line overrides appended."""
-    lines = [Path(args.config).read_text(encoding="utf-8")]
+    with _usage_errors("config"):
+        lines = [Path(args.config).read_text(encoding="utf-8")]
     for key, value in (("seeds", args.seeds), ("out_dir", args.out_dir),
                        ("threads", args.threads)):
         if value is not None:
@@ -64,9 +76,15 @@ def _config_text(args) -> str:
     return "\n".join(lines)
 
 
-def _print_header(cfg: ExperimentConfig, command: str):
+def _start(cfg: ExperimentConfig, command: str) -> Path:
+    """Make the output directory, print the header line and write the dataset cache."""
+    out_dir = Path(cfg.out_dir)
+    with _usage_errors("out_dir"):
+        out_dir.mkdir(parents=True, exist_ok=True)
     print(f"# dropgraph {command} | task={cfg.task} | config={cfg.config_hash()} "
           f"| seeds={','.join(str(s) for s in cfg.seeds)} | data.seed={cfg.data_seed}")
+    _write_dataset_cache(cfg, out_dir)
+    return out_dir
 
 
 def _write_dataset_cache(cfg: ExperimentConfig, out_dir: Path):
@@ -99,11 +117,8 @@ def _summary_rows(label: str, records, summary):
 
 def cmd_run(args) -> int:
     cfg = parse_config(_config_text(args))
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _print_header(cfg, "run")
+    out_dir = _start(cfg, "run")
     (out_dir / "config.txt").write_text(config_to_text(cfg), encoding="utf-8")
-    _write_dataset_cache(cfg, out_dir)
     records = multi_seed([cfg], cfg.seeds, threads=cfg.threads)[0]
     write_run_records(out_dir / "runs.jsonl", cfg, records)
     summary = summarize_records(records)
@@ -122,23 +137,22 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     text = _config_text(args)
     cfg = parse_config(text)
-    key = SWEEP_AXES[args.axis]
+    key = f"reg.{args.axis}"
     raw_values = [v.strip() for v in _check_override("--values", args.values).split(",")
                   if v.strip()]
     if not raw_values:
         raise ConfigError("--values: no value given")
     sweep_cfgs = [parse_config(f"{text}\n{key} = {v}") for v in raw_values]
-    values = [getattr(c, _FIELD_BY_KEY[key]) for c in sweep_cfgs]
+    name = _FIELD_BY_KEY[key]
+    values = [getattr(c, name) for c in sweep_cfgs]
     if len(set(values)) < len(values):
         raise ConfigError(f"--values: {raw_values} parse to repeated values {values}")
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _print_header(cfg, f"sweep --axis {args.axis}")
-    _write_dataset_cache(cfg, out_dir)
+    labels = [_format_value(name, v) for v in values]  # as config.txt spells them
+    out_dir = _start(cfg, f"sweep --axis {args.axis}")
     groups = multi_seed(sweep_cfgs, cfg.seeds, threads=cfg.threads)
     long_rows = [f"{args.axis},seed,status,final_train_acc,final_val_acc,generalization_gap"]
     diverged = False
-    for value, sub_cfg, records in zip(values, sweep_cfgs, groups):
+    for value, sub_cfg, records in zip(labels, sweep_cfgs, groups):
         write_run_records(out_dir / f"runs_{args.axis}_{value}.jsonl", sub_cfg, records)
         for r in records:
             diverged |= r.status != "ok"
@@ -196,9 +210,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename}", file=sys.stderr)
-        return 2
     except DropGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

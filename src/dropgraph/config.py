@@ -93,32 +93,22 @@ class ExperimentConfig:
     train_augment_flip: bool = True
 
     def regularizer_config(self) -> RegularizerConfig:
-        with _section("reg"):
-            return RegularizerConfig(
-                kind=self.reg_kind,
-                alpha=self.reg_alpha,
-                rho_target=self.reg_rho,
-                block_size=self.reg_block_size,
-                adjacency_mode=self.reg_adjacency,
-                generator_kind=self.reg_generator,
-                scheduler_kind=self.reg_scheduler,
-                rescale_dropout=self.reg_rescale_dropout,
-                normalize_similarity=self.reg_normalize_similarity,
-                pgr_strategy=self.reg_pgr_strategy,
-                pgr_active_in_eval=self.reg_pgr_active_in_eval,
-            )
+        return self._spec("reg", RegularizerConfig)
 
     def image_spec(self) -> SyntheticImageSpec:
-        return self._data_spec(SyntheticImageSpec)
+        return self._spec("data", SyntheticImageSpec)
 
     def graph_spec(self) -> SbmGraphSpec:
-        return self._data_spec(SbmGraphSpec)
+        return self._spec("data", SbmGraphSpec)
 
-    def _data_spec(self, cls):
-        # Every data spec field ``x`` is config field ``data_x``.
-        with _section("data"):
-            return cls(**{f.name: getattr(self, f"data_{f.name}") for f in fields(cls)})
+    def _spec(self, section: str, cls):
+        """``cls`` built with each field ``x`` from config field ``<section>_x``."""
+        with _section(section):
+            return cls(**{f.name: getattr(self, f"{section}_{f.name}") for f in fields(cls)})
 
+    # The model specs stay hand-written: they take values from other sections
+    # (classes, image_size and in_features from data.*) and regularize_groups
+    # is parsed from 'last', 'all' or comma ints.
     def resnet_config(self) -> TinyResNetConfig:
         with _section("model"):
             return TinyResNetConfig(
@@ -225,6 +215,8 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         fail("task", f"must be one of {TASKS}, got {cfg.task!r}")
     if len(cfg.seeds) < MIN_SEEDS:
         fail("seeds", f"at least {MIN_SEEDS} seeds are required, got {len(cfg.seeds)}")
+    if len(set(cfg.seeds)) < len(cfg.seeds):
+        fail("seeds", f"a seed may appear once, got {_format_value('seeds', cfg.seeds)}")
     if cfg.threads < 1:
         fail("threads", f"must be >= 1, got {cfg.threads}")
     reg = cfg.regularizer_config()
@@ -267,7 +259,6 @@ _TASK_DEFAULTS = {
         "train.epochs": "200",
         "train.lr": "0.5",
         "train.augment_flip": "false",
-        "train.lr_decay_points": "0.6,0.85",
     },
 }
 

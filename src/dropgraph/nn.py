@@ -139,10 +139,9 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     probs = np.exp(z - lse[:, None])
 
     def backward(g):
-        if logits.requires_grad:
-            grad = probs.copy()
-            grad[np.arange(n), labels] -= 1.0
-            logits._accum(grad * (np.asarray(g) / n))
+        grad = probs.copy()
+        grad[np.arange(n), labels] -= 1.0
+        logits._accum(grad * (np.asarray(g) / n))
 
     return Tensor._result(np.asarray(losses.mean()), (logits,), backward, "cross_entropy")
 

@@ -87,15 +87,20 @@ MASK_KINDS = ("dropblock", "dropgraph")
 
 @dataclass
 class RegularizerConfig:
-    """Settings for one regularizer: its kind and every knob the kinds read."""
+    """Settings for one regularizer: field ``x`` is config key ``reg.x``.
+
+    ``rho`` is the drop probability the schedule ends at.  The ``rho``
+    argument of ``dropout``, ``sample_block_mask`` and ``dropgraph_forward``
+    is the step's scheduled value, so no code path reads ``cfg.rho`` there.
+    """
 
     kind: str = "none"
     alpha: float = 0.2
-    rho_target: float = 0.1
+    rho: float = 0.1
     block_size: int = 3
-    adjacency_mode: str = "eq6"
-    generator_kind: str = "graph"
-    scheduler_kind: str = "f1"
+    adjacency: str = "eq6"
+    generator: str = "graph"
+    scheduler: str = "f1"
     rescale_dropout: bool = False
     normalize_similarity: bool = False
     pgr_strategy: str = "random"
@@ -106,16 +111,16 @@ class RegularizerConfig:
             raise ConfigError(f"kind must be one of {REG_KINDS}, got {self.kind!r}")
         if not (0.0 <= self.alpha <= 1.0):
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not (0.0 <= self.rho_target < 1.0):
-            raise ConfigError(f"rho_target must lie in [0, 1), got {self.rho_target}")
+        if not (0.0 <= self.rho < 1.0):
+            raise ConfigError(f"rho must lie in [0, 1), got {self.rho}")
         if self.block_size < 1 or self.block_size % 2 == 0:
             raise ConfigError(f"block_size must be an odd positive integer, got {self.block_size}")
-        if self.adjacency_mode not in ADJACENCY_MODES:
-            raise ConfigError(f"adjacency_mode must be one of {ADJACENCY_MODES}, got {self.adjacency_mode!r}")
-        if self.generator_kind not in GENERATOR_KINDS:
-            raise ConfigError(f"generator_kind must be one of {GENERATOR_KINDS}, got {self.generator_kind!r}")
-        if self.scheduler_kind not in SCHEDULER_KINDS:
-            raise ConfigError(f"scheduler_kind must be one of {SCHEDULER_KINDS}, got {self.scheduler_kind!r}")
+        if self.adjacency not in ADJACENCY_MODES:
+            raise ConfigError(f"adjacency must be one of {ADJACENCY_MODES}, got {self.adjacency!r}")
+        if self.generator not in GENERATOR_KINDS:
+            raise ConfigError(f"generator must be one of {GENERATOR_KINDS}, got {self.generator!r}")
+        if self.scheduler not in SCHEDULER_KINDS:
+            raise ConfigError(f"scheduler must be one of {SCHEDULER_KINDS}, got {self.scheduler!r}")
         if self.pgr_strategy not in ("random", "top"):
             raise ConfigError(f"pgr_strategy must be 'random' or 'top', got {self.pgr_strategy!r}")
 
@@ -235,7 +240,6 @@ class GraphGeneratorParams(Module):
             rng.child("w_out").normal(size=(reduced, channels), scale=math.sqrt(2.0 / reduced)),
             requires_grad=True,
         )
-        self.channels = channels
 
 
 # -- classic dropout baselines ---------------------------------------------------
@@ -248,7 +252,7 @@ def _check_rho(rho: float | None):
 
 def dropout(x: Tensor, rho: float, rng: RngStream, rescale: bool = False,
             spatial: bool = False) -> Tensor:
-    """Zero each scalar independently with probability ``rho``.
+    """Zero each scalar independently with probability ``rho``, the step's scheduled value.
 
     A training-time function: inference skips it (``Dropout`` returns its
     input out of training).  With ``spatial`` a (batch, c, h, w) input gets
@@ -475,7 +479,7 @@ def dropgraph_forward(x: Tensor, cfg: RegularizerConfig,
                       learned_adjacency: Tensor | None = None) -> Tensor:
     """Full training-time regularizer forward pass; inference skips it.
 
-    Samples the block mask at drop probability ``rho`` and the vertex set,
+    Samples the block mask at the step's scheduled ``rho`` and the vertex set,
     builds one padded graph per batch item, generates distortions for all
     of them at once, and applies them at the masked positions.  ``mask``
     can be passed in to share a gate across insertion points (skip paths);
@@ -487,15 +491,15 @@ def dropgraph_forward(x: Tensor, cfg: RegularizerConfig,
     if mask is None:
         mask = sample_block_mask(h, w, cfg.block_size, rho, rng.child("mask"), batch=b)
     vertices = sample_vertices(x, cfg.alpha, rng.child("vertices"))
-    if vertices.count == 0 or cfg.generator_kind == "none":
+    if vertices.count == 0 or cfg.generator == "none":
         d = Tensor(np.zeros(vertices.values.data.shape))
-    elif cfg.generator_kind == "graph":
-        adj = build_adjacency(vertices, cfg.adjacency_mode,
+    elif cfg.generator == "graph":
+        adj = build_adjacency(vertices, cfg.adjacency,
                               normalize=cfg.normalize_similarity,
                               learned_param=learned_adjacency)
         d = generate_graph_distortions(vertices, adj, params)
     else:
-        d = generate_alt_distortions(vertices, cfg.generator_kind, rng.child("noise"))
+        d = generate_alt_distortions(vertices, cfg.generator, rng.child("noise"))
     return pool_expand_apply(x, mask, d, vertices, rng.child("multipliers"))
 
 
@@ -505,8 +509,8 @@ def dropgraph_forward(x: Tensor, cfg: RegularizerConfig,
 def schedule_rho(cfg: RegularizerConfig, step: int, total_steps: int) -> float:
     """Drop probability at ``step`` of a ``total_steps``-long training run.
 
-    ``cfg.scheduler_kind`` picks the ramp and ``cfg.rho_target`` its end
-    value.  All ramps start at 0, end at rho_target, and are nondecreasing;
+    ``cfg.scheduler`` picks the ramp and ``cfg.rho`` its end value.  All
+    ramps start at 0, end at ``cfg.rho``, and are nondecreasing;
     the quadratic ramp lies below every other one pointwise.  The trainer
     calls this once per step and passes the float to the model.
     """
@@ -515,8 +519,8 @@ def schedule_rho(cfg: RegularizerConfig, step: int, total_steps: int) -> float:
     if step < 0 or step > total_steps:
         raise ContractError(f"step {step} outside [0, {total_steps}]")
     r = step / total_steps
-    rho = cfg.rho_target
-    kind = cfg.scheduler_kind
+    rho = cfg.rho
+    kind = cfg.scheduler
     if kind == "constant":
         return rho
     if kind == "f1":
@@ -544,11 +548,11 @@ class DropGraph(Module):
         self.cfg = cfg
         self.params = (
             GraphGeneratorParams(channels, rng.child("phi"))
-            if cfg.generator_kind == "graph"
+            if cfg.generator == "graph"
             else None
         )
         self.adjacency_param = None
-        if cfg.adjacency_mode == "learned" and self.params is not None:
+        if cfg.adjacency == "learned" and self.params is not None:
             if spatial_size is None:
                 raise ConfigError("learned adjacency needs the insertion point's spatial size")
             k = max(1, math.ceil(cfg.alpha * spatial_size[0] * spatial_size[1]))
@@ -617,7 +621,7 @@ class PartialGraphReasoning(Module):
             graphs = sample_vertices(x, self.cfg.alpha, rng.child("pgr_vertices"))
         else:
             graphs = _gather_vertices(x, self._select_top(x))
-        adj = build_adjacency(graphs, self.cfg.adjacency_mode)
+        adj = build_adjacency(graphs, self.cfg.adjacency)
         rows = matmul(matmul(adj, graphs.values), self.weight)
         return replace_spatial_vectors(x, *graphs.positions(), rows, valid=graphs.valid)
 
@@ -635,7 +639,7 @@ def make_regularizer(cfg: RegularizerConfig, channels: int, rng: RngStream,
         return Dropout(cfg)
     if cfg.kind == "dropblock":
         # The block mask alone: no vertices, no generator, no adjacency.
-        mask_only = replace(cfg, alpha=0.0, generator_kind="none", adjacency_mode="zero")
+        mask_only = replace(cfg, alpha=0.0, generator="none", adjacency="zero")
         return DropGraph(channels, mask_only, rng)
     if cfg.kind == "dropgraph":
         return DropGraph(channels, cfg, rng, spatial_size=spatial_size)

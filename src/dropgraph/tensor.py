@@ -63,6 +63,8 @@ class Tensor:
         t = Tensor.__new__(Tensor)
         t.data = data
         t.grad = None
+        # The closure is kept only if a parent requires grad, so a one-parent
+        # op's ``backward`` need not check its parent.
         if _grad_enabled[0] and any(p.requires_grad for p in parents):
             t.requires_grad = True
             t._parents = parents
@@ -75,18 +77,6 @@ class Tensor:
         return t
 
     # -- basic introspection ---------------------------------------------
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
 
     def item(self) -> float:
         return float(self.data)
@@ -141,14 +131,8 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return neg(self)
-
     def __sub__(self, other):
         return add(self, neg(_lift(other)))
-
-    def __rsub__(self, other):
-        return add(_lift(other), neg(self))
 
     def __mul__(self, other):
         return mul(self, _lift(other))
@@ -158,17 +142,8 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, _lift(other))
 
-    def __rtruediv__(self, other):
-        return div(_lift(other), self)
-
     def __pow__(self, p):
         return power(self, p)
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other))
-
-    def relu(self):
-        return relu(self)
 
     def exp(self):
         return exp(self)
@@ -185,8 +160,8 @@ class Tensor:
     def reshape(self, *shape):
         return reshape(self, shape)
 
-    def transpose(self, *axes):
-        return transpose(self, axes if axes else None)
+    def transpose(self):
+        return transpose(self)
 
 
 def _lift(x) -> Tensor:
@@ -224,8 +199,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def neg(a: Tensor) -> Tensor:
     def backward(g):
-        if a.requires_grad:
-            a._accum(-g)
+        a._accum(-g)
 
     return Tensor._result(-a.data, (a,), backward, "neg")
 
@@ -261,8 +235,7 @@ def power(a: Tensor, p) -> Tensor:
     out_data = a.data**p
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(g * p * a.data ** (p - 1.0))
+        a._accum(g * p * a.data ** (p - 1.0))
 
     return Tensor._result(out_data, (a,), backward, "pow")
 
@@ -272,8 +245,7 @@ def relu(a: Tensor) -> Tensor:
     out_data = np.maximum(a.data, 0.0)
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(g * (a.data > 0.0))
+        a._accum(g * (a.data > 0.0))
 
     return Tensor._result(out_data, (a,), backward, "relu")
 
@@ -282,8 +254,7 @@ def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(g * out_data)
+        a._accum(g * out_data)
 
     return Tensor._result(out_data, (a,), backward, "exp")
 
@@ -292,8 +263,7 @@ def log(a: Tensor) -> Tensor:
     out_data = np.log(a.data)
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(g / a.data)
+        a._accum(g / a.data)
 
     return Tensor._result(out_data, (a,), backward, "log")
 
@@ -305,8 +275,6 @@ def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if not a.requires_grad:
-            return
         gg = g
         if axis is not None and not keepdims:
             gg = np.expand_dims(g, axis)
@@ -320,8 +288,6 @@ def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
     count = a.data.size if axis is None else a.data.size / out_data.size
 
     def backward(g):
-        if not a.requires_grad:
-            return
         gg = g / count
         if axis is not None and not keepdims:
             gg = np.expand_dims(gg, axis)
@@ -336,8 +302,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     out_data = a.data.reshape(shape)
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(g.reshape(a.data.shape))
+        a._accum(g.reshape(a.data.shape))
 
     return Tensor._result(out_data, (a,), backward, "reshape")
 
@@ -347,17 +312,12 @@ def _matrix_t(x: np.ndarray) -> np.ndarray:
     return x.T if x.ndim == 2 else np.swapaxes(x, -1, -2)
 
 
-def transpose(a: Tensor, axes=None) -> Tensor:
-    """Permute the axes; without ``axes``, swap the last two (each matrix of a stack)."""
-    if axes is None:
-        out_data = _matrix_t(a.data)
-    else:
-        out_data = a.data.transpose(axes)
-        inv = np.argsort(axes)
+def transpose(a: Tensor) -> Tensor:
+    """Swap the last two axes: the transpose of each matrix of a stack."""
+    out_data = _matrix_t(a.data)
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(_matrix_t(g) if axes is None else g.transpose(inv))
+        a._accum(_matrix_t(g))
 
     return Tensor._result(out_data, (a,), backward, "transpose")
 
@@ -368,10 +328,9 @@ def take_rows(a: Tensor, idx) -> Tensor:
     out_data = a.data[idx]
 
     def backward(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            np.add.at(ga, idx, g)
-            a._accum(ga)
+        ga = np.zeros_like(a.data)
+        np.add.at(ga, idx, g)
+        a._accum(ga)
 
     return Tensor._result(out_data, (a,), backward, "take_rows")
 
@@ -425,12 +384,11 @@ def softmax_rows(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     y /= np.maximum(y.sum(axis=-1, keepdims=True), 1.0)
 
     def backward(g):
-        if a.requires_grad:
-            # dX = Y * (g - sum(g * Y, rows))
-            gy = g * y
-            np.subtract(g, gy.sum(axis=-1, keepdims=True), out=gy)
-            gy *= y
-            a._accum(gy)
+        # dX = Y * (g - sum(g * Y, rows))
+        gy = g * y
+        np.subtract(g, gy.sum(axis=-1, keepdims=True), out=gy)
+        gy *= y
+        a._accum(gy)
 
     return Tensor._result(y, (a,), backward, "softmax_rows")
 
@@ -452,10 +410,9 @@ def take_spatial_vectors(x: Tensor, ib, iy, ix, valid=None) -> Tensor:
         ib, iy, ix = ib[valid], iy[valid], ix[valid]
 
     def backward(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            gx[ib, :, iy, ix] = g if valid is None else g[valid]
-            x._accum(gx)
+        gx = np.zeros_like(x.data)
+        gx[ib, :, iy, ix] = g if valid is None else g[valid]
+        x._accum(gx)
 
     return Tensor._result(out_data, (x,), backward, "take_spatial_vectors")
 

@@ -121,8 +121,8 @@ def check_gradient_soundness():
         return False, f"layer gradient error {worst:.2e} above 1e-5"
 
     # full train-mode regularizer forward under pinned RNG, x and params
-    cfg = RegularizerConfig(alpha=0.5, rho_target=0.4, block_size=3,
-                            scheduler_kind="constant")
+    cfg = RegularizerConfig(alpha=0.5, rho=0.4, block_size=3,
+                            scheduler="constant")
     checked = 0
     attempt = 0
     while checked < 10 and attempt < 60:
@@ -131,7 +131,7 @@ def check_gradient_soundness():
         x = Tensor(rng.normal(size=(1, 4, 6, 6)), requires_grad=True)
 
         def f(t, a=attempt):
-            return (dropgraph_forward(t, cfg, params, cfg.rho_target,
+            return (dropgraph_forward(t, cfg, params, cfg.rho,
                                       RngStream(900 + a, ("fw",))) ** 2).sum()
 
         out = f(x)
@@ -148,7 +148,7 @@ def check_gradient_soundness():
             def fp(t, name=name, p=p, a=attempt):
                 setattr(params, name, t)
                 try:
-                    return (dropgraph_forward(x, cfg, params, cfg.rho_target,
+                    return (dropgraph_forward(x, cfg, params, cfg.rho,
                                               RngStream(900 + a, ("fw",))) ** 2).sum()
                 finally:
                     setattr(params, name, p)
@@ -169,9 +169,9 @@ def check_inference_skip_identity():
     rng = np.random.default_rng(202)
     kinds = [
         RegularizerConfig(kind="dropgraph"),
-        RegularizerConfig(kind="dropgraph", adjacency_mode="uniform"),
-        RegularizerConfig(kind="dropgraph", adjacency_mode="learned"),
-        RegularizerConfig(kind="dropgraph", generator_kind="avg_pool"),
+        RegularizerConfig(kind="dropgraph", adjacency="uniform"),
+        RegularizerConfig(kind="dropgraph", adjacency="learned"),
+        RegularizerConfig(kind="dropgraph", generator="avg_pool"),
         RegularizerConfig(kind="dropblock"),
         RegularizerConfig(kind="dropout"),
         RegularizerConfig(kind="spatial_dropout"),
@@ -226,8 +226,8 @@ def check_inference_skip_identity():
 def check_dropblock_degeneration(cases: int = 1000):
     rng = np.random.default_rng(303)
     params = GraphGeneratorParams(8, RngStream(31, ("p",)))
-    cfg_zero = RegularizerConfig(adjacency_mode="zero")
-    cfg_none = RegularizerConfig(generator_kind="none")
+    cfg_zero = RegularizerConfig(adjacency="zero")
+    cfg_none = RegularizerConfig(generator="none")
     for i in range(cases):
         x = Tensor(rng.normal(size=(1, 8, 8, 8)))
         a = dropgraph_forward(x, cfg_zero, params, 0.18, RngStream(i, ("deg",)))
@@ -287,7 +287,7 @@ def check_mask_rate_calibration(masks_per_cell: int = 10_000):
 def check_scheduler_contract():
     total = 1000
     def ramp(kind):
-        cfg = RegularizerConfig(rho_target=0.1, scheduler_kind=kind)
+        cfg = RegularizerConfig(rho=0.1, scheduler=kind)
         return np.array([schedule_rho(cfg, t, total) for t in range(total + 1)])
 
     for kind in ("f1", "f2", "f3", "f4", "f5"):
@@ -295,7 +295,7 @@ def check_scheduler_contract():
         if vals[0] != 0.0:
             return False, f"{kind}(0) != 0"
         if abs(vals[-1] - 0.1) > 1e-15:
-            return False, f"{kind}(T) != rho_target"
+            return False, f"{kind}(T) != rho"
         if (np.diff(vals) < -1e-15).any():
             return False, f"{kind} not nondecreasing"
     if (ramp("f2") > ramp("f1") + 1e-15).any():
@@ -307,14 +307,14 @@ def check_scheduler_contract():
 
 
 def check_determinism_replay():
-    cfg = RegularizerConfig(alpha=0.3, rho_target=0.2, scheduler_kind="constant")
+    cfg = RegularizerConfig(alpha=0.3, rho=0.2, scheduler="constant")
     params = GraphGeneratorParams(8, RngStream(77, ("p",)))
     x = Tensor(np.random.default_rng(5).normal(size=(3, 8, 10, 10)))
-    a = dropgraph_forward(x, cfg, params, cfg.rho_target, RngStream(123, ("r",)))
-    b = dropgraph_forward(x, cfg, params, cfg.rho_target, RngStream(123, ("r",)))
+    a = dropgraph_forward(x, cfg, params, cfg.rho, RngStream(123, ("r",)))
+    b = dropgraph_forward(x, cfg, params, cfg.rho, RngStream(123, ("r",)))
     if not np.array_equal(a.data, b.data):
         return False, "replay with identical seed/path differs"
-    c = dropgraph_forward(x, cfg, params, cfg.rho_target, RngStream(124, ("r",)))
+    c = dropgraph_forward(x, cfg, params, cfg.rho, RngStream(124, ("r",)))
     if np.array_equal(a.data, c.data):
         return False, "different seed produced identical output"
     return True, "replay bit-identical; different seed differs"

@@ -15,7 +15,7 @@ from dropgraph.config import parse_config
 from dropgraph.data import SbmGraphSpec, gen_sbm, save_graph_dataset
 from dropgraph.errors import ContractError
 from dropgraph.gradcheck import grad_check, min_relu_margin
-from dropgraph.nn import cross_entropy
+from dropgraph.nn import conv_bn, cross_entropy
 from dropgraph.regularizers import (
     REG_KINDS,
     DropGraph,
@@ -26,7 +26,7 @@ from dropgraph.regularizers import (
     schedule_rho,
 )
 from dropgraph.rng import RngStream
-from dropgraph.tensor import Tensor, no_grad, take_rows
+from dropgraph.tensor import Tensor, no_grad, relu, take_rows
 
 
 def _small_model(seed: int) -> TinyResNet:
@@ -70,6 +70,34 @@ def test_non_utf8_checkpoint_name_raises_contract_error(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("size", range(8, 18))
+def test_group_map_size_matches_the_forward_pass(size):
+    # A stride-2, padding-1 3x3 conv maps a side of n to ceil(n/2), odd n included.
+    cfg = TinyResNetConfig(stem_channels=4, groups=((1, 4), (1, 4), (1, 4)), image_size=size)
+    model = TinyResNet(cfg, RngStream(3))
+    h = relu(conv_bn(model.stem, model.stem_bn, Tensor(np.ones((1, 1, size, size)))))
+    for group, block in enumerate(model.blocks):
+        h = block(h, RngStream(4), 0.1)
+        assert h.data.shape[2:] == (cfg.spatial_size_of_group(group),) * 2
+
+
+def test_odd_image_size_accepts_a_block_that_fits_the_true_map():
+    # At 9x9 the group-1 map is 5x5, so a 5x5 block fits.
+    model = TinyResNet(TinyResNetConfig(image_size=9), RngStream(6),
+                       RegularizerConfig(kind="dropblock", block_size=5))
+    out = model(Tensor(np.ones((2, 1, 9, 9))), RngStream(7), 0.1)
+    assert out.data.shape == (2, 4)
+
+
+def test_learned_adjacency_is_sized_from_the_true_map():
+    # At 15x15 the group-1 map is 8x8: ceil(0.2 * 64) = 13 vertices, not ceil(0.2 * 49) = 10.
+    model = TinyResNet(TinyResNetConfig(image_size=15), RngStream(8),
+                       RegularizerConfig(kind="dropgraph", adjacency="learned"))
+    shapes = {p.data.shape for name, p in model.named_parameters()
+              if name.endswith("adjacency_param")}
+    assert shapes == {(13, 13)}
+
+
 @pytest.mark.parametrize("generator,learned", [("graph", 4), ("avg_pool", 0), ("random_noise", 0)])
 def test_learned_adjacency_only_for_the_graph_generator(generator, learned):
     """Generators that read no adjacency get no learned adjacency parameter."""
@@ -97,7 +125,7 @@ def test_the_spec_kind_picks_the_insertion_point_modules(kind):
         elif kind == "dropblock":
             for reg in (main, skip):
                 assert type(reg) is DropGraph and reg.params is None
-                assert (reg.cfg.alpha, reg.cfg.generator_kind) == (0.0, "none")
+                assert (reg.cfg.alpha, reg.cfg.generator) == (0.0, "none")
         elif kind == "dropgraph":
             for reg in (main, skip):
                 assert type(reg) is DropGraph and type(reg.params) is GraphGeneratorParams
@@ -114,7 +142,7 @@ _SMALL_SBM = SbmGraphSpec(nodes=36, communities=3, p_in=0.3, p_out=0.05,
 
 def _gcn(reg_kind="none") -> TwoLayerGcn:
     return TwoLayerGcn(TwoLayerGcnConfig(in_features=4), RngStream(8),
-                       RegularizerConfig(kind=reg_kind, block_size=1, rho_target=0.3))
+                       RegularizerConfig(kind=reg_kind, block_size=1, rho=0.3))
 
 
 def _textbook_gcn(model: TwoLayerGcn, g) -> np.ndarray:

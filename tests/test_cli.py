@@ -1,6 +1,8 @@
 """The documented exit codes of ``dropgraph``: 0 success, 1 verification
 failure, 2 configuration/parse error, 3 training divergence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,32 @@ def test_sweep_exits_0_and_labels_parsed_values(tmp_path):
         "dataset.dgd", "runs_alpha_0.1.jsonl", "runs_alpha_0.3.jsonl", "sweep.csv"]
 
 
+def test_sweep_over_kind_writes_one_records_file_per_kind(tmp_path):
+    out = tmp_path / "out"
+    rc = cli.main(["sweep", _write(tmp_path, _GRAPH), "--out-dir", str(out),
+                   "--axis", "kind", "--values", "none,dropout,dropgraph"])
+    assert rc == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "dataset.dgd", "runs_kind_dropgraph.jsonl", "runs_kind_dropout.jsonl",
+        "runs_kind_none.jsonl", "sweep.csv"]
+    for kind in ("none", "dropout", "dropgraph"):
+        config, *runs = map(json.loads, (out / f"runs_kind_{kind}.jsonl").read_text().splitlines())
+        assert f"reg.kind = {kind}\n" in config["text"] and len(runs) == 3
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert rows[0].startswith("kind,seed,") and len(rows) == 10
+
+
+def test_sweep_labels_a_boolean_axis_as_the_config_spells_it(tmp_path):
+    out = tmp_path / "out"
+    rc = cli.main(["sweep", _write(tmp_path, _GRAPH + "reg.kind = dropout\n"), "--out-dir",
+                   str(out), "--axis", "rescale_dropout", "--values", "yes,0"])
+    assert rc == 0
+    assert sorted(p.name for p in out.glob("runs_*")) == [
+        "runs_rescale_dropout_false.jsonl", "runs_rescale_dropout_true.jsonl"]
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["true"] * 3 + ["false"] * 3
+
+
 def test_verify_exits_1_on_a_failed_check(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_checks", lambda names: [
         CheckResult("ok_check", True, "", 0.0), CheckResult("bad_check", False, "off", 0.0)])
@@ -49,21 +77,22 @@ def test_verify_exits_1_on_a_failed_check(monkeypatch, capsys):
     (_GRAPH, ["--seeds", "a"], "seeds: "),
     (_GRAPH, ["--seeds", "1,,2"], "seeds: "),
     (_GRAPH, ["--seeds", "1,2"], "seeds: "),
+    (_GRAPH, ["--seeds", "4,4,5"], "seeds: a seed may appear once, got 4,4,5"),
     (_GRAPH, ["--threads", "0"], "threads: must be >= 1, got 0"),
     (_GRAPH, ["--axis", "alpha", "--values", ","], "--values"),
     (_GRAPH, ["--axis", "alpha", "--values", "0.1,1.5"], "reg: alpha"),
     (_GRAPH, ["--axis", "alpha", "--values", "0.1,0.2,0.10"],
      "--values: ['0.1', '0.2', '0.10'] parse to repeated values [0.1, 0.2, 0.1]"),
-    (_GRAPH, ["--axis", "scheduler", "--values", "f9"], "reg: scheduler_kind"),
+    (_GRAPH, ["--axis", "scheduler", "--values", "f9"], "reg: scheduler must be one of"),
     (_GRAPH, ["--seeds", "4,5,6#7"], "seeds: '#' and line breaks"),
     (_GRAPH, ["--threads", "1\nthreads = 2"], "threads: '#' and line breaks"),
     (_GRAPH, ["--axis", "alpha", "--values", "0.1,0.2#"], "--values: '#' and line breaks"),
     (_GRAPH, ["--axis", "alpha", "--values", "0.1\nreg.rho = 0.3"], "--values: '#'"),
     ("reg.kind = pgr\nreg.adjacency = learned\n", [], "reg.adjacency: learned"),
     (_GRAPH + "reg.adjacency = learned\n", [], "reg.adjacency: learned"),
-    (_GRAPH, ["--axis", "adjacency_mode", "--values", "eq6,learned"], "reg.adjacency: learned"),
+    (_GRAPH, ["--axis", "adjacency", "--values", "eq6,learned"], "reg.adjacency: learned"),
 ], ids=["missing_file", "bad_key", "seeds_not_int", "seeds_empty_entry", "two_seeds",
-        "threads_0", "values_empty", "value_out_of_range", "values_same_parsed_value",
+        "repeated_seed",        "threads_0", "values_empty", "value_out_of_range", "values_same_parsed_value",
         "value_unknown", "seeds_comment", "threads_newline", "values_comment", "values_newline",
         "pgr_learned", "node_graph_dropgraph_learned", "sweep_node_graph_learned"])
 def test_config_errors_exit_2_before_any_output(tmp_path, capsys, text, extra, message):
@@ -84,6 +113,24 @@ def test_out_dir_with_comment_or_line_break_exits_2(tmp_path, capsys, name):
     assert rc == 2
     assert "error: out_dir: '#' and line breaks" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+def test_output_dir_that_is_a_file_exits_2(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("keep", encoding="utf-8")
+    rc = cli.main(["run", _write(tmp_path, _GRAPH), "--out-dir", str(afile)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("error: out_dir: "), err
+    assert afile.read_text(encoding="utf-8") == "keep"
+
+
+def test_config_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    rc = cli.main(["run", str(tmp_path), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("error: config: "), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_axis_is_rejected_by_the_argument_parser(tmp_path):

@@ -39,6 +39,7 @@ _GRAPH = "task = node_graph\n"
     (_IMAGE + "task = video", "task", "task"),
     (_IMAGE + "threads = 0", "threads", "threads"),
     (_IMAGE + "seeds = x", "seeds", "seeds"),
+    (_IMAGE + "seeds = 1,1,1", "seeds", "seed may appear once"),
     (_IMAGE + "foo.bar = 1", "line", "foo.bar"),
     (_IMAGE + "data.classes = many", "data", "classes"),
     (_IMAGE + "data.classes = 5", "data", "classes"),

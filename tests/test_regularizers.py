@@ -60,7 +60,7 @@ def test_dropout_eval_is_identity():
     # Out of training the module returns its input; evaluation passes no rho.
     x = Tensor(RNG.normal(size=(50,)))
     for kind in ("dropout", "spatial_dropout"):
-        mod = Dropout(RegularizerConfig(kind=kind, rho_target=0.7))
+        mod = Dropout(RegularizerConfig(kind=kind, rho=0.7))
         mod.eval()
         assert mod(x, RngStream(1, ("d",)), None) is x
 
@@ -447,8 +447,8 @@ def test_pool_expand_single_position_replay():
 # -- scheduler -------------------------------------------------------------------------
 
 
-def ramp(kind, rho_target=0.1):
-    return RegularizerConfig(scheduler_kind=kind, rho_target=rho_target)
+def ramp(kind, rho=0.1):
+    return RegularizerConfig(scheduler=kind, rho=rho)
 
 
 @pytest.mark.parametrize("kind", ["f1", "f2", "f3", "f4", "f5"])
@@ -520,8 +520,8 @@ def test_dropgraph_rho_zero_identity():
 
 def test_dropgraph_zero_adjacency_equals_masking_only():
     params = GraphGeneratorParams(8, RngStream(24, ("p",)))
-    cfg_zero = RegularizerConfig(adjacency_mode="zero")
-    cfg_none = RegularizerConfig(generator_kind="none")
+    cfg_zero = RegularizerConfig(adjacency="zero")
+    cfg_none = RegularizerConfig(generator="none")
     for i in range(50):
         x = Tensor(RNG.normal(size=(2, 8, 8, 8)))
         a = pinned_forward(x, cfg_zero, params, seed=100 + i)
@@ -530,11 +530,11 @@ def test_dropgraph_zero_adjacency_equals_masking_only():
 
 
 def test_dropgraph_alpha_zero_is_pure_masking():
-    cfg = RegularizerConfig(alpha=0.0, generator_kind="graph")
+    cfg = RegularizerConfig(alpha=0.0, generator="graph")
     params = GraphGeneratorParams(8, RngStream(25, ("p",)))
     x = Tensor(RNG.normal(size=(2, 8, 8, 8)))
     out = pinned_forward(x, cfg, params, seed=7)
-    mask_only = pinned_forward(x, RegularizerConfig(alpha=0.0, generator_kind="none"),
+    mask_only = pinned_forward(x, RegularizerConfig(alpha=0.0, generator="none"),
                                None, seed=7)
     npt.assert_array_equal(out.data, mask_only.data)
 
@@ -558,8 +558,8 @@ def test_dropgraph_deterministic_replay():
 
 @pytest.mark.parametrize("adjacency", ["eq6", "similarity", "identity", "uniform"])
 def test_dropgraph_gradients(adjacency):
-    cfg = RegularizerConfig(alpha=0.5, rho_target=0.4, block_size=3,
-                            adjacency_mode=adjacency, scheduler_kind="constant")
+    cfg = RegularizerConfig(alpha=0.5, rho=0.4, block_size=3,
+                            adjacency=adjacency, scheduler="constant")
     for attempt in range(30):
         # Fresh generator weights per attempt: one draw can leave the
         # generator dead (all-zero relu outputs) on every input.
@@ -597,8 +597,8 @@ def test_dropgraph_gradients(adjacency):
 def test_dropgraph_alt_generators_run():
     x = Tensor(RNG.normal(size=(2, 8, 8, 8)))
     for kind in ("random_noise", "avg_pool"):
-        cfg = RegularizerConfig(generator_kind=kind, rho_target=0.4,
-                                scheduler_kind="constant")
+        cfg = RegularizerConfig(generator=kind, rho=0.4,
+                                scheduler="constant")
         out = pinned_forward(x, cfg, None, seed=11)
         assert np.isfinite(out.data).all()
         assert not np.array_equal(out.data, x.data)
@@ -654,7 +654,7 @@ def test_dropgraph_module_eval_identity_and_params():
 
 
 def test_dropgraph_module_learned_adjacency_sizing():
-    cfg = RegularizerConfig(adjacency_mode="learned", alpha=0.2)
+    cfg = RegularizerConfig(adjacency="learned", alpha=0.2)
     mod = DropGraph(8, cfg, RngStream(33, ("m",)), spatial_size=(8, 8))
     assert mod.adjacency_param.data.shape == (13, 13)  # ceil(0.2 * 64)
     with pytest.raises(ConfigError):
@@ -664,12 +664,12 @@ def test_dropgraph_module_learned_adjacency_sizing():
 def test_config_validation_messages():
     with pytest.raises(ConfigError, match="alpha"):
         RegularizerConfig(alpha=1.2)
-    with pytest.raises(ConfigError, match="rho"):
-        RegularizerConfig(rho_target=1.0)
+    with pytest.raises(ConfigError, match=r"^rho must lie in \[0, 1\), got 1.0"):
+        RegularizerConfig(rho=1.0)
     with pytest.raises(ConfigError, match="block_size"):
         RegularizerConfig(block_size=4)
-    with pytest.raises(ConfigError, match="adjacency"):
-        RegularizerConfig(adjacency_mode="banana")
+    with pytest.raises(ConfigError, match="^adjacency must be one of"):
+        RegularizerConfig(adjacency="banana")
     with pytest.raises(ConfigError, match="^kind must be one of"):
         RegularizerConfig(kind="dropconnect")
     with pytest.raises(ConfigError, match="^pgr_strategy"):
@@ -701,19 +701,19 @@ def oracle_adjacency(vals, mode, normalize=False, param=None):
 def oracle_dropgraph(x, cfg, params, learned, rng):
     """dropgraph_forward with one graph per batch item, in plain numpy."""
     b, c, h, w = x.shape
-    gate = sample_block_mask(h, w, cfg.block_size, cfg.rho_target, rng.child("mask"),
+    gate = sample_block_mask(h, w, cfg.block_size, cfg.rho, rng.child("mask"),
                              batch=b).gate[:, None]
     idx = sample_vertices(Tensor(x), cfg.alpha, rng.child("vertices")).indices
     pooled = np.zeros((b, c))
     for bi in range(b):
         pos = idx[idx[:, 0] == bi]
         vals = x[bi][:, pos[:, 1], pos[:, 2]].T
-        if cfg.generator_kind == "graph":
-            a = oracle_adjacency(vals, cfg.adjacency_mode, cfg.normalize_similarity, learned)
+        if cfg.generator == "graph":
+            a = oracle_adjacency(vals, cfg.adjacency, cfg.normalize_similarity, learned)
             h1 = np.maximum(a @ vals @ params.w_in.data, 0.0)
             h2 = np.maximum(h1 + a @ h1 @ params.w_mid.data, 0.0)
             d = a @ h2 @ params.w_out.data
-        elif cfg.generator_kind == "avg_pool":
+        elif cfg.generator == "avg_pool":
             d = np.tile(vals.mean(axis=0), (len(vals), 1))
         else:
             d = rng.child("noise", bi).normal(size=vals.shape) * vals.std(axis=0)
@@ -732,9 +732,9 @@ BRANCH_CASES = ([(mode, norm, "graph") for mode in ADJACENCY_MODES for norm in (
 
 @pytest.mark.parametrize("mode, normalize, generator", BRANCH_CASES)
 def test_padded_branch_matches_per_item_oracle(mode, normalize, generator):
-    cfg = RegularizerConfig(alpha=0.15, rho_target=0.4, adjacency_mode=mode,
-                            generator_kind=generator, normalize_similarity=normalize,
-                            scheduler_kind="constant")
+    cfg = RegularizerConfig(alpha=0.15, rho=0.4, adjacency=mode,
+                            generator=generator, normalize_similarity=normalize,
+                            scheduler="constant")
     x = RNG.normal(size=(4, 8, 4, 4))
     rng = RngStream(3, ("fw",))
     counts = np.bincount(sample_vertices(Tensor(x), cfg.alpha, rng.child("vertices"))
@@ -742,7 +742,7 @@ def test_padded_branch_matches_per_item_oracle(mode, normalize, generator):
     assert 1 in counts and len(set(counts)) > 2  # uneven, with a one-vertex item
     params = GraphGeneratorParams(8, RngStream(35, ("p",))) if generator == "graph" else None
     learned = Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
-    got = dropgraph_forward(Tensor(x), cfg, params, cfg.rho_target, rng,
+    got = dropgraph_forward(Tensor(x), cfg, params, cfg.rho, rng,
                             learned_adjacency=learned if mode == "learned" else None)
     want = oracle_dropgraph(x, cfg, params, learned.data, rng)
     assert relative_error(got.data, want) <= 1e-12
@@ -752,7 +752,7 @@ def test_padded_branch_matches_per_item_oracle(mode, normalize, generator):
 @pytest.mark.parametrize("mode", ["eq6", "similarity", "uniform"])
 def test_pgr_padded_matches_per_item_oracle(strategy, mode):
     mod = make_pgr(8, 0.15, RngStream(36, ("pgr",)), pgr_strategy=strategy,
-                   adjacency_mode=mode)
+                   adjacency=mode)
     x = RNG.normal(size=(4, 8, 4, 4))
     rng = RngStream(5, ("f",))
     if strategy == "random":
@@ -788,8 +788,8 @@ def test_select_top_keeps_the_lexsort_order_on_ties():
 
 @pytest.mark.parametrize("adjacency", ["eq6", "similarity", "learned"])
 def test_dropgraph_gradients_with_unequal_items(adjacency):
-    cfg = RegularizerConfig(alpha=0.3, rho_target=0.4, block_size=3,
-                            adjacency_mode=adjacency, scheduler_kind="constant")
+    cfg = RegularizerConfig(alpha=0.3, rho=0.4, block_size=3,
+                            adjacency=adjacency, scheduler="constant")
     for attempt in range(30):
         params = GraphGeneratorParams(4, RngStream(38, ("p", adjacency, attempt)))
         learned = (Tensor(1.0 / 11 + 0.05 * RNG.normal(size=(11, 11)))
@@ -802,7 +802,7 @@ def test_dropgraph_gradients_with_unequal_items(adjacency):
             continue  # every item must be padded to a different degree
 
         def f(t, params=params, learned=learned, rng=rng):
-            return (dropgraph_forward(t, cfg, params, cfg.rho_target, rng,
+            return (dropgraph_forward(t, cfg, params, cfg.rho, rng,
                                       learned_adjacency=learned) ** 2).sum()
 
         out = f(x)
@@ -840,7 +840,7 @@ def tape_nodes(root):
 
 def test_dropgraph_tape_does_not_grow_with_the_batch():
     # One padded graph per insertion point: the same tape for any batch size.
-    mod = DropGraph(16, RegularizerConfig(rho_target=0.1, scheduler_kind="constant"),
+    mod = DropGraph(16, RegularizerConfig(rho=0.1, scheduler="constant"),
                     RngStream(39, ("m",)))
     sizes = []
     for b in (2, 32):
