@@ -206,6 +206,14 @@ def config_to_text(cfg: ExperimentConfig) -> str:
                      for name, key in _KEY_BY_FIELD.items()) + "\n"
 
 
+def check_seeds(seeds) -> None:
+    """The seed rule of every multi-seed run: at least MIN_SEEDS seeds, none repeated."""
+    if len(seeds) < MIN_SEEDS:
+        raise ConfigError(f"seeds: at least {MIN_SEEDS} seeds are required, got {len(seeds)}")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"seeds: a seed may appear once, got {_format_value('seeds', seeds)}")
+
+
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     """Check the rules no component spec owns, then build the specs of the task."""
     def fail(key, msg):
@@ -213,10 +221,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
 
     if cfg.task not in TASKS:
         fail("task", f"must be one of {TASKS}, got {cfg.task!r}")
-    if len(cfg.seeds) < MIN_SEEDS:
-        fail("seeds", f"at least {MIN_SEEDS} seeds are required, got {len(cfg.seeds)}")
-    if len(set(cfg.seeds)) < len(cfg.seeds):
-        fail("seeds", f"a seed may appear once, got {_format_value('seeds', cfg.seeds)}")
+    check_seeds(cfg.seeds)
     if cfg.threads < 1:
         fail("threads", f"must be >= 1, got {cfg.threads}")
     reg = cfg.regularizer_config()

@@ -57,7 +57,9 @@ def min_relu_margin(out: Tensor) -> float:
     kink, where central differences are invalid.  Exact zeros are ignored:
     they arise when an upstream relu is dead (the input is locally constant
     at 0), which is not a kink under perturbation of the checked variable.
-    Returns +inf when the tape contains no relu input near a kink.
+    Returns +inf when the tape contains no relu input near a kink.  Call
+    it before ``backward()``: a consumed tape has no parents to search and
+    raises ``ContractError``.
     """
     margin = np.inf
     seen = set()
@@ -67,6 +69,7 @@ def min_relu_margin(out: Tensor) -> float:
         if id(node) in seen:
             continue
         seen.add(id(node))
+        node._check_live()
         if node._op == "relu":
             src = np.abs(node._parents[0].data)
             nonzero = src[src > 0.0]

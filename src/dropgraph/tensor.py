@@ -2,7 +2,11 @@
 
 A dynamic tape is recorded per forward pass: every operation closes over its
 inputs and knows how to push gradients back to them.  ``backward()`` on a
-scalar walks the tape in reverse topological order.  The tape is rebuilt on
+scalar walks the tape in reverse topological order and populates ``grad`` on
+the leaves (parameters and inputs).  The walk consumes the graph: each
+interior node drops its gradient, closure and parent links once its closure
+has run, so a finished step holds no tape, and a second ``backward()``
+through a consumed node raises ``ContractError``.  The tape is rebuilt on
 every forward call, so stochastic graph topologies (a different vertex set
 each step) need no special handling.
 
@@ -87,10 +91,14 @@ class Tensor:
     # -- backward pass ----------------------------------------------------
 
     def backward(self):
-        """Populate ``grad`` on every ``requires_grad`` ancestor.
+        """Populate ``grad`` on every ``requires_grad`` leaf this scalar depends on.
 
-        Repeated calls without resetting grads accumulate; the trainer is
-        responsible for zeroing between steps.
+        The graph is consumed: every interior node is released (``grad``,
+        closure and parents dropped) right after its closure has run, so
+        only the leaves keep gradients and the tape's memory is freed as
+        the walk goes.  A second call through any consumed node raises
+        ``ContractError``; build the graph again instead.  Gradients of
+        leaves accumulate over calls; the trainer zeroes them between steps.
         """
         if self.data.size != 1:
             raise ContractError(
@@ -107,6 +115,7 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            node._check_live()
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -116,6 +125,21 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None
+                node._backward = None
+                node._parents = ()
+
+    def _check_live(self):
+        """Raise if ``backward()`` already consumed the tape through this node.
+
+        An op result that requires grad always holds its closure until a
+        backward pass releases it, so a missing closure marks it consumed.
+        """
+        if self.requires_grad and self._backward is None and self._op != "leaf":
+            raise ContractError(
+                f"the tape through this {self._op!r} node was already consumed by "
+                "backward(); run the forward pass again"
+            )
 
     def _accum(self, g):
         # Accumulation is always out-of-place; grads are never mutated in place.

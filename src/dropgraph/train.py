@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backbones import GraphInstance, TinyResNet, TwoLayerGcn
-from .config import MIN_SEEDS, ExperimentConfig, config_to_text
+from .config import ExperimentConfig, check_seeds, config_to_text
 from .data import gen_images, gen_sbm
 from .errors import ConfigError
 from .nn import cross_entropy
@@ -226,12 +226,12 @@ def _pool_worker(args):
 def multi_seed(configs, seeds, threads: int = 1):
     """Run the (config x seed) grid; returns records grouped per config.
 
+    ``seeds`` obey the config file's rule (at least three, none repeated).
     Runs are independent; with threads > 1 they execute on a process pool
     of ``min(threads, runs)`` workers.
     Results are assembled in deterministic (config, seed) order either way.
     """
-    if len(seeds) < MIN_SEEDS:
-        raise ConfigError(f"multi_seed needs at least {MIN_SEEDS} seeds, got {len(seeds)}")
+    check_seeds(seeds)
     tasks = [(cfg, seed) for cfg in configs for seed in seeds]
     if threads > 1:
         with multiprocessing.Pool(processes=min(threads, len(tasks))) as pool:

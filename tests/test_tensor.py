@@ -2,8 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from dropgraph.backbones import ResidualBlock
 from dropgraph.errors import ContractError, DimensionError
 from dropgraph.gradcheck import grad_check, min_relu_margin
+from dropgraph.nn import conv_bn
 from dropgraph.rng import RngStream
 from dropgraph.tensor import (
     Tensor,
@@ -136,6 +138,72 @@ def test_backward_accumulates_without_reset():
     npt.assert_array_equal(x.grad, 2 * first)
 
 
+def _tape(root):
+    """Every node reachable from ``root`` through tape parents."""
+    seen, nodes, stack = set(), [], [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def _backward_releasing(root):
+    """Run ``root.backward()``; assert it released every interior node and return the leaves."""
+    nodes = _tape(root)
+    interior = [n for n in nodes if n._op != "leaf"]
+    assert interior and all(n._backward is not None for n in interior)
+    root.backward()
+    for n in interior:
+        assert n.grad is None and n._parents == () and n._backward is None, n._op
+    return [n for n in nodes if n._op == "leaf"]
+
+
+def test_backward_keeps_grads_of_a_leaf_used_twice():
+    w = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
+    assert _backward_releasing(matmul(w, w).sum()) == [w]
+    # d sum(W W) / dW = 1 W^T + W^T 1 with 1 the all-ones matrix.
+    npt.assert_array_equal(w.grad, [[7.0, 11.0], [9.0, 13.0]])
+
+
+def test_backward_releases_an_interior_node_used_twice():
+    x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    h = x * x
+    assert _backward_releasing((h + h).sum()) == [x]
+    npt.assert_array_equal(x.grad, [4.0, 8.0, 12.0])
+
+
+def test_backward_through_a_residual_skip():
+    block = ResidualBlock(4, 4, 1, RngStream(31))
+    data = RNG.normal(size=(2, 4, 5, 5))
+    x = Tensor(data, requires_grad=True)
+    leaves = _backward_releasing(block(x, RngStream(32), None).sum())
+    assert {id(n) for n in leaves} == {id(x)} | {id(p) for p in block.parameters()}
+    skipped = x.grad
+    params = [p.grad for p in block.parameters()]
+    # The main branch alone: the identity skip adds exactly 1 to the input's gradient.
+    block.zero_grad()
+    x = Tensor(data, requires_grad=True)
+    relu(conv_bn(block.conv2, block.bn2,
+                 relu(conv_bn(block.conv1, block.bn1, x)))).sum().backward()
+    npt.assert_array_equal(skipped, x.grad + 1.0)
+    for got, want in zip(params, [p.grad for p in block.parameters()]):
+        npt.assert_array_equal(got, want)
+
+
+def test_second_backward_through_a_consumed_node_raises():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    h = x * x
+    first, second = h.sum(), (h * 3.0).sum()
+    first.backward()
+    for root in (first, second):
+        with pytest.raises(ContractError, match="already consumed by backward"):
+            root.backward()
+    npt.assert_array_equal(x.grad, [2.0, 4.0])  # the refused calls added nothing
+
+
 def test_grad_shapes_match_values():
     x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
     w = Tensor(RNG.normal(size=(4, 2)), requires_grad=True)
@@ -215,6 +283,9 @@ def test_min_relu_margin_reports_smallest_input():
     x = Tensor(np.array([0.5, -0.003, 2.0]), requires_grad=True)
     out = relu(x).sum()
     assert abs(min_relu_margin(out) - 0.003) < 1e-12
+    out.backward()  # a consumed tape has no relu inputs left to search
+    with pytest.raises(ContractError, match="already consumed by backward"):
+        min_relu_margin(out)
 
 
 def test_no_grad_builds_no_tape():

@@ -1,12 +1,20 @@
 """A run is a pure function of (config, seed), on one process or several."""
 
 import dataclasses
+import re
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from dropgraph import train
+from dropgraph.backbones import TinyResNet
 from dropgraph.config import parse_config
-from dropgraph.train import multi_seed, run_experiment
+from dropgraph.errors import ConfigError
+from dropgraph.nn import cross_entropy
+from dropgraph.rng import RngStream
+from dropgraph.tensor import Tensor
+from dropgraph.train import SGD, multi_seed, run_experiment
 
 _IMAGE = parse_config("task = image\ndata.image_size = 16\ndata.train_count = 32\n"
                       "data.val_count = 16\ntrain.epochs = 2\ntrain.batch_size = 16\n"
@@ -60,3 +68,42 @@ def test_multi_seed_starts_at_most_one_worker_per_run(monkeypatch):
         [("node_graph", 1), ("node_graph", 2), ("node_graph", 3)]]
     assert multi_seed([_IMAGE, _GRAPH], (1, 2, 3), threads=4)[0][2] == ("image", 3)
     assert started == [3, 4]
+
+
+@pytest.mark.parametrize("seeds, message", [
+    ((4, 4, 5), "seeds: a seed may appear once, got 4,4,5"),
+    ((4, 5), "seeds: at least 3 seeds are required, got 2"),
+], ids=["repeated", "two"])
+def test_multi_seed_rejects_the_seeds_a_config_rejects(seeds, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        multi_seed([_GRAPH], seeds)
+
+
+def test_training_peak_is_bounded_by_one_tape():
+    """Consecutive steps hold one tape at a time, not the last step's too.
+
+    Like ``_train_image``, the loop keeps ``logits`` and ``loss`` bound
+    while the next forward runs, so the peak stays near one forward tape
+    only because ``backward()`` releases the tape it walked.
+    """
+    cfg = parse_config("task = image\ndata.image_size = 16\nreg.kind = dropgraph\n")
+    model = TinyResNet(cfg.resnet_config(), RngStream(5).child("init"), cfg.regularizer_config())
+    opt = SGD(model.parameters(), cfg.train_lr, cfg.train_momentum, cfg.train_weight_decay)
+    data = np.random.default_rng(5)
+    x = data.normal(size=(8, 1, 16, 16))
+    y = data.integers(0, cfg.data_classes, size=8)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for step in range(3):
+            logits = model(Tensor(x), RngStream(5).child("step", step), 0.3)
+            loss = cross_entropy(logits, y)
+            if step == 0:
+                tape = tracemalloc.get_traced_memory()[0] - base
+            model.zero_grad()
+            loss.backward()
+            opt.step()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * tape, f"peak {peak / tape:.2f}x the first forward tape"
