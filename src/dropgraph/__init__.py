@@ -10,7 +10,6 @@ experiment harness), and ``cli`` (run/sweep/verify front end).
 """
 
 from .backbones import (
-    GraphInstance,
     TinyResNet,
     TinyResNetConfig,
     TwoLayerGcn,
@@ -20,7 +19,14 @@ from .backbones import (
     save_checkpoint,
 )
 from .config import ExperimentConfig, config_to_text, parse_config
-from .data import ImageDataset, SbmGraphSpec, SyntheticImageSpec, gen_images, gen_sbm
+from .data import (
+    GraphInstance,
+    ImageDataset,
+    SbmGraphSpec,
+    SyntheticImageSpec,
+    gen_images,
+    gen_sbm,
+)
 from .errors import ConfigError, ContractError, DimensionError, DropGraphError
 from .gradcheck import grad_check
 from .nn import BatchNorm2d, Conv2d, Linear, Module, conv2d, cross_entropy, global_avg_pool

@@ -10,10 +10,11 @@ second graph layer, where block masking degenerates to per-node gating.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .data import GraphInstance
 from .errors import ConfigError, ContractError, DimensionError
 from .nn import BatchNorm2d, Conv2d, Linear, Module, conv_bn, global_avg_pool
 from .regularizers import MASK_KINDS, RegularizerConfig, make_regularizer, sample_block_mask
@@ -25,7 +26,6 @@ __all__ = [
     "TinyResNet",
     "TwoLayerGcnConfig",
     "TwoLayerGcn",
-    "GraphInstance",
     "save_checkpoint",
     "load_checkpoint",
     "apply_checkpoint",
@@ -37,7 +37,6 @@ __all__ = [
 
 @dataclass
 class TinyResNetConfig:
-    in_channels: int = 1
     stem_channels: int = 16
     groups: tuple = ((2, 16), (2, 32))
     classes: int = 4
@@ -124,8 +123,8 @@ class TinyResNet(Module):
         self.cfg = cfg
         reg_cfg = reg_cfg or RegularizerConfig()
         cfg.check_block_size(reg_cfg)
-        self.stem = Conv2d(cfg.in_channels, cfg.stem_channels, 3, rng.child("stem"),
-                           stride=1, padding=1)
+        # The synthetic images are single-channel.
+        self.stem = Conv2d(1, cfg.stem_channels, 3, rng.child("stem"), stride=1, padding=1)
         self.stem_bn = BatchNorm2d(cfg.stem_channels)
         blocks = []
         cin = cfg.stem_channels
@@ -164,29 +163,6 @@ class TinyResNet(Module):
 
 
 # -- two-layer graph classifier ------------------------------------------------------
-
-
-@dataclass
-class GraphInstance:
-    """One node-classification problem on a fixed graph.
-
-    ``propagated_features`` is ``normalized_adjacency @ node_features``,
-    the first GCN layer's propagation.  It depends on no parameter, so it
-    is computed once here (as SGC does) instead of in every forward.  The
-    instance is treated as immutable: the derived array is not refreshed
-    if the arrays it came from are changed or rebound later.
-    """
-
-    node_features: np.ndarray  # (n, f)
-    normalized_adjacency: np.ndarray  # (n, n), symmetric degree-normalized A+I
-    labels: np.ndarray  # (n,)
-    train_idx: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    val_idx: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    test_idx: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    propagated_features: np.ndarray = field(init=False, repr=False)  # (n, f)
-
-    def __post_init__(self):
-        self.propagated_features = self.normalized_adjacency @ self.node_features
 
 
 @dataclass

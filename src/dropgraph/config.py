@@ -112,7 +112,6 @@ class ExperimentConfig:
     def resnet_config(self) -> TinyResNetConfig:
         with _section("model"):
             return TinyResNetConfig(
-                in_channels=1,
                 stem_channels=self.model_stem_channels,
                 groups=self.model_groups,
                 classes=self.data_classes,

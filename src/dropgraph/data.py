@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backbones import GraphInstance
 from .errors import ConfigError, ContractError
 from .rng import RngStream
 
@@ -29,6 +28,7 @@ __all__ = [
     "SyntheticImageSpec",
     "ImageDataset",
     "SbmGraphSpec",
+    "GraphInstance",
     "gen_images",
     "gen_sbm",
     "save_dataset_cache",
@@ -136,6 +136,29 @@ def gen_images(spec: SyntheticImageSpec) -> ImageDataset:
 
 
 # -- stochastic block model ---------------------------------------------------------
+
+
+@dataclass
+class GraphInstance:
+    """One node-classification problem on a fixed graph.
+
+    ``propagated_features`` is ``normalized_adjacency @ node_features``,
+    the first GCN layer's propagation.  It depends on no parameter, so it
+    is computed once here (as SGC does) instead of in every forward.  The
+    instance is treated as immutable: the derived array is not refreshed
+    if the arrays it came from are changed or rebound later.
+    """
+
+    node_features: np.ndarray  # (n, f)
+    normalized_adjacency: np.ndarray  # (n, n), symmetric degree-normalized A+I
+    labels: np.ndarray  # (n,)
+    train_idx: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    val_idx: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    test_idx: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    propagated_features: np.ndarray = field(init=False, repr=False)  # (n, f)
+
+    def __post_init__(self):
+        self.propagated_features = self.normalized_adjacency @ self.node_features
 
 
 @dataclass

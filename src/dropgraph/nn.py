@@ -20,7 +20,7 @@ import numpy as np
 from . import _conv
 from .errors import ContractError, DimensionError
 from .rng import RngStream
-from .tensor import Tensor, matmul, relu, tmean
+from .tensor import Tensor, matmul, relu
 
 __all__ = [
     "Module",
@@ -33,6 +33,10 @@ __all__ = [
     "global_avg_pool",
     "relu",
 ]
+
+# Batch-norm constants: variance floor and running-statistics momentum.
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
 
 
 # -- functional ops -----------------------------------------------------------
@@ -79,7 +83,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias, stride: int = 1, padding: int = 0) -
     return Tensor._result(out, parents, backward, "conv2d")
 
 
-def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
+def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor):
     """Batch normalization over (batch, H, W) per channel, training statistics.
 
     Returns (normalized Tensor, batch_mean, batch_var) where the statistics
@@ -95,7 +99,7 @@ def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
     xc = x.data - mean[:, None, None]
     xc3 = xc.reshape(n, c, -1)
     var = np.einsum("ncp,ncp->c", xc3, xc3) / count
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     scale = gamma.data * inv
     out = xc * scale[:, None, None]
     out += beta.data[:, None, None]
@@ -150,7 +154,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
     """Mean over the spatial grid: (batch, c, h, w) -> (batch, c)."""
     if x.data.ndim != 4:
         raise DimensionError(f"global_avg_pool expects a 4-D feature map, got {x.data.shape}")
-    return tmean(x, axis=(2, 3))
+    return x.mean(axis=(2, 3))
 
 
 # -- layer containers ----------------------------------------------------------
@@ -230,24 +234,21 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    """Batch norm with running statistics; train mode updates them, eval is
-    a fixed affine map (no state mutation)."""
+    """Batch norm with running statistics; train mode updates them with
+    momentum ``BN_MOMENTUM``, eval is a fixed affine map (no state mutation).
+    Both modes add ``BN_EPS`` to the variance."""
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, channels: int):
         super().__init__()
-        if not (0.0 < momentum < 1.0):
-            raise ContractError(f"momentum must lie in (0,1), got {momentum}")
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.momentum = momentum
-        self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
         if self.training:
-            out, m, v = batchnorm_train(x, self.gamma, self.beta, self.eps)
-            mom = self.momentum
+            out, m, v = batchnorm_train(x, self.gamma, self.beta)
+            mom = BN_MOMENTUM
             self.running_mean = (1.0 - mom) * self.running_mean + mom * m
             self.running_var = (1.0 - mom) * self.running_var + mom * v
             return out
@@ -258,7 +259,7 @@ class BatchNorm2d(Module):
     def eval_affine(self):
         """Per-channel ``(scale, shift)`` of the eval map ``x * scale + shift``,
         as tape ops on ``gamma`` and ``beta``."""
-        inv = Tensor(1.0 / np.sqrt(self.running_var + self.eps))
+        inv = Tensor(1.0 / np.sqrt(self.running_var + BN_EPS))
         scale = self.gamma * inv
         return scale, self.beta - Tensor(self.running_mean) * scale
 
@@ -280,14 +281,11 @@ def conv_bn(conv: Conv2d, bn: BatchNorm2d, x: Tensor) -> Tensor:
 class Linear(Module):
     """Affine layer with Kaiming fan-in init."""
 
-    def __init__(self, fin: int, fout: int, rng: RngStream, bias: bool = True):
+    def __init__(self, fin: int, fout: int, rng: RngStream):
         super().__init__()
         std = np.sqrt(2.0 / fin)
         self.weight = Tensor(rng.normal(size=(fin, fout), scale=std), requires_grad=True)
-        self.bias = Tensor(np.zeros(fout), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(fout), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        out = matmul(x, self.weight)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return matmul(x, self.weight) + self.bias

@@ -154,7 +154,7 @@ class VertexSet:
 
     @property
     def valid(self) -> np.ndarray | None:
-        """(b, n_max) True at the vertex rows, or None when no row is padding."""
+        """(b, n_max) True at the vertex rows of a padded set; None only when flat."""
         return None if self.counts is None else _valid_rows(self.counts)
 
     def sizes(self) -> np.ndarray:
@@ -181,7 +181,8 @@ def _gather_vertices(x: Tensor, indices: np.ndarray) -> VertexSet:
     """The feature vectors of ``x`` at ``indices``, one graph per batch item.
 
     A one-item batch is one flat (n, c) graph; a larger batch is padded
-    (see ``VertexSet``).  Every item must hold at least one vertex.
+    (see ``VertexSet``) and always carries its ``valid`` mask.  Every item
+    must hold at least one vertex.
     """
     b = x.data.shape[0]
     # Flat for speed: padding the node-graph task's one (1, c, n, 1) map made its
@@ -194,12 +195,9 @@ def _gather_vertices(x: Tensor, indices: np.ndarray) -> VertexSet:
     return VertexSet(indices, values, counts)
 
 
-def _valid_rows(counts: np.ndarray) -> np.ndarray | None:
-    """(b, n_max) True at rows below each item's count; None when every item fills n_max."""
-    n_max = counts.max()
-    if (counts == n_max).all():
-        return None
-    return np.arange(n_max) < counts[:, None]
+def _valid_rows(counts: np.ndarray) -> np.ndarray:
+    """(b, n_max) True at rows below each item's count."""
+    return np.arange(counts.max()) < counts[:, None]
 
 
 def _padded_positions(indices: np.ndarray, counts: np.ndarray) -> tuple:
@@ -486,8 +484,6 @@ def dropgraph_forward(x: Tensor, cfg: RegularizerConfig,
     ``rho`` is then not read.  Fresh multipliers are always drawn.
     """
     b, _, h, w = x.data.shape
-    if cfg.block_size > min(h, w):
-        raise ContractError(f"block_size {cfg.block_size} exceeds feature map {h}x{w}")
     if mask is None:
         mask = sample_block_mask(h, w, cfg.block_size, rho, rng.child("mask"), batch=b)
     vertices = sample_vertices(x, cfg.alpha, rng.child("vertices"))

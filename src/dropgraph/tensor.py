@@ -156,7 +156,7 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return add(self, neg(_lift(other)))
+        return add(self, _lift(other) * -1.0)
 
     def __mul__(self, other):
         return mul(self, _lift(other))
@@ -169,17 +169,12 @@ class Tensor:
     def __pow__(self, p):
         return power(self, p)
 
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
-
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
     def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
+        total = tsum(self, axis=axis, keepdims=keepdims)
+        return total / (self.data.size / total.data.size)
 
     def reshape(self, *shape):
         return reshape(self, shape)
@@ -219,13 +214,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             b._accum(_sum_to_shape(g, b.data.shape))
 
     return Tensor._result(out_data, (a, b), backward, "add")
-
-
-def neg(a: Tensor) -> Tensor:
-    def backward(g):
-        a._accum(-g)
-
-    return Tensor._result(-a.data, (a,), backward, "neg")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -274,24 +262,6 @@ def relu(a: Tensor) -> Tensor:
     return Tensor._result(out_data, (a,), backward, "relu")
 
 
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        a._accum(g * out_data)
-
-    return Tensor._result(out_data, (a,), backward, "exp")
-
-
-def log(a: Tensor) -> Tensor:
-    out_data = np.log(a.data)
-
-    def backward(g):
-        a._accum(g / a.data)
-
-    return Tensor._result(out_data, (a,), backward, "log")
-
-
 # -- reductions and shape ops ----------------------------------------------
 
 
@@ -307,22 +277,7 @@ def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     return Tensor._result(np.asarray(out_data), (a,), backward, "sum")
 
 
-def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    out_data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else a.data.size / out_data.size
-
-    def backward(g):
-        gg = g / count
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        a._accum(np.broadcast_to(gg, a.data.shape).copy())
-
-    return Tensor._result(np.asarray(out_data), (a,), backward, "mean")
-
-
 def reshape(a: Tensor, shape) -> Tensor:
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
     out_data = a.data.reshape(shape)
 
     def backward(g):

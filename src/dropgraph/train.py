@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backbones import GraphInstance, TinyResNet, TwoLayerGcn
+from .backbones import TinyResNet, TwoLayerGcn
 from .config import ExperimentConfig, check_seeds, config_to_text
-from .data import gen_images, gen_sbm
+from .data import GraphInstance, gen_images, gen_sbm
 from .errors import ConfigError
 from .nn import cross_entropy
 from .regularizers import schedule_rho
@@ -34,6 +34,8 @@ __all__ = [
     "summarize_records",
     "write_run_records",
 ]
+
+EVAL_BATCH = 32  # images per no-grad forward in evaluation
 
 
 class SGD:
@@ -90,14 +92,14 @@ def _lr_at(cfg: ExperimentConfig, epoch: int) -> float:
     return lr
 
 
-def _evaluate_image(model, xs, ys, rng, batch: int = 32):
+def _evaluate_image(model, xs, ys, rng):
     model.eval()
     total_loss = 0.0
     correct = 0
     with no_grad():
-        for lo in range(0, xs.shape[0], batch):
-            xb = xs[lo : lo + batch]
-            yb = ys[lo : lo + batch]
+        for lo in range(0, xs.shape[0], EVAL_BATCH):
+            xb = xs[lo : lo + EVAL_BATCH]
+            yb = ys[lo : lo + EVAL_BATCH]
             logits = model(Tensor(xb), rng.child("batch", lo), None)
             total_loss += cross_entropy(logits, yb).item() * len(yb)
             correct += int((logits.data.argmax(axis=1) == yb).sum())
@@ -246,20 +248,14 @@ def multi_seed(configs, seeds, threads: int = 1):
 
 
 def summarize_records(records):
-    """Median/min/max of the headline metrics over one config's records."""
-    out = {"runs": len(records),
-           "diverged": sum(1 for r in records if r.status != "ok")}
+    """Median/min/max of the headline metrics over one config's ok records;
+    NaN when no run is ok."""
     oks = [r for r in records if r.status == "ok"]
+    out = {}
     for metric in ("final_val_acc", "final_train_acc", "generalization_gap"):
-        values = [getattr(r, metric) for r in oks]
-        if values:
-            out[metric] = {
-                "median": float(np.median(values)),
-                "min": float(min(values)),
-                "max": float(max(values)),
-            }
-        else:
-            out[metric] = {"median": float("nan"), "min": float("nan"), "max": float("nan")}
+        values = [getattr(r, metric) for r in oks] or [float("nan")]
+        out[metric] = {"median": float(np.median(values)),
+                       "min": float(min(values)), "max": float(max(values))}
     return out
 
 

@@ -85,7 +85,7 @@ def check_gradient_soundness():
         lambda t: (t * t).sum(),
         lambda t: (t / 1.7 + t * 0.3).sum(),
         lambda t: relu(t).sum(),
-        lambda t: (t * 0.2).exp().mean(),
+        lambda t: ((t * t).reshape(2, 3).mean(axis=1) ** 2).sum(),
         lambda t: ((t * t + 1.0) ** 0.5).sum(),
         lambda t: (softmax_rows(t.reshape(2, 3)) ** 2).sum(),
     ]
@@ -104,7 +104,7 @@ def check_gradient_soundness():
         run(lambda t: (conv2d(x, t, b, 1, 1) ** 2).sum(), k)
         g = Tensor(rng.normal(size=3) + 1.5, requires_grad=True)
         be = Tensor(rng.normal(size=3), requires_grad=True)
-        run(lambda t: (batchnorm_train(t, g, be, 1e-5)[0] ** 2).sum(), x)
+        run(lambda t: (batchnorm_train(t, g, be)[0] ** 2).sum(), x)
         w = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
         xl = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         run(lambda t: (matmul(t, w) ** 2).mean(), xl)
@@ -223,25 +223,26 @@ def check_inference_skip_identity():
 # -- criterion 3: dropblock degeneration ---------------------------------------------
 
 
-def check_dropblock_degeneration(cases: int = 1000):
+def check_dropblock_degeneration():
     rng = np.random.default_rng(303)
     params = GraphGeneratorParams(8, RngStream(31, ("p",)))
     cfg_zero = RegularizerConfig(adjacency="zero")
     cfg_none = RegularizerConfig(generator="none")
-    for i in range(cases):
+    for i in range(1000):
         x = Tensor(rng.normal(size=(1, 8, 8, 8)))
         a = dropgraph_forward(x, cfg_zero, params, 0.18, RngStream(i, ("deg",)))
         b = dropgraph_forward(x, cfg_none, None, 0.18, RngStream(i, ("deg",)))
         if not np.array_equal(a.data, b.data):
             return False, f"outputs diverge at case {i}"
-    return True, f"{cases} random inputs bit-identical"
+    return True, "1000 random inputs bit-identical"
 
 
 # -- criterion 4: adjacency properties --------------------------------------------------
 
 
-def check_adjacency_properties(cases: int = 10_000):
+def check_adjacency_properties():
     rng = np.random.default_rng(404)
+    cases = 10_000
     for i in range(cases):
         n = int(rng.integers(2, 10))
         c = int(rng.integers(1, 8))
@@ -265,7 +266,7 @@ def check_adjacency_properties(cases: int = 10_000):
 # -- criterion 5: mask rate calibration ---------------------------------------------------
 
 
-def check_mask_rate_calibration(masks_per_cell: int = 10_000):
+def check_mask_rate_calibration():
     rng = RngStream(55, ("mask_mc",))
     grid = [(16, 16, 3), (32, 32, 3), (16, 16, 5)]
     rhos = [0.05, 0.1, 0.2]
@@ -273,7 +274,7 @@ def check_mask_rate_calibration(masks_per_cell: int = 10_000):
     for h, w, s in grid:
         for rho in rhos:
             m = sample_block_mask(h, w, s, rho, rng.child(h, w, s, int(rho * 100)),
-                                  batch=masks_per_cell)
+                                  batch=10_000)
             rel = abs(m.dropped_fraction - rho) / rho
             details.append(f"({h},{w},s={s},rho={rho}): {m.dropped_fraction:.4f}")
             if rel > 0.10:

@@ -5,6 +5,7 @@ import pytest
 from dropgraph.errors import ContractError, DimensionError
 from dropgraph.gradcheck import grad_check
 from dropgraph.nn import (
+    BN_EPS,
     BatchNorm2d,
     Conv2d,
     Linear,
@@ -163,7 +164,7 @@ def test_batchnorm_train_normalizes():
     x = Tensor(RNG.normal(size=(8, 3, 6, 6)) * 4 + 2)
     g = Tensor(np.ones(3))
     b = Tensor(np.zeros(3))
-    out, m, v = batchnorm_train(x, g, b, 1e-5)
+    out, m, v = batchnorm_train(x, g, b)
     npt.assert_allclose(out.data.mean(axis=(0, 2, 3)), np.zeros(3), atol=1e-12)
     npt.assert_allclose(out.data.std(axis=(0, 2, 3)), np.ones(3), atol=1e-3)
     npt.assert_allclose(m, x.data.mean(axis=(0, 2, 3)), atol=1e-12)
@@ -173,9 +174,9 @@ def test_batchnorm_gradients():
     x = Tensor(RNG.normal(size=(4, 3, 5, 5)), requires_grad=True)
     g = Tensor(RNG.normal(size=3) + 1.5, requires_grad=True)
     b = Tensor(RNG.normal(size=3), requires_grad=True)
-    assert grad_check(lambda t: (batchnorm_train(t, g, b, 1e-5)[0] ** 2).sum(), x) <= 1e-5
-    assert grad_check(lambda t: (batchnorm_train(x, t, b, 1e-5)[0] ** 2).sum(), g) <= 1e-5
-    assert grad_check(lambda t: (batchnorm_train(x, g, t, 1e-5)[0] ** 2).sum(), b) <= 1e-5
+    assert grad_check(lambda t: (batchnorm_train(t, g, b)[0] ** 2).sum(), x) <= 1e-5
+    assert grad_check(lambda t: (batchnorm_train(x, t, b)[0] ** 2).sum(), g) <= 1e-5
+    assert grad_check(lambda t: (batchnorm_train(x, g, t)[0] ** 2).sum(), b) <= 1e-5
 
 
 def test_batchnorm_eval_is_affine_and_stateless():
@@ -225,9 +226,9 @@ def test_fused_batchnorm_matches_two_pass_formula(shape):
     gamma = Tensor(rng.normal(size=shape[1]) + 1.0, requires_grad=True)
     beta = Tensor(rng.normal(size=shape[1]), requires_grad=True)
     g = rng.normal(size=shape)
-    out, m, v = batchnorm_train(x, gamma, beta, 1e-5)
+    out, m, v = batchnorm_train(x, gamma, beta)
     (out * Tensor(g)).sum().backward()
-    want = _batchnorm_two_pass(x.data, gamma.data, beta.data, 1e-5, g)
+    want = _batchnorm_two_pass(x.data, gamma.data, beta.data, BN_EPS, g)
     for got, ref in zip((out.data, m, v, x.grad, gamma.grad, beta.grad), want):
         assert _rel_err(got, ref) <= 1e-12
 
@@ -272,11 +273,6 @@ def test_eval_conv_bn_gradients(bias):
     params = [x, conv.kernel, bn.gamma, bn.beta] + ([conv.bias] if bias else [])
     for p in params:
         assert grad_check(loss, p) <= 1e-6
-
-
-def test_batchnorm_momentum_bounds():
-    with pytest.raises(ContractError):
-        BatchNorm2d(3, momentum=1.5)
 
 
 # -- cross entropy ----------------------------------------------------------------

@@ -748,6 +748,19 @@ def test_padded_branch_matches_per_item_oracle(mode, normalize, generator):
     assert relative_error(got.data, want) <= 1e-12
 
 
+@pytest.mark.parametrize("mode", ["eq6", "similarity"])
+def test_padded_set_of_full_items_keeps_its_valid_mask(mode):
+    """At alpha = 1 every item fills n_max, and the padded set still carries ``valid``."""
+    cfg = RegularizerConfig(alpha=1.0, rho=0.4, adjacency=mode, scheduler="constant")
+    x = RNG.normal(size=(3, 8, 4, 4))
+    rng = RngStream(4, ("fw",))
+    valid = sample_vertices(Tensor(x), cfg.alpha, rng.child("vertices")).valid
+    npt.assert_array_equal(valid, np.ones((3, 16), dtype=bool))
+    params = GraphGeneratorParams(8, RngStream(39, ("p",)))
+    got = dropgraph_forward(Tensor(x), cfg, params, cfg.rho, rng)
+    assert relative_error(got.data, oracle_dropgraph(x, cfg, params, None, rng)) <= 1e-12
+
+
 @pytest.mark.parametrize("strategy", ["random", "top"])
 @pytest.mark.parametrize("mode", ["eq6", "similarity", "uniform"])
 def test_pgr_padded_matches_per_item_oracle(strategy, mode):

@@ -247,8 +247,6 @@ def test_grad_check_rejects_non_scalar():
         ("mul", lambda t: (t * t).mean()),
         ("div", lambda t: (t / 2.5).sum()),
         ("pow", lambda t: ((t * t + 1.0) ** 1.5).sum()),
-        ("exp", lambda t: (t * 0.1).exp().sum()),
-        ("log", lambda t: (t * t + 1.0).log().sum()),
         ("relu", lambda t: relu(t).sum()),
         ("mean_axis", lambda t: t.mean(axis=0).sum()),
         ("sum_keepdims", lambda t: (t.sum(axis=1, keepdims=True) * t).sum()),

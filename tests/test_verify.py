@@ -1,12 +1,6 @@
 from dropgraph.verify import CHECK_NAMES, run_checks
 
 
-def test_gradient_soundness_passes():
-    """The release gate's conv, batch-norm and regularizer gradient checks."""
-    (result,) = run_checks(["gradient_soundness"])
-    assert result.passed, result.detail
-
-
 def test_every_release_check_passes():
     """``dropgraph verify`` passes as a whole (about 9 s)."""
     results = run_checks()
