@@ -50,6 +50,9 @@ class TinyResNetConfig:
         for ch in [self.stem_channels] + [c for _, c in self.groups]:
             if ch < 4 or ch % 4 != 0:
                 raise ConfigError(f"channel counts must be positive multiples of 4, got {ch}")
+        for blocks, ch in self.groups:
+            if blocks < 1:
+                raise ConfigError(f"groups need at least one block each, got {blocks}x{ch}")
         for g in self.regularize_groups:
             if not (0 <= g < len(self.groups)):
                 raise ConfigError(
@@ -172,8 +175,8 @@ class TwoLayerGcnConfig:
     classes: int = 3
 
     def __post_init__(self):
-        if self.hidden % 4 != 0:
-            raise ConfigError(f"hidden width must be divisible by 4, got {self.hidden}")
+        if self.hidden < 4 or self.hidden % 4 != 0:
+            raise ConfigError(f"hidden width must be a positive multiple of 4, got {self.hidden}")
 
 
 class TwoLayerGcn(Module):

@@ -236,8 +236,10 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         fail("train.epochs", f"must be >= 1, got {cfg.train_epochs}")
     if cfg.train_batch_size < 1:
         fail("train.batch_size", f"must be >= 1, got {cfg.train_batch_size}")
-    if cfg.train_lr < 0:
-        fail("train.lr", f"must be >= 0, got {cfg.train_lr}")
+    for key in ("train.lr", "train.weight_decay", "train.lr_decay_factor"):
+        value = getattr(cfg, _FIELD_BY_KEY[key])
+        if value < 0:
+            fail(key, f"must be >= 0, got {value}")
     if not (0.0 <= cfg.train_momentum < 1.0):
         fail("train.momentum", f"must lie in [0, 1), got {cfg.train_momentum}")
     if any(not (0.0 < p <= 1.0) for p in cfg.train_lr_decay_points):

@@ -179,6 +179,8 @@ class SbmGraphSpec:
             )
         if self.nodes < self.communities * (self.labeled_per_class + 2):
             raise ConfigError("not enough nodes for the requested labeled/val/test split")
+        if self.feature_dim < 1:
+            raise ConfigError(f"feature_dim must be >= 1, got {self.feature_dim}")
 
 
 def gen_sbm(spec: SbmGraphSpec) -> GraphInstance:

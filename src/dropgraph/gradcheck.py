@@ -63,7 +63,7 @@ def min_relu_margin(out: Tensor) -> float:
     """
     margin = np.inf
     seen = set()
-    stack = [out]
+    stack = [] if out._node is None else [out._node]
     while stack:
         node = stack.pop()
         if id(node) in seen:
@@ -71,7 +71,7 @@ def min_relu_margin(out: Tensor) -> float:
         seen.add(id(node))
         node._check_live()
         if node._op == "relu":
-            src = np.abs(node._parents[0].data)
+            src = np.abs(node._backward.input)  # relu's backward keeps its input
             nonzero = src[src > 0.0]
             if nonzero.size:
                 margin = min(margin, float(nonzero.min()))

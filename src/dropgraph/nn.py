@@ -67,18 +67,21 @@ def conv2d(x: Tensor, kernel: Tensor, bias, stride: int = 1, padding: int = 0) -
         out += bias.data[None, :, None, None]
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
+    # dw reads the input and dx the kernel: each is kept only for the other's gradient.
+    xv = x.data if kernel.requires_grad else None
+    kv = kernel.data if x.requires_grad else None
 
-    def backward(g):
+    def backward(g, nx, nk, nb=None):
         g = np.ascontiguousarray(g)
-        if bias is not None and bias.requires_grad:
-            bias._accum(g.sum(axis=(0, 2, 3)))
-        if kernel.requires_grad:
-            kernel._accum(_conv.conv_dw(x.data, g, stride, k, padding))
-        if x.requires_grad:
+        if nb is not None and nb.requires_grad:
+            nb._accum(g.sum(axis=(0, 2, 3)))
+        if nk.requires_grad:
+            nk._accum(_conv.conv_dw(xv, g, stride, k, padding))
+        if nx.requires_grad:
             # dx = full correlation of the stride-dilated output grad with the
             # spatially flipped kernel, over a grid that yields exactly (h, w).
             gp = _conv.dx_grid(g, stride, padding, k, h, w)
-            x._accum(_conv.conv_dx_full(gp, kernel.data))
+            nx._accum(_conv.conv_dx_full(gp, kv))
 
     return Tensor._result(out, parents, backward, "conv2d")
 
@@ -91,7 +94,7 @@ def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor):
 
     One fused op: per-channel sums come from einsum over (n, c, h*w) views,
     the output is ``xc * scale + beta`` with ``scale = gamma / std``, and the
-    tape keeps only the centred input ``xc``.
+    tape keeps only the centred input ``xc`` and per-channel scalars, not ``x``.
     """
     n, c = x.data.shape[:2]
     count = x.data.size // c
@@ -104,22 +107,22 @@ def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor):
     out = xc * scale[:, None, None]
     out += beta.data[:, None, None]
 
-    def backward(g):
+    def backward(g, nx, ngamma, nbeta):
         g3 = g.reshape(n, c, -1)
         g_sum = np.einsum("ncp->c", g3)
         gxc_sum = np.einsum("ncp,ncp->c", g3, xc3)
-        if beta.requires_grad:
-            beta._accum(g_sum)
-        if gamma.requires_grad:
-            gamma._accum(gxc_sum * inv)
-        if x.requires_grad:
+        if nbeta.requires_grad:
+            nbeta._accum(g_sum)
+        if ngamma.requires_grad:
+            ngamma._accum(gxc_sum * inv)
+        if nx.requires_grad:
             # dx = scale * (g - xc * inv^2 * sum(g xc) / m - sum(g) / m):
             # one new array, updated in place (g itself is never written).
             dx = xc * (-inv * inv * gxc_sum / count)[:, None, None]
             dx += g
             dx *= scale[:, None, None]
             dx -= (scale * g_sum / count)[:, None, None]
-            x._accum(dx)
+            nx._accum(dx)
 
     return Tensor._result(out, (x, gamma, beta), backward, "batchnorm"), mean, var
 
@@ -142,10 +145,10 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     losses = lse - z[np.arange(n), labels]
     probs = np.exp(z - lse[:, None])
 
-    def backward(g):
+    def backward(g, node):
         grad = probs.copy()
         grad[np.arange(n), labels] -= 1.0
-        logits._accum(grad * (np.asarray(g) / n))
+        node._accum(grad * (np.asarray(g) / n))
 
     return Tensor._result(np.asarray(losses.mean()), (logits,), backward, "cross_entropy")
 

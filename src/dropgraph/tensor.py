@@ -1,17 +1,25 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-A dynamic tape is recorded per forward pass: every operation closes over its
-inputs and knows how to push gradients back to them.  ``backward()`` on a
-scalar walks the tape in reverse topological order and populates ``grad`` on
-the leaves (parameters and inputs).  The walk consumes the graph: each
+A dynamic tape is recorded per forward pass, apart from the values: a
+``Tensor`` is its array ``data`` plus its tape node, and a node holds only
+its gradient, its parents' nodes, its backward closure and its op name.
+Each closure keeps just the arrays its rule reads (a matmul the other
+operand's value, only if this operand needs a gradient; a relu its input; a
+sum a shape), so a value no backward reads dies with its last user
+reference.  A value that needs no gradient gets a node (a gradient-free
+leaf) only when it becomes a parent of a recorded op.  ``backward()`` on a
+scalar walks the tape in reverse topological order and populates ``grad``
+on the leaves (parameters and inputs).  The walk consumes the graph: each
 interior node drops its gradient, closure and parent links once its closure
-has run, so a finished step holds no tape, and a second ``backward()``
-through a consumed node raises ``ContractError``.  The tape is rebuilt on
-every forward call, so stochastic graph topologies (a different vertex set
-each step) need no special handling.
+has run, and a second ``backward()`` through a consumed node raises
+``ContractError``.  The tape is rebuilt on every forward call, so stochastic
+graph topologies (a different vertex set each step) need no special handling.
 
-All values are float64.  Tensors are immutable after construction except for
-gradient accumulation; one tape must only ever be driven by a single thread.
+Closures capture arrays at forward time, so ``data`` must not be rebound
+between a forward pass and its ``backward()``.  No caller does: ``SGD.step``
+rebinds after ``backward()``, and ``grad_check`` edits ``data`` in place and
+then runs a new forward pass.  All values are float64; one tape must only
+ever be driven by a single thread.
 """
 
 from __future__ import annotations
@@ -49,35 +57,75 @@ class no_grad:
         return False
 
 
+class _Node:
+    """A tape entry: a leaf (no closure), or the record of one op."""
+
+    __slots__ = ("grad", "requires_grad", "_parents", "_backward", "_op")
+
+    def __init__(self, parents=(), backward=None, op="leaf", requires_grad=True):
+        self.grad, self.requires_grad = None, requires_grad
+        self._parents, self._backward, self._op = parents, backward, op
+
+    def _check_live(self):
+        """Raise if ``backward()`` consumed the tape here: an op node without its closure."""
+        if self._backward is None and self._op != "leaf":
+            raise ContractError(
+                f"the tape through this {self._op!r} node was already consumed by "
+                "backward(); run the forward pass again"
+            )
+
+    def _accum(self, g):
+        # Accumulation is always out-of-place; grads are never mutated in place.
+        if self.grad is None:
+            self.grad = g
+        else:
+            self.grad = self.grad + g
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward = None
-        self._op = "leaf"
+        self._node = _Node() if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None and self._node.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, value):
+        if bool(value) != self.requires_grad:  # a new leaf, or detached from any tape
+            self._node = _Node() if value else None
+
+    @property
+    def grad(self):
+        return self._node.grad if self.requires_grad else None
+
+    @grad.setter
+    def grad(self, value):
+        if self.requires_grad:
+            self._node.grad = value
+        elif value is not None:
+            raise ContractError("only a tensor that requires grad holds a gradient")
+
+    # The tape as seen from a value, read by walks that start at a loss.
+    _parents = property(lambda self: () if self._node is None else self._node._parents)
+    _op = property(lambda self: "leaf" if self._node is None else self._node._op)
 
     # -- construction of op results -------------------------------------
 
     @staticmethod
     def _result(data, parents, backward, op):
+        """An op's value, recorded on the tape only if a parent requires grad."""
         t = Tensor.__new__(Tensor)
         t.data = data
-        t.grad = None
-        # The closure is kept only if a parent requires grad, so a one-parent
-        # op's ``backward`` need not check its parent.
-        if _grad_enabled[0] and any(p.requires_grad for p in parents):
-            t.requires_grad = True
-            t._parents = parents
-            t._backward = backward
-        else:
-            t.requires_grad = False
-            t._parents = ()
-            t._backward = None
-        t._op = op
+        t._node = None
+        if _grad_enabled[0]:
+            for p in parents:  # a loop, not any(): this runs once per op
+                if p._node is not None and p._node.requires_grad:
+                    t._node = _Node(tuple(map(_tape_node, parents)), backward, op)
+                    break
         return t
 
     # -- basic introspection ---------------------------------------------
@@ -93,21 +141,21 @@ class Tensor:
     def backward(self):
         """Populate ``grad`` on every ``requires_grad`` leaf this scalar depends on.
 
-        The graph is consumed: every interior node is released (``grad``,
-        closure and parents dropped) right after its closure has run, so
-        only the leaves keep gradients and the tape's memory is freed as
-        the walk goes.  A second call through any consumed node raises
-        ``ContractError``; build the graph again instead.  Gradients of
-        leaves accumulate over calls; the trainer zeroes them between steps.
+        Each interior node is released as soon as its closure has run, so the
+        tape's memory is freed as the walk goes; a second call through a
+        consumed node raises ``ContractError``.  Gradients of leaves
+        accumulate over calls; the trainer zeroes them between steps.
         """
         if self.data.size != 1:
             raise ContractError(
                 f"backward requires a scalar, got shape {self.data.shape}"
             )
+        if not self.requires_grad:
+            return  # no tape reaches a leaf that requires grad
         # Iterative post-order: recursion would overflow on long tapes.
         topo = []
         visited = set()
-        stack = [(self, False)]
+        stack = [(self._node, False)]
         while stack:
             node, done = stack.pop()
             if done:
@@ -121,32 +169,13 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
-        self._accum(np.ones_like(self.data))
+        self._node._accum(np.ones_like(self.data))
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward(node.grad)
+                node._backward(node.grad, *node._parents)
                 node.grad = None
                 node._backward = None
                 node._parents = ()
-
-    def _check_live(self):
-        """Raise if ``backward()`` already consumed the tape through this node.
-
-        An op result that requires grad always holds its closure until a
-        backward pass releases it, so a missing closure marks it consumed.
-        """
-        if self.requires_grad and self._backward is None and self._op != "leaf":
-            raise ContractError(
-                f"the tape through this {self._op!r} node was already consumed by "
-                "backward(); run the forward pass again"
-            )
-
-    def _accum(self, g):
-        # Accumulation is always out-of-place; grads are never mutated in place.
-        if self.grad is None:
-            self.grad = g
-        else:
-            self.grad = self.grad + g
 
     # -- operator sugar ----------------------------------------------------
 
@@ -189,6 +218,24 @@ def _lift(x) -> Tensor:
     return Tensor(x)
 
 
+def _tape_node(t: Tensor) -> _Node:
+    """``t``'s node as a parent on the tape; a value with none gets a gradient-free leaf."""
+    if t._node is None:
+        t._node = _Node(requires_grad=False)
+    return t._node
+
+
+def _zeros_like(a: np.ndarray):
+    """A maker of ``np.zeros_like(a)`` that does not keep ``a``.  The zeros keep a's
+    memory order (a gradient's order decides the summation order of reductions)."""
+    shape = a.shape
+    if a.flags.c_contiguous:
+        return lambda: np.zeros(shape)
+    axes = sorted(range(a.ndim), key=lambda i: -abs(a.strides[i]))  # outermost first
+    back = sorted(range(a.ndim), key=axes.__getitem__)
+    return lambda: np.zeros([shape[i] for i in axes]).transpose(back)
+
+
 def _sum_to_shape(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a broadcast gradient back to the operand's shape."""
     extra = g.ndim - len(shape)
@@ -201,65 +248,71 @@ def _sum_to_shape(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 # -- elementwise and arithmetic primitives ---------------------------------
+# ``backward(g, *nodes)`` is passed its parents' nodes and closes over no parent
+# Tensor.  A one-parent op is recorded only if its parent requires grad.  An
+# operand's gradient that reads the other's value keeps it only if needed.
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
-    out_data = a.data + b.data
+    sa, sb = a.data.shape, b.data.shape
 
-    def backward(g):
-        if a.requires_grad:
-            a._accum(_sum_to_shape(g, a.data.shape))
-        if b.requires_grad:
-            b._accum(_sum_to_shape(g, b.data.shape))
+    def backward(g, na, nb):
+        if na.requires_grad:
+            na._accum(_sum_to_shape(g, sa))
+        if nb.requires_grad:
+            nb._accum(_sum_to_shape(g, sb))
 
-    return Tensor._result(out_data, (a, b), backward, "add")
+    return Tensor._result(a.data + b.data, (a, b), backward, "add")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
-    out_data = a.data * b.data
+    sa, sb = a.data.shape, b.data.shape
+    av, bv = (a.data if b.requires_grad else None), (b.data if a.requires_grad else None)
 
-    def backward(g):
-        if a.requires_grad:
-            a._accum(_sum_to_shape(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accum(_sum_to_shape(g * a.data, b.data.shape))
+    def backward(g, na, nb):
+        if na.requires_grad:
+            na._accum(_sum_to_shape(g * bv, sa))
+        if nb.requires_grad:
+            nb._accum(_sum_to_shape(g * av, sb))
 
-    return Tensor._result(out_data, (a, b), backward, "mul")
+    return Tensor._result(a.data * b.data, (a, b), backward, "mul")
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
-    out_data = a.data / b.data
+    sa, sb = a.data.shape, b.data.shape
+    av, bv = (a.data if b.requires_grad else None), b.data
 
-    def backward(g):
-        if a.requires_grad:
-            a._accum(_sum_to_shape(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accum(_sum_to_shape(-g * a.data / (b.data * b.data), b.data.shape))
+    def backward(g, na, nb):
+        if na.requires_grad:
+            na._accum(_sum_to_shape(g / bv, sa))
+        if nb.requires_grad:
+            nb._accum(_sum_to_shape(-g * av / (bv * bv), sb))
 
-    return Tensor._result(out_data, (a, b), backward, "div")
+    return Tensor._result(a.data / b.data, (a, b), backward, "div")
 
 
 def power(a: Tensor, p) -> Tensor:
     p = float(p)
-    out_data = a.data**p
+    av = a.data
 
-    def backward(g):
-        a._accum(g * p * a.data ** (p - 1.0))
+    def backward(g, na):
+        na._accum(g * p * av ** (p - 1.0))
 
-    return Tensor._result(out_data, (a,), backward, "pow")
+    return Tensor._result(av**p, (a,), backward, "pow")
 
 
 def relu(a: Tensor) -> Tensor:
     # Subgradient at exactly 0 is 0.
-    out_data = np.maximum(a.data, 0.0)
+    av = a.data
 
-    def backward(g):
-        a._accum(g * (a.data > 0.0))
+    def backward(g, na):
+        na._accum(g * (av > 0.0))
 
-    return Tensor._result(out_data, (a,), backward, "relu")
+    backward.input = av  # where gradcheck.min_relu_margin finds it on the tape
+    return Tensor._result(np.maximum(av, 0.0), (a,), backward, "relu")
 
 
 # -- reductions and shape ops ----------------------------------------------
@@ -267,23 +320,24 @@ def relu(a: Tensor) -> Tensor:
 
 def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
+    shape = a.data.shape
 
-    def backward(g):
+    def backward(g, na):
         gg = g
         if axis is not None and not keepdims:
             gg = np.expand_dims(g, axis)
-        a._accum(np.broadcast_to(gg, a.data.shape).copy())
+        na._accum(np.broadcast_to(gg, shape).copy())
 
     return Tensor._result(np.asarray(out_data), (a,), backward, "sum")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out_data = a.data.reshape(shape)
+    old = a.data.shape
 
-    def backward(g):
-        a._accum(g.reshape(a.data.shape))
+    def backward(g, na):
+        na._accum(g.reshape(old))
 
-    return Tensor._result(out_data, (a,), backward, "reshape")
+    return Tensor._result(a.data.reshape(shape), (a,), backward, "reshape")
 
 
 def _matrix_t(x: np.ndarray) -> np.ndarray:
@@ -293,25 +347,24 @@ def _matrix_t(x: np.ndarray) -> np.ndarray:
 
 def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes: the transpose of each matrix of a stack."""
-    out_data = _matrix_t(a.data)
 
-    def backward(g):
-        a._accum(_matrix_t(g))
+    def backward(g, na):
+        na._accum(_matrix_t(g))
 
-    return Tensor._result(out_data, (a,), backward, "transpose")
+    return Tensor._result(_matrix_t(a.data), (a,), backward, "transpose")
 
 
 def take_rows(a: Tensor, idx) -> Tensor:
     """Gather ``a[idx]`` along the first axis; ``idx`` may have any shape and repeat."""
     idx = np.asarray(idx, dtype=np.intp)
-    out_data = a.data[idx]
+    zeros = _zeros_like(a.data)
 
-    def backward(g):
-        ga = np.zeros_like(a.data)
+    def backward(g, na):
+        ga = zeros()
         np.add.at(ga, idx, g)
-        a._accum(ga)
+        na._accum(ga)
 
-    return Tensor._result(out_data, (a,), backward, "take_rows")
+    return Tensor._result(a.data[idx], (a,), backward, "take_rows")
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -328,21 +381,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}"
         )
-    out_data = a.data @ b.data
+    sa, sb = a.data.shape, b.data.shape
+    av, bv = (a.data if b.requires_grad else None), (b.data if a.requires_grad else None)
 
-    def backward(g):
-        if a.requires_grad:
-            ga = g @ _matrix_t(b.data)
-            a._accum(ga if ga.shape == a.data.shape else _sum_to_shape(ga, a.data.shape))
-        if b.requires_grad:
-            if b.data.ndim == 2:
+    def backward(g, na, nb):
+        if na.requires_grad:
+            ga = g @ _matrix_t(bv)
+            na._accum(ga if ga.shape == sa else _sum_to_shape(ga, sa))
+        if nb.requires_grad:
+            if len(sb) == 2:
                 # One matrix shared by a stack: one GEMM over all the stack's rows.
-                gb = a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+                gb = av.reshape(-1, sa[-1]).T @ g.reshape(-1, g.shape[-1])
             else:
-                gb = _sum_to_shape(_matrix_t(a.data) @ g, b.data.shape)
-            b._accum(gb)
+                gb = _sum_to_shape(_matrix_t(av) @ g, sb)
+            nb._accum(gb)
 
-    return Tensor._result(out_data, (a, b), backward, "matmul")
+    return Tensor._result(a.data @ b.data, (a, b), backward, "matmul")
 
 
 def softmax_rows(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -362,12 +416,12 @@ def softmax_rows(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     # A row sums to at least 1 (its maximum gives exp(0)) unless no entry is True.
     y /= np.maximum(y.sum(axis=-1, keepdims=True), 1.0)
 
-    def backward(g):
+    def backward(g, na):
         # dX = Y * (g - sum(g * Y, rows))
         gy = g * y
         np.subtract(g, gy.sum(axis=-1, keepdims=True), out=gy)
         gy *= y
-        a._accum(gy)
+        na._accum(gy)
 
     return Tensor._result(y, (a,), backward, "softmax_rows")
 
@@ -387,11 +441,12 @@ def take_spatial_vectors(x: Tensor, ib, iy, ix, valid=None) -> Tensor:
     if valid is not None:
         out_data[~valid] = 0.0
         ib, iy, ix = ib[valid], iy[valid], ix[valid]
+    zeros = _zeros_like(x.data)
 
-    def backward(g):
-        gx = np.zeros_like(x.data)
+    def backward(g, nx):
+        gx = zeros()
         gx[ib, :, iy, ix] = g if valid is None else g[valid]
-        x._accum(gx)
+        nx._accum(gx)
 
     return Tensor._result(out_data, (x,), backward, "take_spatial_vectors")
 
@@ -409,18 +464,19 @@ def replace_spatial_vectors(x: Tensor, ib, iy, ix, rows: Tensor, valid=None) -> 
         ib, iy, ix = ib[valid], iy[valid], ix[valid]
     out_data = x.data.copy()
     out_data[ib, :, iy, ix] = rows.data if valid is None else rows.data[valid]
+    zeros = _zeros_like(rows.data)
 
-    def backward(g):
-        if rows.requires_grad:
+    def backward(g, nx, nr):
+        if nr.requires_grad:
             if valid is None:
-                rows._accum(g[ib, :, iy, ix])
+                nr._accum(g[ib, :, iy, ix])
             else:
-                gr = np.zeros_like(rows.data)
+                gr = zeros()
                 gr[valid] = g[ib, :, iy, ix]
-                rows._accum(gr)
-        if x.requires_grad:
+                nr._accum(gr)
+        if nx.requires_grad:
             gx = g.copy()
             gx[ib, :, iy, ix] = 0.0
-            x._accum(gx)
+            nx._accum(gx)
 
     return Tensor._result(out_data, (x, rows), backward, "replace_spatial_vectors")

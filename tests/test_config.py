@@ -50,6 +50,8 @@ _GRAPH = "task = node_graph\n"
     (_IMAGE + "model.stem_channels = 0", "model", "channel"),
     (_IMAGE + "model.groups = 2x6", "model", "channel"),
     (_IMAGE + "model.groups = 2", "model", "groups"),
+    (_IMAGE + "model.groups = 2x16,0x32", "model", "groups need at least one block each"),
+    (_IMAGE + "model.groups = -1x16,2x32", "model", "groups need at least one block each"),
     (_IMAGE + "model.regularize_groups = first", "model", "regularize_groups"),
     (_IMAGE + "model.regularize_groups = 2", "model", "regularize_groups"),
     (_IMAGE + "reg.kind = bogus", "reg", "kind"),
@@ -65,12 +67,17 @@ _GRAPH = "task = node_graph\n"
     (_IMAGE + "train.epochs = 0", "train", "epochs"),
     (_IMAGE + "train.batch_size = 0", "train", "batch_size"),
     (_IMAGE + "train.lr = -1", "train", "lr"),
+    (_IMAGE + "train.weight_decay = -1", "train.weight_decay", "must be >= 0"),
+    (_GRAPH + "train.lr_decay_factor = -3", "train.lr_decay_factor", "must be >= 0"),
     (_IMAGE + "train.momentum = 1.0", "train", "momentum"),
     (_IMAGE + "train.lr_decay_points = 0.5,1.5", "train", "lr_decay_points"),
     (_GRAPH + "reg.kind = pgr", "reg", "kind"),
     (_GRAPH + "data.p_in = 0.001", "data", "p_in"),
     (_GRAPH + "data.nodes = 10", "data", "nodes"),
     (_GRAPH + "model.hidden = 6", "model", "hidden"),
+    (_GRAPH + "model.hidden = 0", "model", "hidden width must be a positive multiple of 4"),
+    (_GRAPH + "model.hidden = -4", "model", "hidden width must be a positive multiple of 4"),
+    (_GRAPH + "data.feature_dim = 0", "data", "feature_dim must be >= 1"),
     (_GRAPH + "reg.kind = dropgraph\nreg.block_size = 3", "reg", "block_size"),
 ])
 def test_rejected_values_name_section_and_field(text, section, field):

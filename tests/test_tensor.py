@@ -1,11 +1,14 @@
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from dropgraph import _conv
 from dropgraph.backbones import ResidualBlock
 from dropgraph.errors import ContractError, DimensionError
 from dropgraph.gradcheck import grad_check, min_relu_margin
-from dropgraph.nn import conv_bn
+from dropgraph.nn import BN_EPS, batchnorm_train, conv2d, conv_bn
 from dropgraph.rng import RngStream
 from dropgraph.tensor import (
     Tensor,
@@ -139,8 +142,8 @@ def test_backward_accumulates_without_reset():
 
 
 def _tape(root):
-    """Every node reachable from ``root`` through tape parents."""
-    seen, nodes, stack = set(), [], [root]
+    """Every node reachable from ``root``'s node through tape parents."""
+    seen, nodes, stack = set(), [], [root._node]
     while stack:
         node = stack.pop()
         if id(node) not in seen:
@@ -151,7 +154,7 @@ def _tape(root):
 
 
 def _backward_releasing(root):
-    """Run ``root.backward()``; assert it released every interior node and return the leaves."""
+    """Run ``root.backward()``; assert it released every interior node and return the leaf nodes."""
     nodes = _tape(root)
     interior = [n for n in nodes if n._op != "leaf"]
     assert interior and all(n._backward is not None for n in interior)
@@ -163,7 +166,7 @@ def _backward_releasing(root):
 
 def test_backward_keeps_grads_of_a_leaf_used_twice():
     w = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
-    assert _backward_releasing(matmul(w, w).sum()) == [w]
+    assert _backward_releasing(matmul(w, w).sum()) == [w._node]
     # d sum(W W) / dW = 1 W^T + W^T 1 with 1 the all-ones matrix.
     npt.assert_array_equal(w.grad, [[7.0, 11.0], [9.0, 13.0]])
 
@@ -171,7 +174,7 @@ def test_backward_keeps_grads_of_a_leaf_used_twice():
 def test_backward_releases_an_interior_node_used_twice():
     x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
     h = x * x
-    assert _backward_releasing((h + h).sum()) == [x]
+    assert _backward_releasing((h + h).sum()) == [x._node]
     npt.assert_array_equal(x.grad, [4.0, 8.0, 12.0])
 
 
@@ -180,7 +183,7 @@ def test_backward_through_a_residual_skip():
     data = RNG.normal(size=(2, 4, 5, 5))
     x = Tensor(data, requires_grad=True)
     leaves = _backward_releasing(block(x, RngStream(32), None).sum())
-    assert {id(n) for n in leaves} == {id(x)} | {id(p) for p in block.parameters()}
+    assert {id(n) for n in leaves} == {id(x._node)} | {id(p._node) for p in block.parameters()}
     skipped = x.grad
     params = [p.grad for p in block.parameters()]
     # The main branch alone: the identity skip adds exactly 1 to the input's gradient.
@@ -202,6 +205,47 @@ def test_second_backward_through_a_consumed_node_raises():
         with pytest.raises(ContractError, match="already consumed by backward"):
             root.backward()
     npt.assert_array_equal(x.grad, [2.0, 4.0])  # the refused calls added nothing
+
+
+def test_a_value_no_backward_reads_dies_while_the_tape_lives():
+    rng = RngStream(41)
+    xd, kd, bd = (rng.child(n).normal(size=s)
+                  for n, s in (("x", (2, 3, 6, 6)), ("k", (4, 3, 3, 3)), ("b", (4,))))
+    gd, betad = rng.child("gamma").normal(size=4) + 1.0, rng.child("beta").normal(size=4)
+    x, kernel, bias, gamma, beta = (Tensor(a.copy(), requires_grad=True)
+                                    for a in (xd, kd, bd, gd, betad))
+    y = conv2d(x, kernel, bias, stride=1, padding=1)
+    z = batchnorm_train(y, gamma, beta)[0]
+    out = relu(z).sum()
+    conv_out = weakref.ref(y.data)
+    del y
+    assert conv_out() is None  # batch norm keeps its centred input, not the conv output
+    # Only the tape holds the conv input (read by dw) and relu's input.
+    conv_in, relu_in, zd = weakref.ref(x.data), weakref.ref(z.data), z.data.copy()
+    leaves = [t._node for t in (x, kernel, bias, gamma, beta)]
+    del x, z
+    assert conv_in() is not None and relu_in() is not None
+    assert min_relu_margin(out) == np.abs(zd[zd != 0.0]).min()
+    out.backward()
+
+    # The same gradients, computed by the formulas the closures apply.
+    yd = _conv.conv_forward(xd, kd, 1, 6, 6, 1)
+    yd += bd[None, :, None, None]
+    mean = np.einsum("ncp->c", yd.reshape(2, 4, -1)) / 72
+    xc = yd - mean[:, None, None]
+    xc3 = xc.reshape(2, 4, -1)
+    inv = 1.0 / np.sqrt(np.einsum("ncp,ncp->c", xc3, xc3) / 72 + BN_EPS)
+    scale = gd * inv
+    g3 = (np.ones(zd.shape) * (zd > 0.0)).reshape(2, 4, -1)
+    g_sum, gxc_sum = np.einsum("ncp->c", g3), np.einsum("ncp,ncp->c", g3, xc3)
+    gy = xc * (-inv * inv * gxc_sum / 72)[:, None, None]
+    gy += g3.reshape(zd.shape)
+    gy *= scale[:, None, None]
+    gy -= (scale * g_sum / 72)[:, None, None]
+    want = [_conv.conv_dx_full(_conv.dx_grid(gy, 1, 1, 3, 6, 6), kd),
+            _conv.conv_dw(xd, gy, 1, 3, 1), gy.sum(axis=(0, 2, 3)), gxc_sum * inv, g_sum]
+    for node, grad in zip(leaves, want):
+        npt.assert_array_equal(node.grad, grad)
 
 
 def test_grad_shapes_match_values():
