@@ -17,18 +17,29 @@ the output window that reads inside the input; the windows are the same for
 every item, so the border entries stay zero, which is the zero padding.  A
 zeroed buffer per item was slower than the padded batch copy it replaces.
 
-The input gradient is a full correlation of the stride-dilated output
-gradient with the flipped kernel, over the ``dx_grid`` that yields exactly
-the input's height and width, so no gradient of the padding is computed.
-The forward writes each item's product straight into its slot of the NCHW
-output; results are deterministic for a fixed BLAS.
+The input gradient correlates the output gradient with the flipped kernel,
+channels swapped, and yields exactly the input's height and width, so no
+gradient of the padding is computed.  At stride 1 that is one correlation
+with padding ``k-1-padding``.  At stride s > 1 the stride-dilated gradient
+it stands for would be mostly zeros (3/4 of it at s = 2), so it is never
+built: phase ``(py, px)`` of the input grid, ``dx[:, :, py::s, px::s]``, is a
+stride-1 correlation of the output gradient with only the flipped-kernel
+taps that land on that phase (the sub-pixel view of a strided transposed
+conv: Shi et al., arXiv 1609.05158; Dumoulin & Visin, arXiv 1603.07285).  A
+phase that no tap lands on stays zero: a 1x1 stride-2 kernel leaves three of
+its four phases at zero.
+
+The kernel gradient accumulates each item's ``cols @ g_i.T`` into one
+``(C*k*k, cout)`` buffer and transposes it once at the end.  The forward
+writes each item's product straight into its slot of the NCHW output;
+results are deterministic for a fixed BLAS.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["conv_forward", "conv_dx_full", "conv_dw", "dx_grid", "BACKEND"]
+__all__ = ["conv_forward", "conv_dx_full", "conv_dw", "BACKEND"]
 
 BACKEND = "numpy"
 
@@ -45,17 +56,19 @@ def _window(count: int, stride: int, offset: int, size: int):
     return slice(lo, hi), slice(start, start + (hi - lo) * stride, stride)
 
 
-def _item_columns(xp, k: int, stride: int, padding: int, oh: int, ow: int):
-    """Yield each item's ``(C*k*k, OH*OW)`` columns, all in one reused buffer.
+def _item_columns(xp, kernel, stride: int, padding, oh: int, ow: int):
+    """Yield each item's ``(C*kh*kw, OH*OW)`` columns, all in one reused buffer.
 
-    Tap (u, v) of output position (r, s) reads input pixel
-    ``(r*stride + u - padding, s*stride + v - padding)``.
+    ``kernel`` is ``(kh, kw)`` and ``padding`` ``(ph, pw)``; a negative
+    padding crops.  Tap (u, v) of output position (r, s) reads input pixel
+    ``(r*stride + u - ph, s*stride + v - pw)``.
     """
+    (kh, kw), (ph, pw) = kernel, padding
     c, h, w = xp.shape[1:]
-    buf = np.zeros((c, k, k, oh, ow))
-    rows = [_window(oh, stride, u - padding, h) for u in range(k)]
-    cols = [_window(ow, stride, v - padding, w) for v in range(k)]
-    flat = buf.reshape(c * k * k, oh * ow)
+    buf = np.zeros((c, kh, kw, oh, ow))
+    rows = [_window(oh, stride, u - ph, h) for u in range(kh)]
+    cols = [_window(ow, stride, v - pw, w) for v in range(kw)]
+    flat = buf.reshape(c * kh * kw, oh * ow)
     for x in xp:
         for u, (ro, ri) in enumerate(rows):
             for v, (co, ci) in enumerate(cols):
@@ -67,16 +80,17 @@ def _im2col(xp: np.ndarray, k: int, stride: int):
     """Unfold padded (N,C,Hp,Wp) into feature-major (C*k*k, N*OH*OW) columns."""
     oh = (xp.shape[2] - k) // stride + 1
     ow = (xp.shape[3] - k) // stride + 1
-    items = [cols.copy() for cols in _item_columns(xp, k, stride, 0, oh, ow)]
+    items = [cols.copy() for cols in _item_columns(xp, (k, k), stride, (0, 0), oh, ow)]
     return np.concatenate(items, axis=1), oh, ow
 
 
 def _forward(xp, weights, stride, oh, ow, padding=0):
     n = xp.shape[0]
-    cout, _, k, _ = weights.shape
+    cout = weights.shape[0]
     w2d = weights.reshape(cout, -1)
     out = np.empty((n, cout, oh * ow))
-    for i, cols in enumerate(_item_columns(xp, k, stride, padding, oh, ow)):
+    columns = _item_columns(xp, weights.shape[2:], stride, (padding, padding), oh, ow)
+    for i, cols in enumerate(columns):
         np.matmul(w2d, cols, out=out[i])
     return out.reshape(n, cout, oh, ow)
 
@@ -84,37 +98,51 @@ def _forward(xp, weights, stride, oh, ow, padding=0):
 conv_forward = _forward
 
 
-def dx_grid(g, stride: int, padding: int, k: int, h: int, w: int):
-    """The grid ``conv_dx_full`` correlates to give an (h, w) input gradient.
+def _phase(k: int, stride: int, padding: int, p: int):
+    """Flipped-kernel taps and padding of input-gradient phase ``p`` along one axis.
 
-    Output-gradient row r lands on grid row ``r*stride + k-1-padding`` of an
-    ``h+k-1`` row zero grid (columns likewise); rows that fall outside belong
-    to the padding and are dropped.
+    The taps ``a0, a0 + stride, ...`` with ``a0 = (k-1-padding-p) mod stride``
+    land on input rows ``p, p + stride, ...``; through its t-th tap, phase
+    row j reads output-gradient row ``j + t - pad``.  Returns (taps, pad).
     """
-    n, cout, oh, ow = g.shape
-    gp = np.zeros((n, cout, h + k - 1, w + k - 1))
-    rows = _window(oh, stride, k - 1 - padding, h + k - 1)
-    cols = _window(ow, stride, k - 1 - padding, w + k - 1)
-    gp[:, :, rows[1], cols[1]] = g[:, :, rows[0], cols[0]]
-    return gp
+    a0 = (k - 1 - padding - p) % stride
+    return slice(a0, None, stride), (k - 1 - padding - p - a0) // stride
 
 
-def conv_dx_full(gp, weights):
-    # Full correlation of the dx_grid of the output grad with the flipped
-    # kernel, channels swapped.  It calls _forward, not the module attribute
-    # conv_forward, so a wrapper installed on conv_forward (the benchmark's
-    # tracer) sees no dx work.
+def conv_dx_full(gp, weights, stride, padding, h, w):
+    # The (h, w) input gradient from the output gradient gp: gp correlated
+    # with the flipped kernel, channels swapped, one phase of the input grid
+    # at a time when strided.  It calls _forward and _item_columns, not the
+    # module attribute conv_forward, so a wrapper installed on conv_forward
+    # (the benchmark's tracer) sees no dx work.
     k = weights.shape[2]
     flipped = weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)  # (cin, cout, k, k)
-    return _forward(gp, np.ascontiguousarray(flipped), 1,
-                    gp.shape[2] - k + 1, gp.shape[3] - k + 1)
+    if stride == 1:
+        return _forward(gp, np.ascontiguousarray(flipped), 1, h, w, k - 1 - padding)
+    cin = flipped.shape[0]
+    dx = np.zeros((gp.shape[0], cin, h, w))
+    for py in range(stride):
+        rows, pad_y = _phase(k, stride, padding, py)
+        for px in range(stride):
+            cols, pad_x = _phase(k, stride, padding, px)
+            sub = np.ascontiguousarray(flipped[:, :, rows, cols])
+            if sub.size == 0:
+                continue  # no tap lands on this phase
+            sub2d = sub.reshape(cin, -1)
+            ph, pw = len(range(py, h, stride)), len(range(px, w, stride))
+            prod = np.empty((cin, ph * pw))
+            columns = _item_columns(gp, sub.shape[2:], 1, (pad_y, pad_x), ph, pw)
+            for dxi, phase_cols in zip(dx, columns):
+                np.matmul(sub2d, phase_cols, out=prod)
+                dxi[:, py::stride, px::stride] = prod.reshape(cin, ph, pw)
+    return dx
 
 
 def conv_dw(xp, g, stride, k, padding=0):
     n, cin = xp.shape[0], xp.shape[1]
     cout, oh, ow = g.shape[1:]
     gmat = g.reshape(n, cout, -1)
-    dw = np.zeros((cout, cin * k * k))
-    for gi, cols in zip(gmat, _item_columns(xp, k, stride, padding, oh, ow)):
-        dw += gi @ cols.T
-    return dw.reshape(cout, cin, k, k)
+    dw = np.zeros((cin * k * k, cout))
+    for gi, cols in zip(gmat, _item_columns(xp, (k, k), stride, (padding, padding), oh, ow)):
+        dw += cols @ gi.T
+    return dw.T.reshape(cout, cin, k, k)

@@ -19,6 +19,14 @@ Subcommands:
 same parser and checks as the file itself; a bad override is a config error,
 and so is a ``#`` or a line break in one (it would end the value early).
 
+``main`` first fixes two glibc malloc thresholds (``_keep_freed_memory``).
+glibc returns a free heap top above its trim threshold to the kernel, and it
+raises its mmap threshold to the largest mapped block freed so far, so how
+much of a training step's freed arrays stays mapped depends on the largest
+array the run happened to free.  What is unmapped at the end of one step is
+faulted back in, page by page, by the next.  With the mmap threshold at
+32 MB and the trim threshold at 1 GB, freed arrays stay mapped for reuse.
+
 Exit codes: 0 success, 1 verification failure, 2 configuration/parse error
 (an unreadable config file or an output directory that cannot be made
 included), 3 training divergence.  A config error prints one ``error: <key
@@ -28,6 +36,7 @@ or section>: <message>`` line.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -44,6 +53,19 @@ from .verify import CHECK_NAMES, run_checks
 
 # Sweep axis ``x`` is config key ``reg.x``.
 SWEEP_AXES = tuple(key.removeprefix("reg.") for key in _FIELD_BY_KEY if key.startswith("reg."))
+
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+
+
+def _keep_freed_memory():
+    """Keep freed arrays below 32 MB mapped for reuse; a no-op without glibc's mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
 @contextmanager
@@ -208,6 +230,7 @@ def main(argv=None) -> int:
     p_verify.set_defaults(fn=cmd_verify)
 
     args = parser.parse_args(argv)
+    _keep_freed_memory()
     try:
         return args.fn(args)
     except DropGraphError as exc:

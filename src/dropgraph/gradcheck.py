@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError
-from .tensor import Tensor
+from .tensor import Tensor, record_relu_inputs
 
-__all__ = ["grad_check", "min_relu_margin"]
+__all__ = ["grad_check", "relu_margin"]
 
 
 def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
@@ -50,30 +50,21 @@ def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
     return worst
 
 
-def min_relu_margin(out: Tensor) -> float:
-    """Smallest nonzero |input| feeding any relu on the tape rooted at ``out``.
+def relu_margin(f, x: Tensor):
+    """``(f(x), margin)``: margin is the smallest nonzero |input| of any relu ``f`` runs.
 
     Used to reject gradient-check instances that sit too close to a relu
     kink, where central differences are invalid.  Exact zeros are ignored:
     they arise when an upstream relu is dead (the input is locally constant
     at 0), which is not a kink under perturbation of the checked variable.
-    Returns +inf when the tape contains no relu input near a kink.  Call
-    it before ``backward()``: a consumed tape has no parents to search and
-    raises ``ContractError``.
+    The margin is +inf when ``f`` runs no relu or feeds relus only zeros.
     """
+    with record_relu_inputs() as inputs:
+        out = f(x)
     margin = np.inf
-    seen = set()
-    stack = [] if out._node is None else [out._node]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        node._check_live()
-        if node._op == "relu":
-            src = np.abs(node._backward.input)  # relu's backward keeps its input
-            nonzero = src[src > 0.0]
-            if nonzero.size:
-                margin = min(margin, float(nonzero.min()))
-        stack.extend(node._parents)
-    return margin
+    for src in inputs:
+        src = np.abs(src)
+        nonzero = src[src > 0.0]
+        if nonzero.size:
+            margin = min(margin, float(nonzero.min()))
+    return out, margin

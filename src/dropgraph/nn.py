@@ -56,6 +56,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias, stride: int = 1, padding: int = 0) -
         raise DimensionError(
             f"conv2d channel mismatch: input has {cin}, kernel expects {cin_k}"
         )
+    if stride < 1 or padding < 0:
+        raise ContractError(
+            f"conv2d needs stride >= 1 and padding >= 0, got stride {stride} and padding {padding}"
+        )
     if h + 2 * padding < k or w + 2 * padding < k:
         raise DimensionError(
             f"conv2d padded size ({h + 2 * padding}x{w + 2 * padding}) smaller than kernel {k}"
@@ -78,10 +82,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias, stride: int = 1, padding: int = 0) -
         if nk.requires_grad:
             nk._accum(_conv.conv_dw(xv, g, stride, k, padding))
         if nx.requires_grad:
-            # dx = full correlation of the stride-dilated output grad with the
-            # spatially flipped kernel, over a grid that yields exactly (h, w).
-            gp = _conv.dx_grid(g, stride, padding, k, h, w)
-            nx._accum(_conv.conv_dx_full(gp, kv))
+            nx._accum(_conv.conv_dx_full(g, kv, stride, padding, h, w))
 
     return Tensor._result(out, parents, backward, "conv2d")
 

@@ -4,16 +4,22 @@ A dynamic tape is recorded per forward pass, apart from the values: a
 ``Tensor`` is its array ``data`` plus its tape node, and a node holds only
 its gradient, its parents' nodes, its backward closure and its op name.
 Each closure keeps just the arrays its rule reads (a matmul the other
-operand's value, only if this operand needs a gradient; a relu its input; a
-sum a shape), so a value no backward reads dies with its last user
-reference.  A value that needs no gradient gets a node (a gradient-free
-leaf) only when it becomes a parent of a recorded op.  ``backward()`` on a
-scalar walks the tape in reverse topological order and populates ``grad``
-on the leaves (parameters and inputs).  The walk consumes the graph: each
-interior node drops its gradient, closure and parent links once its closure
-has run, and a second ``backward()`` through a consumed node raises
-``ContractError``.  The tape is rebuilt on every forward call, so stochastic
-graph topologies (a different vertex set each step) need no special handling.
+operand's value, only if this operand needs a gradient; a relu its output,
+which the next op holds anyway; a sum a shape), so a value no backward reads
+dies with its last user reference: a batch-norm output dies as soon as the
+relu after it has run.  A value that needs no gradient gets a node (a
+gradient-free leaf) only when it becomes a parent of a recorded op.
+``backward()`` on a scalar walks the tape in reverse topological order and
+populates ``grad`` on the leaves (parameters and inputs).  The walk consumes
+the graph: each interior node drops its gradient, closure and parent links
+once its closure has run, and a second ``backward()`` through a consumed
+node raises ``ContractError``.  The tape is rebuilt on every forward call,
+so stochastic graph topologies (a different vertex set each step) need no
+special handling.
+
+Since no closure keeps a relu's input, ``record_relu_inputs`` collects the
+input of every relu run under it; it is installed like ``no_grad``, and
+``gradcheck.relu_margin`` reads it to find relu kinks.
 
 Closures capture arrays at forward time, so ``data`` must not be rebound
 between a forward pass and its ``backward()``.  No caller does: ``SGD.step``
@@ -31,6 +37,7 @@ from .errors import ContractError, DimensionError
 __all__ = [
     "Tensor",
     "no_grad",
+    "record_relu_inputs",
     "add",
     "mul",
     "matmul",
@@ -54,6 +61,29 @@ class no_grad:
 
     def __exit__(self, *exc):
         _grad_enabled[0] = self._prev
+        return False
+
+
+# The list that ``record_relu_inputs`` installed, or None.
+_relu_inputs = [None]
+
+
+class record_relu_inputs:
+    """Context manager: each relu inside appends its input array to the list it yields.
+
+    With no recorder installed a relu pays one check.  A nested recorder
+    hands what it collected on to the one it restores.
+    """
+
+    def __enter__(self):
+        self._prev = _relu_inputs[0]
+        self.inputs = _relu_inputs[0] = []
+        return self.inputs
+
+    def __exit__(self, *exc):
+        _relu_inputs[0] = self._prev
+        if self._prev is not None:
+            self._prev.extend(self.inputs)
         return False
 
 
@@ -305,14 +335,16 @@ def power(a: Tensor, p) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    # Subgradient at exactly 0 is 0.
-    av = a.data
+    # Subgradient at exactly 0 is 0.  The output is > 0 exactly where the
+    # input is, so the closure keeps the output and lets the input die.
+    if _relu_inputs[0] is not None:
+        _relu_inputs[0].append(a.data)
+    out = np.maximum(a.data, 0.0)
 
     def backward(g, na):
-        na._accum(g * (av > 0.0))
+        na._accum(g * (out > 0.0))
 
-    backward.input = av  # where gradcheck.min_relu_margin finds it on the tape
-    return Tensor._result(np.maximum(av, 0.0), (a,), backward, "relu")
+    return Tensor._result(out, (a,), backward, "relu")
 
 
 # -- reductions and shape ops ----------------------------------------------

@@ -96,6 +96,14 @@ def test_conv_channel_mismatch():
         conv2d(Tensor(np.zeros((1, 3, 5, 5))), Tensor(np.zeros((2, 4, 3, 3))), None)
 
 
+@pytest.mark.parametrize("stride,padding,name", [(0, 0, "stride 0"), (-1, 0, "stride -1"),
+                                                  (1, -1, "padding -1")])
+def test_conv_refuses_a_stride_below_one_and_a_negative_padding(stride, padding, name):
+    x, k = Tensor(np.ones((1, 1, 5, 5))), Tensor(np.ones((1, 1, 3, 3)))
+    with pytest.raises(ContractError, match=name):
+        conv2d(x, k, None, stride, padding)
+
+
 def test_conv_kernel_larger_than_padded_input():
     with pytest.raises(DimensionError):
         conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 3, 3))), None)

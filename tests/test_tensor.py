@@ -7,11 +7,12 @@ import pytest
 from dropgraph import _conv
 from dropgraph.backbones import ResidualBlock
 from dropgraph.errors import ContractError, DimensionError
-from dropgraph.gradcheck import grad_check, min_relu_margin
+from dropgraph.gradcheck import grad_check, relu_margin
 from dropgraph.nn import BN_EPS, batchnorm_train, conv2d, conv_bn
 from dropgraph.rng import RngStream
 from dropgraph.tensor import (
     Tensor,
+    _relu_inputs,
     matmul,
     no_grad,
     relu,
@@ -216,16 +217,17 @@ def test_a_value_no_backward_reads_dies_while_the_tape_lives():
                                     for a in (xd, kd, bd, gd, betad))
     y = conv2d(x, kernel, bias, stride=1, padding=1)
     z = batchnorm_train(y, gamma, beta)[0]
-    out = relu(z).sum()
-    conv_out = weakref.ref(y.data)
-    del y
+    r = relu(z)
+    out = r.sum()
+    conv_out, bn_out, zd = weakref.ref(y.data), weakref.ref(z.data), z.data.copy()
+    del y, z
     assert conv_out() is None  # batch norm keeps its centred input, not the conv output
-    # Only the tape holds the conv input (read by dw) and relu's input.
-    conv_in, relu_in, zd = weakref.ref(x.data), weakref.ref(z.data), z.data.copy()
+    assert bn_out() is None  # relu keeps its output, not its input
+    # Only the tape holds the conv input (read by dw) and relu's output.
+    conv_in, relu_out = weakref.ref(x.data), weakref.ref(r.data)
     leaves = [t._node for t in (x, kernel, bias, gamma, beta)]
-    del x, z
-    assert conv_in() is not None and relu_in() is not None
-    assert min_relu_margin(out) == np.abs(zd[zd != 0.0]).min()
+    del x, r
+    assert conv_in() is not None and relu_out() is not None
     out.backward()
 
     # The same gradients, computed by the formulas the closures apply.
@@ -236,13 +238,13 @@ def test_a_value_no_backward_reads_dies_while_the_tape_lives():
     xc3 = xc.reshape(2, 4, -1)
     inv = 1.0 / np.sqrt(np.einsum("ncp,ncp->c", xc3, xc3) / 72 + BN_EPS)
     scale = gd * inv
-    g3 = (np.ones(zd.shape) * (zd > 0.0)).reshape(2, 4, -1)
+    g3 = (np.ones(zd.shape) * (np.maximum(zd, 0.0) > 0.0)).reshape(2, 4, -1)
     g_sum, gxc_sum = np.einsum("ncp->c", g3), np.einsum("ncp,ncp->c", g3, xc3)
     gy = xc * (-inv * inv * gxc_sum / 72)[:, None, None]
     gy += g3.reshape(zd.shape)
     gy *= scale[:, None, None]
     gy -= (scale * g_sum / 72)[:, None, None]
-    want = [_conv.conv_dx_full(_conv.dx_grid(gy, 1, 1, 3, 6, 6), kd),
+    want = [_conv.conv_dx_full(gy, kd, 1, 1, 6, 6),
             _conv.conv_dw(xd, gy, 1, 3, 1), gy.sum(axis=(0, 2, 3)), gxc_sum * inv, g_sum]
     for node, grad in zip(leaves, want):
         npt.assert_array_equal(node.grad, grad)
@@ -321,13 +323,31 @@ def test_gather_scatter_gradients():
     ) <= 1e-5
 
 
-def test_min_relu_margin_reports_smallest_input():
-    x = Tensor(np.array([0.5, -0.003, 2.0]), requires_grad=True)
-    out = relu(x).sum()
-    assert abs(min_relu_margin(out) - 0.003) < 1e-12
-    out.backward()  # a consumed tape has no relu inputs left to search
-    with pytest.raises(ContractError, match="already consumed by backward"):
-        min_relu_margin(out)
+def test_relu_margin_reports_the_smallest_nonzero_input():
+    x = Tensor(np.array([0.5, -0.003, 2.0, 0.0]), requires_grad=True)
+    out, margin = relu_margin(lambda t: relu(relu(t) * 2.0 - 0.9).sum(), x)
+    # The second relu's inputs are 0.1, -0.9, 3.1, -0.9; the exact zero of the
+    # first is ignored.
+    assert margin == 0.003
+    npt.assert_allclose(out.data, 3.2)
+
+
+def test_relu_margin_is_inf_without_a_relu():
+    out, margin = relu_margin(lambda t: (t * t).sum(), Tensor(np.arange(3.0)))
+    assert margin == np.inf and out.data == 5.0
+    assert relu_margin(lambda t: relu(t).sum(), Tensor(np.zeros(3)))[1] == np.inf
+
+
+def test_relu_margin_restores_the_recorder_it_nests_in():
+    def nested(inner_shift, outer_shift):
+        def f(t):
+            relu_margin(lambda u: relu(u - inner_shift), t)
+            return relu(t - outer_shift).sum()  # after the nested call returns
+        return relu_margin(f, Tensor(np.array([4.0, 8.0])))[1]
+
+    assert nested(0.0, 3.875) == 0.125  # the outer recorder is back in place
+    assert nested(3.875, 0.0) == 0.125  # and got what the nested one saw
+    assert _relu_inputs == [None]
 
 
 def test_no_grad_builds_no_tape():

@@ -42,12 +42,13 @@ _IMAGE = ("task = image\ndata.image_size = 16\ndata.train_count = 16\n"
           "data.val_count = 8\ntrain.batch_size = 8\ntrain.epochs = 2\n")
 _GRAPH = "task = node_graph\ntrain.epochs = 20\n"
 
-# 33 configs: every reg.kind, generator, adjacency mode and ramp, both pgr
+# 34 configs: every reg.kind, generator, adjacency mode and ramp, both pgr
 # strategies and arms, and both tasks, with every generator on the node-graph
 # task's one-item (flat) vertex layout; an odd image size, whose stride-2 maps
 # round up; an image config whose last batch holds one item (the flat layout
-# with a shared skip mask); and alpha = 1, where every item of a padded vertex
-# set fills n_max.  Each config runs the default three seeds.
+# with a shared skip mask); alpha = 1, where every item of a padded vertex
+# set fills n_max; and three groups, whose two strided convs run on an even
+# 18x18 and an odd 9x9 map.  Each config runs the default three seeds.
 CONFIGS = {
     "image-none": _IMAGE,
     "image-dropout-rescale": _IMAGE + "reg.kind = dropout\nreg.rescale_dropout = true\n",
@@ -75,6 +76,8 @@ CONFIGS = {
     "image-dropgraph-odd-size": _IMAGE + "data.image_size = 15\nreg.kind = dropgraph\n",
     "image-dropgraph-one-item-batch": _IMAGE + "data.train_count = 17\nreg.kind = dropgraph\n",
     "image-dropgraph-alpha-one": _IMAGE + "reg.kind = dropgraph\nreg.alpha = 1.0\n",
+    "image-dropgraph-three-groups": _IMAGE + ("data.image_size = 18\nmodel.groups = 1x8,1x8,1x8\n"
+                                              "reg.kind = dropgraph\n"),
     "graph-none": _GRAPH,
     "graph-dropout": _GRAPH + "reg.kind = dropout\n",
     "graph-spatial-dropout": _GRAPH + "reg.kind = spatial_dropout\n",
