@@ -5,16 +5,17 @@ each block's final activation in the configured groups and, optionally, on
 the skip feature (sharing the block's mask but drawing fresh multipliers).
 ``TwoLayerGcn`` is a node classifier with the regularizer placed before the
 second graph layer, where block masking degenerates to per-node gating.
+Checkpoints store a model's named parameters and buffers as ``.npy`` records
+behind a JSON header (``data.save_arrays``).
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GraphInstance
+from .data import GraphInstance, load_arrays, save_arrays
 from .errors import ConfigError, ContractError, DimensionError
 from .nn import BatchNorm2d, Conv2d, Linear, Module, conv_bn, global_avg_pool
 from .regularizers import MASK_KINDS, RegularizerConfig, make_regularizer, sample_block_mask
@@ -225,88 +226,37 @@ class TwoLayerGcn(Module):
 
 # -- parameter checkpoints --------------------------------------------------------------
 
-_CKPT_MAGIC = b"DGCKPT"
-_CKPT_VERSION = 1
-
 
 def save_checkpoint(model: Module, path):
-    """Write named parameters and buffers as a flat, versioned binary file.
+    """Write named parameters and buffers with ``data.save_arrays`` (kind ``checkpoint``).
 
-    Layout: magic ``DGCKPT`` (6 bytes), version u16, count u32, then per
-    entry: name length u16 + UTF-8 name, ndim u8, each dim u32, raw float64
-    little-endian values in row-major order.  Buffers (batch-norm running
-    statistics) are stored alongside parameters so a restored model is
-    inference-complete.
+    Buffers (batch-norm running statistics) are stored alongside parameters
+    so a restored model is inference-complete.  Each array keeps its dtype.
     """
-    entries = [(name, p.data) for name, p in model.named_parameters()]
-    entries += list(model.named_buffers())
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<HI", _CKPT_VERSION, len(entries)))
-        for name, arr in entries:
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def _read_exact(fh, n: int, what: str) -> bytes:
-    raw = fh.read(n)
-    if len(raw) != n:
-        raise ContractError(f"truncated checkpoint: {what} needs {n} bytes, got {len(raw)}")
-    return raw
+    arrays = {name: p.data for name, p in model.named_parameters()}
+    arrays.update(model.named_buffers())
+    save_arrays(path, "checkpoint", arrays)
 
 
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint back into an ordered name -> array mapping.
-
-    A file cut short anywhere, or a name that is not UTF-8, raises
-    ``ContractError``.
-    """
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_CKPT_MAGIC))
-        if magic != _CKPT_MAGIC:
-            raise ContractError(f"not a checkpoint file: bad magic {magic!r}")
-        version, count = struct.unpack("<HI", _read_exact(fh, 6, "header"))
-        if version != _CKPT_VERSION:
-            raise ContractError(f"unsupported checkpoint version {version}")
-        out = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
-            raw_name = _read_exact(fh, name_len, "name")
-            try:
-                name = raw_name.decode("utf-8")
-            except UnicodeDecodeError:
-                raise ContractError(f"corrupt checkpoint: name {raw_name!r} is not UTF-8") from None
-            (ndim,) = struct.unpack("<B", _read_exact(fh, 1, f"rank of {name!r}"))
-            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, f"shape of {name!r}"))
-            n_values = int(np.prod(shape)) if shape else 1
-            raw = _read_exact(fh, 8 * n_values, f"data of {name!r}")
-            out[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-        return out
+    """Read a checkpoint back into an ordered name -> array mapping (``data.load_arrays``)."""
+    return load_arrays(path, "checkpoint")[1]
 
 
 def apply_checkpoint(model: Module, path):
-    """Load parameter and buffer values into a model; names and shapes must match."""
+    """Load parameter and buffer values into a model; names, shapes and dtypes must match."""
     stored = load_checkpoint(path)
+
+    def stored_like(name, current):
+        if name not in stored:
+            raise ContractError(f"checkpoint missing {name!r}")
+        arr = stored[name]
+        if (arr.shape, arr.dtype) != (current.shape, current.dtype):
+            raise ContractError(f"checkpoint mismatch for {name!r}: {arr.dtype} {arr.shape} "
+                                f"vs {current.dtype} {current.shape}")
+        return arr
+
     for name, p in model.named_parameters():
-        if name not in stored:
-            raise ContractError(f"checkpoint missing parameter {name!r}")
-        if stored[name].shape != p.data.shape:
-            raise ContractError(
-                f"checkpoint shape mismatch for {name!r}: "
-                f"{stored[name].shape} vs {p.data.shape}"
-            )
-        p.data = stored[name].copy()
+        p.data = stored_like(name, p.data)
     for name, buf in model.named_buffers():
-        if name not in stored:
-            raise ContractError(f"checkpoint missing buffer {name!r}")
-        if stored[name].shape != buf.shape:
-            raise ContractError(
-                f"checkpoint shape mismatch for buffer {name!r}: "
-                f"{stored[name].shape} vs {buf.shape}"
-            )
-        model.set_buffer(name, stored[name].copy())
+        model.set_buffer(name, stored_like(name, buf))

@@ -7,10 +7,9 @@ Subcommands:
 * ``sweep <config> --axis <name> --values <list>`` - run the cross product
   of one regularizer axis against the shared seeds; emit a tidy long-format
   CSV for plotting.  ``--axis x`` sweeps ``reg.x`` for every ``reg.*`` key:
-  ``kind`` compares the regularizers, and the adjacency axis is ``adjacency``
-  (it had the spec field's old name, as did its file names and ``sweep.csv``
-  column).  Each value writes its own ``runs_<axis>_<value>.jsonl``, so two
-  values that parse to the same value (``0.1,0.10``) are a config error.
+  ``kind`` compares the regularizers, and the adjacency axis is
+  ``adjacency``.  Each value writes its own ``runs_<axis>_<value>.jsonl``, so
+  two values that parse to the same value (``0.1,0.10``) are a config error.
 * ``verify`` - run the invariant suite and print a pass/fail table, after
   one line naming the conv backend, the tensor dtype and the numpy version.
 

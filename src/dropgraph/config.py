@@ -172,10 +172,18 @@ def _format_value(name, value):
     return str(value)
 
 
+def _entries(raw: str) -> list:
+    """A comma list's entries: no entry may be blank, but the whole list may be empty."""
+    entries = raw.split(",") if raw.strip() else []
+    if any(not v.strip() for v in entries):
+        raise ValueError(f"blank entry in the list {raw!r}")
+    return entries
+
+
 def _parse_value(key, name, raw, kind):
     try:
         if name == "seeds":
-            return tuple(int(v) for v in raw.split(",") if v.strip())
+            return tuple(int(v) for v in _entries(raw))
         if name == "model_groups":
             groups = []
             for part in raw.split(","):
@@ -183,7 +191,7 @@ def _parse_value(key, name, raw, kind):
                 groups.append((int(b), int(c)))
             return tuple(groups)
         if name == "train_lr_decay_points":
-            return tuple(float(v) for v in raw.split(",") if v.strip())
+            return tuple(float(v) for v in _entries(raw))
         if kind is bool:
             low = raw.strip().lower()
             if low in ("true", "1", "yes"):

@@ -9,15 +9,17 @@ Graphs: a stochastic block model with community-informative noisy node
 features, split Cora-style (a few labeled nodes per class, disjoint
 val/test).
 
-Both dataset kinds serialize to a versioned binary cache file (write only:
-the datasets are pure functions of their specs).
+Both dataset kinds are written as a cache of named arrays (write only: the
+datasets are pure functions of their specs) by ``save_arrays``, which
+checkpoints use too: ``.npy`` records behind a JSON header.
 """
 
 from __future__ import annotations
 
 import json
-import struct
-from dataclasses import dataclass, field
+import math
+import os
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,7 +33,8 @@ __all__ = [
     "GraphInstance",
     "gen_images",
     "gen_sbm",
-    "save_dataset_cache",
+    "save_arrays",
+    "load_arrays",
     "save_image_dataset",
     "save_graph_dataset",
 ]
@@ -224,66 +227,76 @@ def gen_sbm(spec: SbmGraphSpec) -> GraphInstance:
     )
 
 
-# -- dataset cache files ---------------------------------------------------------------
-
-_CACHE_MAGIC = b"DGDATA"
-_CACHE_VERSION = 1
+# -- named-array files -------------------------------------------------------------
 
 
-def save_dataset_cache(path, kind: str, meta: dict, arrays: dict):
-    """Versioned binary dataset cache.
+def save_arrays(path, kind: str, arrays: dict, meta: dict | None = None):
+    """Write named arrays as a run of ``.npy`` records (numpy's NEP 1 format).
 
-    Layout: magic ``DGDATA`` (6 bytes), version u16, u32 JSON header length,
-    UTF-8 JSON header {kind, meta, arrays: [{name, dtype, shape}]}, then each
-    array's raw bytes (little-endian, C order) in header order.
+    The first record is the JSON header ``{kind, meta, names}`` as a byte
+    string; the arrays follow in ``names`` order, each keeping its dtype and
+    shape.  ``np.save`` records are a pure function of their arrays, so equal
+    inputs write equal bytes.
     """
-    manifest = []
-    blobs = []
-    for name, arr in arrays.items():
-        arr = np.asarray(arr)
-        dtype = {"float64": "<f8", "int64": "<i8"}.get(arr.dtype.name)
-        if dtype is None:
-            raise ContractError(f"unsupported cache dtype {arr.dtype} for {name!r}")
-        manifest.append({"name": name, "dtype": dtype, "shape": list(arr.shape)})
-        blobs.append(np.ascontiguousarray(arr).astype(dtype).tobytes())
-    header = json.dumps({"kind": kind, "meta": meta, "arrays": manifest},
-                        sort_keys=True).encode("utf-8")
+    header = json.dumps({"kind": kind, "meta": meta or {}, "names": list(arrays)},
+                        sort_keys=True)
     with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<HI", _CACHE_VERSION, len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+        for arr in (np.array(header.encode("utf-8")), *arrays.values()):
+            np.save(fh, arr, allow_pickle=False)
+
+
+def _read_record(fh, path, end: int) -> np.ndarray:
+    """The ``.npy`` record at ``fh``'s position, read only if the file holds its bytes."""
+    at, fmt = fh.tell(), np.lib.format
+    try:
+        version = fmt.read_magic(fh)
+        if version not in ((1, 0), (2, 0)):
+            raise ValueError(f"unsupported .npy version {version}")
+        read_header = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
+        shape, fortran_order, dtype = read_header(fh)
+        count = math.prod(shape)
+        if min(shape, default=0) < 0 or count * dtype.itemsize > end - fh.tell():
+            raise ValueError(f"shape {shape} of {dtype} needs {count * dtype.itemsize} bytes, "
+                             f"{end - fh.tell()} are left")
+        arr = np.fromfile(fh, dtype=dtype, count=count)  # refuses object arrays
+        return arr.reshape(shape, order="F" if fortran_order else "C")
+    except ValueError as exc:
+        raise ContractError(f"{path}: bad .npy record at byte {at}: {exc}") from None
+
+
+def load_arrays(path, kind: str):
+    """Read a :func:`save_arrays` file back as ``(meta, {name: array})``.
+
+    A file of another kind, a header that is not a JSON dict with a
+    ``names`` list of strings, bytes that are not ``.npy`` records, a record
+    that claims more bytes than the file has left (a cut file included), an
+    object array, or bytes after the last array raise ``ContractError``
+    naming the file.
+    """
+    with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size
+        record = _read_record(fh, path, end)
+        try:
+            header = json.loads(record.item()) if record.dtype.kind == "S" else None
+        except ValueError:  # not UTF-8 or not JSON
+            header = None
+        names = header.get("names") if isinstance(header, dict) else None
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise ContractError(f"{path}: not a named-array file: bad JSON header")
+        if header.get("kind") != kind:
+            raise ContractError(f"{path}: holds {header.get('kind')!r} arrays, not {kind!r}")
+        arrays = {name: _read_record(fh, path, end) for name in names}
+        if fh.tell() != end:
+            raise ContractError(f"{path}: {end - fh.tell()} bytes after the last array")
+    return header.get("meta"), arrays
 
 
 def save_image_dataset(ds: ImageDataset, path):
-    meta = {
-        "classes": ds.spec.classes,
-        "image_size": ds.spec.image_size,
-        "train_count": ds.spec.train_count,
-        "val_count": ds.spec.val_count,
-        "noise_std": ds.spec.noise_std,
-        "seed": ds.spec.seed,
-        "pixel_mean": ds.pixel_mean,
-        "pixel_std": ds.pixel_std,
-    }
-    arrays = {"train_x": ds.train_x, "train_y": ds.train_y,
-              "val_x": ds.val_x, "val_y": ds.val_y}
-    save_dataset_cache(path, "image", meta, arrays)
+    arrays = {name: getattr(ds, name) for name in ("train_x", "train_y", "val_x", "val_y")}
+    meta = {**asdict(ds.spec), "pixel_mean": ds.pixel_mean, "pixel_std": ds.pixel_std}
+    save_arrays(path, "image", arrays, meta)
 
 
 def save_graph_dataset(g: GraphInstance, spec: SbmGraphSpec, path):
-    meta = {
-        "nodes": spec.nodes, "communities": spec.communities,
-        "p_in": spec.p_in, "p_out": spec.p_out,
-        "labeled_per_class": spec.labeled_per_class,
-        "feature_noise": spec.feature_noise, "feature_dim": spec.feature_dim,
-        "seed": spec.seed,
-    }
-    arrays = {
-        "node_features": g.node_features,
-        "normalized_adjacency": g.normalized_adjacency,
-        "labels": g.labels, "train_idx": g.train_idx,
-        "val_idx": g.val_idx, "test_idx": g.test_idx,
-    }
-    save_dataset_cache(path, "graph", meta, arrays)
+    names = ("node_features", "normalized_adjacency", "labels", "train_idx", "val_idx", "test_idx")
+    save_arrays(path, "graph", {name: getattr(g, name) for name in names}, asdict(spec))

@@ -617,7 +617,8 @@ class PartialGraphReasoning(Module):
             graphs = sample_vertices(x, self.cfg.alpha, rng.child("pgr_vertices"))
         else:
             graphs = _gather_vertices(x, self._select_top(x))
-        adj = build_adjacency(graphs, self.cfg.adjacency)
+        adj = build_adjacency(graphs, self.cfg.adjacency,
+                              normalize=self.cfg.normalize_similarity)
         rows = matmul(matmul(adj, graphs.values), self.weight)
         return replace_spatial_vectors(x, *graphs.positions(), rows, valid=graphs.valid)
 

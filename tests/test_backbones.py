@@ -12,7 +12,7 @@ from dropgraph.backbones import (
     save_checkpoint,
 )
 from dropgraph.config import parse_config
-from dropgraph.data import SbmGraphSpec, gen_sbm, save_graph_dataset
+from dropgraph.data import SbmGraphSpec, gen_sbm, load_arrays, save_arrays, save_graph_dataset
 from dropgraph.errors import ContractError
 from dropgraph.gradcheck import grad_check, relu_margin
 from dropgraph.nn import conv_bn, cross_entropy
@@ -45,29 +45,83 @@ def test_checkpoint_round_trip(tmp_path):
     npt.assert_array_equal(dst.blocks[0].bn1.running_mean, np.arange(4.0))
 
 
+def _tiny_gcn_checkpoint(path):
+    """A checkpoint of four small arrays, so every cut point can be tried."""
+    save_checkpoint(TwoLayerGcn(TwoLayerGcnConfig(in_features=4, hidden=4, classes=2),
+                                RngStream(3)), path)
+    return path.read_bytes()
+
+
 def test_truncated_checkpoint_raises_contract_error(tmp_path):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(_small_model(3), path)
-    raw = path.read_bytes()
-    name_len = int.from_bytes(raw[12:14], "little")
-    ndim_at = 14 + name_len
-    # Cuts inside the header, the first name, its shape, its data, and the end.
-    cuts = [8, 13, 14 + name_len // 2, ndim_at + 3, ndim_at + 5 + 4 * raw[ndim_at] + 12,
-            len(raw) // 2, len(raw) - 1]
-    for cut in cuts:
+    raw = _tiny_gcn_checkpoint(path)
+    assert len(load_checkpoint(path)) == 4
+    for cut in range(len(raw)):
         path.write_bytes(raw[:cut])
-        with pytest.raises(ContractError, match="truncated checkpoint"):
+        with pytest.raises(ContractError, match="model.ckpt"):
             load_checkpoint(path)
 
 
 def test_non_utf8_checkpoint_name_raises_contract_error(tmp_path):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(_small_model(4), path)
-    raw = bytearray(path.read_bytes())
-    raw[14] = 0xFF  # first byte of the first name
+    raw = bytearray(_tiny_gcn_checkpoint(path))
+    raw[raw.index(b"layer1.weight")] = 0xFF  # first byte of a name in the JSON header
     path.write_bytes(bytes(raw))
-    with pytest.raises(ContractError, match="not UTF-8"):
+    with pytest.raises(ContractError, match="bad JSON header"):
         load_checkpoint(path)
+
+
+def _with_first_array_header(raw: bytes, header: dict) -> bytes:
+    """``raw`` with the first array's ``.npy`` header dict replaced, padding kept."""
+    start = raw.index(b"{", raw.index(b"\x93NUMPY", 1))
+    end = raw.index(b"\n", start)
+    return raw[:start] + repr(header).encode("latin1").ljust(end - start) + raw[end:]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda raw: b"X" + raw[1:], "bad .npy record at byte 0"),
+    (lambda raw: raw.replace(b'"names": [', b'"names": {', 1), "bad JSON header"),
+    (lambda raw: raw.replace(b'"names": [', b'"nameZ": [', 1), "bad JSON header"),
+    (lambda raw: raw.replace(b'"layer1.weight"', b'1000000000000000', 1), "bad JSON header"),
+    (lambda raw: _with_first_array_header(
+        raw, {"descr": "<f8", "fortran_order": False, "shape": (9999999, 99999)}),
+     r"shape \(9999999, 99999\) of float64 needs 7999919200008 bytes"),
+    (lambda raw: _with_first_array_header(
+        raw, {"descr": "<f8", "fortran_order": False, "shape": (-4, 4)}), "bytes"),
+    (lambda raw: _with_first_array_header(
+        raw, {"descr": "|O", "fortran_order": False, "shape": (2,)}), "bad .npy record"),
+    (lambda raw: raw + b"\0", "1 bytes after the last array"),
+], ids=["magic", "names_not_a_list", "no_names", "name_not_a_string",
+        "size_beyond_the_file", "negative_size", "object_array", "trailing_byte"])
+def test_corrupt_checkpoint_raises_contract_error(tmp_path, corrupt, message):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(corrupt(_tiny_gcn_checkpoint(path)))
+    with pytest.raises(ContractError, match=message):
+        load_checkpoint(path)
+
+
+def test_dataset_cache_loaded_as_checkpoint_raises_contract_error(tmp_path):
+    path = tmp_path / "graph.dgd"
+    save_graph_dataset(gen_sbm(_SMALL_SBM), _SMALL_SBM, path)
+    with pytest.raises(ContractError, match="holds 'graph' arrays, not 'checkpoint'"):
+        load_checkpoint(path)
+    with pytest.raises(ContractError, match="graph.dgd"):
+        apply_checkpoint(_small_model(5), path)
+
+
+@pytest.mark.parametrize("name, dtype", [("stem.kernel", np.float32),
+                                         ("blocks.0.bn1.running_mean", np.float32),
+                                         ("head.bias", np.int64)])
+def test_checkpoint_dtype_mismatch_raises_contract_error(tmp_path, name, dtype):
+    src = _small_model(6)
+    stored = {n: p.data for n, p in src.named_parameters()}
+    stored.update(src.named_buffers())
+    stored[name] = stored[name].astype(dtype)
+    path = tmp_path / "model.ckpt"
+    save_arrays(path, "checkpoint", stored)
+    dst = _small_model(7)
+    with pytest.raises(ContractError, match=f"mismatch for '{name}'"):
+        apply_checkpoint(dst, path)
 
 
 @pytest.mark.parametrize("size", range(8, 18))
@@ -158,9 +212,9 @@ def test_propagated_features_are_the_propagation_and_not_cached(spec, tmp_path):
     npt.assert_array_equal(g.propagated_features, g.normalized_adjacency @ g.node_features)
     path = tmp_path / "graph.dgd"
     save_graph_dataset(g, spec, path)
-    raw = path.read_bytes()
-    header_len = int.from_bytes(raw[8:12], "little")
-    assert b"propagated_features" not in raw[12 : 12 + header_len]
+    _, arrays = load_arrays(path, "graph")
+    assert list(arrays) == ["node_features", "normalized_adjacency", "labels",
+                            "train_idx", "val_idx", "test_idx"]
 
 
 @pytest.mark.parametrize("reg_kind,training", [("none", True), ("none", False),

@@ -9,9 +9,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 from dropgraph import cli
+from dropgraph.config import parse_config
+from dropgraph.data import gen_images, gen_sbm, load_arrays
 from dropgraph.verify import CheckResult
 
 _GRAPH = "task = node_graph\nreg.kind = dropgraph\ntrain.epochs = 2\n"
@@ -194,3 +197,22 @@ def test_freed_arrays_stay_mapped_for_the_next_allocation():
                           capture_output=True, text=True)
     pages = 32 * 16 * 32 * 32 * 8 // os.sysconf("SC_PAGE_SIZE")
     assert float(done.stdout) < 0.1 * pages
+
+
+@pytest.mark.parametrize("text", [
+    "task = image\ndata.image_size = 8\ndata.train_count = 8\ndata.val_count = 4\n"
+    "train.batch_size = 8\ntrain.epochs = 1\n",
+    _GRAPH,
+], ids=["image", "node_graph"])
+def test_run_writes_the_dataset_it_generates(tmp_path, text):
+    out = tmp_path / "out"
+    assert cli.main(["run", _write(tmp_path, text), "--out-dir", str(out)]) == 0
+    cfg = parse_config(text)
+    if cfg.task == "image":
+        kind, source = "image", gen_images(cfg.image_spec())
+    else:
+        kind, source = "graph", gen_sbm(cfg.graph_spec())
+    _, arrays = load_arrays(out / "dataset.dgd", kind)
+    assert len(arrays) == (4 if kind == "image" else 6)
+    for name, arr in arrays.items():
+        npt.assert_array_equal(arr, getattr(source, name), err_msg=name)

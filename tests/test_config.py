@@ -8,7 +8,7 @@ from dropgraph.regularizers import RegularizerConfig
 from dropgraph.rng import RngStream
 
 
-@pytest.mark.parametrize("text", ["", "task = node_graph\n"])
+@pytest.mark.parametrize("text", ["", "task = node_graph\n", "train.lr_decay_points =\n"])
 def test_text_round_trip_is_identity(text):
     cfg = parse_config(text)
     assert parse_config(config_to_text(cfg)) == cfg
@@ -71,6 +71,8 @@ _GRAPH = "task = node_graph\n"
     (_GRAPH + "train.lr_decay_factor = -3", "train.lr_decay_factor", "must be >= 0"),
     (_IMAGE + "train.momentum = 1.0", "train", "momentum"),
     (_IMAGE + "train.lr_decay_points = 0.5,1.5", "train", "lr_decay_points"),
+    (_IMAGE + "seeds = 1,,2,3", "seeds", "blank entry"),
+    (_IMAGE + "train.lr_decay_points = ,0.5,", "train.lr_decay_points", "blank entry"),
     (_GRAPH + "reg.kind = pgr", "reg", "kind"),
     (_GRAPH + "data.p_in = 0.001", "data", "p_in"),
     (_GRAPH + "data.nodes = 10", "data", "nodes"),

@@ -625,6 +625,17 @@ def test_pgr_replaces_selected_rows_with_avw():
     npt.assert_allclose(out.data[0].reshape(4, 9).T, want, rtol=1e-10)
 
 
+@pytest.mark.parametrize("mode", ["eq6", "similarity"])
+def test_pgr_reads_normalize_similarity(mode):
+    mod = make_pgr(4, 1.0, RngStream(29, ("pgr",)), adjacency=mode, normalize_similarity=True)
+    x = Tensor(RNG.normal(size=(1, 4, 3, 3)))
+    out = mod(x, RngStream(2, ("f",)))
+    vals = x.data[0].reshape(4, 9).T  # all positions, scan order
+    a = build_adjacency(make_vertices(vals), mode, normalize=True).data
+    want = a @ vals @ mod.weight.data
+    npt.assert_allclose(out.data[0].reshape(4, 9).T, want, rtol=1e-10)
+
+
 def test_pgr_top_strategy_deterministic():
     mod = make_pgr(4, 0.25, RngStream(30, ("pgr",)), pgr_strategy="top")
     x = Tensor(RNG.normal(size=(2, 4, 6, 6)))

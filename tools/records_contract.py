@@ -42,13 +42,14 @@ _IMAGE = ("task = image\ndata.image_size = 16\ndata.train_count = 16\n"
           "data.val_count = 8\ntrain.batch_size = 8\ntrain.epochs = 2\n")
 _GRAPH = "task = node_graph\ntrain.epochs = 20\n"
 
-# 34 configs: every reg.kind, generator, adjacency mode and ramp, both pgr
-# strategies and arms, and both tasks, with every generator on the node-graph
-# task's one-item (flat) vertex layout; an odd image size, whose stride-2 maps
-# round up; an image config whose last batch holds one item (the flat layout
-# with a shared skip mask); alpha = 1, where every item of a padded vertex
-# set fills n_max; and three groups, whose two strided convs run on an even
-# 18x18 and an odd 9x9 map.  Each config runs the default three seeds.
+# 35 configs: every reg.kind, generator, adjacency mode and ramp, both pgr
+# strategies and arms, pgr with a normalized similarity, and both tasks, with
+# every generator on the node-graph task's one-item (flat) vertex layout; an
+# odd image size, whose stride-2 maps round up; an image config whose last
+# batch holds one item (the flat layout with a shared skip mask); alpha = 1,
+# where every item of a padded vertex set fills n_max; and three groups, whose
+# two strided convs run on an even 18x18 and an odd 9x9 map.  Each config runs
+# the default three seeds.
 CONFIGS = {
     "image-none": _IMAGE,
     "image-dropout-rescale": _IMAGE + "reg.kind = dropout\nreg.rescale_dropout = true\n",
@@ -59,6 +60,8 @@ CONFIGS = {
     "image-pgr-random-eval": _IMAGE + "reg.kind = pgr\nreg.pgr_active_in_eval = true\n",
     "image-pgr-top-eval": _IMAGE + ("reg.kind = pgr\nreg.pgr_strategy = top\n"
                                     "reg.pgr_active_in_eval = true\n"),
+    "image-pgr-similarity-normalize": _IMAGE + (
+        "reg.kind = pgr\nreg.adjacency = similarity\nreg.normalize_similarity = true\n"),
     "image-dropgraph-eq6-constant": _IMAGE + "reg.kind = dropgraph\nreg.scheduler = constant\n",
     "image-dropgraph-learned": _IMAGE + "reg.kind = dropgraph\nreg.adjacency = learned\n",
     "image-dropgraph-similarity-normalize": _IMAGE + (
