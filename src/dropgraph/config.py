@@ -15,6 +15,7 @@ emits a canonical form, so parse -> serialize -> parse is the identity.
 from __future__ import annotations
 
 import hashlib
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
@@ -180,6 +181,12 @@ def _entries(raw: str) -> list:
     return entries
 
 
+def _finite(raw: str) -> float:
+    if not math.isfinite(value := float(raw)):
+        raise ValueError(f"must be a finite number, got {raw.strip()!r}")
+    return value
+
+
 def _parse_value(key, name, raw, kind):
     try:
         if name == "seeds":
@@ -191,7 +198,7 @@ def _parse_value(key, name, raw, kind):
                 groups.append((int(b), int(c)))
             return tuple(groups)
         if name == "train_lr_decay_points":
-            return tuple(float(v) for v in _entries(raw))
+            return tuple(_finite(v) for v in _entries(raw))
         if kind is bool:
             low = raw.strip().lower()
             if low in ("true", "1", "yes"):
@@ -202,7 +209,7 @@ def _parse_value(key, name, raw, kind):
         if kind is int:
             return int(raw)
         if kind is float:
-            return float(raw)
+            return _finite(raw)
         return raw.strip()
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc

@@ -176,10 +176,15 @@ class SbmGraphSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.p_in <= self.p_out:
-            raise ConfigError(
-                f"p_in must exceed p_out, got p_in={self.p_in}, p_out={self.p_out}"
-            )
+        if self.communities < 2:
+            raise ConfigError(f"communities must be >= 2, got {self.communities}")
+        if not (0.0 <= self.p_out < self.p_in <= 1.0):
+            raise ConfigError("p_in and p_out must satisfy 0 <= p_out < p_in <= 1, "
+                              f"got p_in={self.p_in}, p_out={self.p_out}")
+        if self.labeled_per_class < 1:
+            raise ConfigError(f"labeled_per_class must be >= 1, got {self.labeled_per_class}")
+        if self.feature_noise < 0:
+            raise ConfigError(f"feature_noise must be >= 0, got {self.feature_noise}")
         if self.nodes < self.communities * (self.labeled_per_class + 2):
             raise ConfigError("not enough nodes for the requested labeled/val/test split")
         if self.feature_dim < 1:
@@ -267,8 +272,8 @@ def _read_record(fh, path, end: int) -> np.ndarray:
 def load_arrays(path, kind: str):
     """Read a :func:`save_arrays` file back as ``(meta, {name: array})``.
 
-    A file of another kind, a header that is not a JSON dict with a
-    ``names`` list of strings, bytes that are not ``.npy`` records, a record
+    A file of another kind, a header that is not a JSON dict with a ``meta``
+    dict and a ``names`` list of distinct strings, non-``.npy`` bytes, a record
     that claims more bytes than the file has left (a cut file included), an
     object array, or bytes after the last array raise ``ContractError``
     naming the file.
@@ -281,7 +286,8 @@ def load_arrays(path, kind: str):
         except ValueError:  # not UTF-8 or not JSON
             header = None
         names = header.get("names") if isinstance(header, dict) else None
-        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
+                and len(set(names)) == len(names) and isinstance(header.get("meta"), dict)):
             raise ContractError(f"{path}: not a named-array file: bad JSON header")
         if header.get("kind") != kind:
             raise ContractError(f"{path}: holds {header.get('kind')!r} arrays, not {kind!r}")

@@ -11,6 +11,9 @@ batch norm into the kernel and bias of the conv before it (Ioffe & Szegedy,
 arXiv 1502.03167, section 3.1), so eval runs one conv per conv/BN pair.  The
 folded kernel and bias are tape ops on the conv and BN parameters, so an
 eval-mode model stays differentiable.
+
+Conv kernels, linear weights and the regularizers' GCN weights start from
+``kaiming``, the He initialisation N(0, 2 / fan_in) (arXiv 1502.01852).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ __all__ = [
     "conv_bn",
     "cross_entropy",
     "global_avg_pool",
+    "kaiming",
     "relu",
 ]
 
@@ -161,6 +165,11 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return x.mean(axis=(2, 3))
 
 
+def kaiming(rng: RngStream, shape, fan_in: int) -> Tensor:
+    """A trainable weight of ``shape`` drawn from N(0, 2 / fan_in) on ``rng``."""
+    return Tensor(rng.normal(size=shape, scale=np.sqrt(2.0 / fan_in)), requires_grad=True)
+
+
 # -- layer containers ----------------------------------------------------------
 
 
@@ -227,8 +236,7 @@ class Conv2d(Module):
     def __init__(self, cin: int, cout: int, k: int, rng: RngStream,
                  stride: int = 1, padding: int = 0, bias: bool = True):
         super().__init__()
-        std = np.sqrt(2.0 / (cin * k * k))
-        self.kernel = Tensor(rng.normal(size=(cout, cin, k, k), scale=std), requires_grad=True)
+        self.kernel = kaiming(rng, (cout, cin, k, k), cin * k * k)
         self.bias = Tensor(np.zeros(cout), requires_grad=True) if bias else None
         self.stride = stride
         self.padding = padding
@@ -287,8 +295,7 @@ class Linear(Module):
 
     def __init__(self, fin: int, fout: int, rng: RngStream):
         super().__init__()
-        std = np.sqrt(2.0 / fin)
-        self.weight = Tensor(rng.normal(size=(fin, fout), scale=std), requires_grad=True)
+        self.weight = kaiming(rng, (fin, fout), fin)
         self.bias = Tensor(np.zeros(fout), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .nn import Module
+from .nn import Module, kaiming
 from .rng import RngStream
 from .tensor import (
     Tensor,
@@ -76,7 +76,16 @@ __all__ = [
 
 ADJACENCY_MODES = ("eq6", "learned", "similarity", "identity", "uniform", "zero")
 GENERATOR_KINDS = ("graph", "random_noise", "avg_pool", "none")
-SCHEDULER_KINDS = ("f1", "f2", "f3", "f4", "f5", "constant")
+# Drop-probability ramps: rho(r) for the end value rho and the run's progress r in [0, 1].
+_RAMPS = {
+    "f1": lambda rho, r: rho * r,
+    "f2": lambda rho, r: rho * r * r,
+    "f3": lambda rho, r: rho * math.sqrt(r),
+    "f4": lambda rho, r: rho * (1.0 - math.cos(math.pi * r)) / 2.0,
+    "f5": lambda rho, r: rho * r * r * (3.0 - 2.0 * r),
+    "constant": lambda rho, r: rho,
+}
+SCHEDULER_KINDS = tuple(_RAMPS)
 REG_KINDS = ("none", "dropout", "spatial_dropout", "dropblock", "dropgraph", "pgr")
 # Regularizer kinds that sample a block mask, the only ones that read block_size.
 MASK_KINDS = ("dropblock", "dropgraph")
@@ -137,44 +146,43 @@ class DropMask:
 class VertexSet:
     """Sampled feature vectors: their positions and their values.
 
-    ``values`` is either one graph over all rows of ``indices``, shape
-    (n, c), or one graph per batch item padded to the largest item: item
-    i's vertices fill rows ``:counts[i]`` of ``values[i]`` in ``indices``
-    order, and the rows after them are zero.  ``_gather_vertices`` picks
-    the layout: flat for a one-item batch, padded otherwise.
+    ``values`` is one flat (n, c) graph over all rows of ``indices``, or one
+    graph per batch item padded to the largest item: item i's vertices fill
+    the rows where ``valid[i]`` is True, in ``indices`` order, and its pad
+    rows after them are zero.  ``positions`` are the rows' (ib, iy, ix) map
+    positions: ``indices`` when flat, and (i, 0, 0) at a pad row of item i.
+    ``_gather_vertices`` picks flat for a one-item batch, padded otherwise.
     """
 
     indices: np.ndarray  # (n, 3) int rows (batch, y, x), lexicographically sorted
-    values: Tensor  # (n, c), or (b, n_max, c) when counts is set
-    counts: np.ndarray | None = None  # (b,) vertices per item of the padded layout
+    values: Tensor  # (n, c), or (b, n_max, c) when valid is set
+    valid: np.ndarray | None = None  # (b, n_max) bool, True at vertex rows; None when flat
+    positions: tuple | None = None  # (ib, iy, ix), each shaped like values' rows
+
+    def __post_init__(self):
+        if self.positions is None:
+            self.positions = tuple(self.indices.T)
 
     @property
     def count(self) -> int:
         return self.indices.shape[0]
 
     @property
-    def valid(self) -> np.ndarray | None:
-        """(b, n_max) True at the vertex rows of a padded set; None only when flat."""
-        return None if self.counts is None else _valid_rows(self.counts)
+    def counts(self) -> np.ndarray | None:
+        """(b,) vertices per item of the padded layout; None when flat."""
+        return None if self.valid is None else self.valid.sum(axis=1)
 
     def sizes(self) -> np.ndarray:
         """Vertices per graph, shaped to broadcast against (..., n, n)."""
-        if self.counts is None:
+        if self.valid is None:
             return np.float64(self.values.data.shape[0])
         return self.counts[:, None, None].astype(np.float64)
 
     def row_mask(self) -> np.ndarray:
         """(..., n, 1): 1 at vertex rows, 0 at pad rows."""
-        shape = self.values.data.shape[:-1] + (1,)
-        if self.counts is None:
-            return np.ones(shape)
-        return (np.arange(shape[1]) < self.counts[:, None])[:, :, None].astype(np.float64)
-
-    def positions(self) -> tuple:
-        """(ib, iy, ix) arrays of the rows of ``values``; pad rows point at (i, 0, 0)."""
-        if self.counts is None:
-            return tuple(self.indices.T)
-        return _padded_positions(self.indices, self.counts)
+        if self.valid is None:
+            return np.ones(self.values.data.shape[:-1] + (1,))
+        return self.valid[:, :, None].astype(np.float64)
 
 
 def _gather_vertices(x: Tensor, indices: np.ndarray) -> VertexSet:
@@ -190,25 +198,12 @@ def _gather_vertices(x: Tensor, indices: np.ndarray) -> VertexSet:
     if b == 1:
         return VertexSet(indices, take_spatial_vectors(x, *indices.T))
     counts = np.bincount(indices[:, 0], minlength=b)
-    values = take_spatial_vectors(x, *_padded_positions(indices, counts),
-                                  valid=_valid_rows(counts))
-    return VertexSet(indices, values, counts)
-
-
-def _valid_rows(counts: np.ndarray) -> np.ndarray:
-    """(b, n_max) True at rows below each item's count."""
-    return np.arange(counts.max()) < counts[:, None]
-
-
-def _padded_positions(indices: np.ndarray, counts: np.ndarray) -> tuple:
-    """(ib, iy, ix), each (b, n_max), of the padded rows; pad rows point at (i, 0, 0)."""
-    ib, iy, ix = indices.T
-    rank = np.arange(len(ib)) - (np.cumsum(counts) - counts)[ib]
-    pos = np.zeros((3, len(counts), counts.max()), dtype=np.intp)
-    pos[0] = np.arange(len(counts))[:, None]
-    pos[1, ib, rank] = iy
-    pos[2, ib, rank] = ix
-    return tuple(pos)
+    valid = np.arange(counts.max()) < counts[:, None]
+    # ``indices`` is sorted by item, so its rows fill ``valid``'s True entries in order.
+    pos = np.zeros((3,) + valid.shape, dtype=np.intp)
+    pos[0] = np.arange(b)[:, None]
+    pos[1:, valid] = indices[:, 1:].T
+    return VertexSet(indices, take_spatial_vectors(x, *pos, valid=valid), valid, tuple(pos))
 
 
 class GraphGeneratorParams(Module):
@@ -226,18 +221,9 @@ class GraphGeneratorParams(Module):
                 f"graph generator needs channels divisible by 4, got {channels}"
             )
         reduced = channels // 4
-        self.w_in = Tensor(
-            rng.child("w_in").normal(size=(channels, reduced), scale=math.sqrt(2.0 / channels)),
-            requires_grad=True,
-        )
-        self.w_mid = Tensor(
-            rng.child("w_mid").normal(size=(reduced, reduced), scale=math.sqrt(2.0 / reduced)),
-            requires_grad=True,
-        )
-        self.w_out = Tensor(
-            rng.child("w_out").normal(size=(reduced, channels), scale=math.sqrt(2.0 / reduced)),
-            requires_grad=True,
-        )
+        self.w_in = kaiming(rng.child("w_in"), (channels, reduced), channels)
+        self.w_mid = kaiming(rng.child("w_mid"), (reduced, reduced), reduced)
+        self.w_out = kaiming(rng.child("w_out"), (reduced, channels), reduced)
 
 
 # -- classic dropout baselines ---------------------------------------------------
@@ -436,11 +422,12 @@ def generate_alt_distortions(v: VertexSet, kind: str, rng: RngStream) -> Tensor:
         # Scale is detached: the noise magnitude follows the vertex statistics
         # but contributes no gradient path of its own.
         vals = v.values.data
-        if v.counts is None:
+        if v.valid is None:
             return Tensor(rng.normal(size=vals.shape) * vals.std(axis=0))
         noise = np.zeros_like(vals)
-        for bi in np.flatnonzero(v.counts):
-            item = vals[bi, : v.counts[bi]]
+        counts = v.counts
+        for bi in np.flatnonzero(counts):
+            item = vals[bi, : counts[bi]]
             noise[bi, : len(item)] = rng.child(int(bi)).normal(size=item.shape) * item.std(axis=0)
         return Tensor(noise)
     raise ConfigError(f"unknown alternative generator {kind!r}")
@@ -458,7 +445,7 @@ def pool_expand_apply(x: Tensor, m: DropMask, d: Tensor, v: VertexSet,
     layout of ``v.values``: one row per vertex, or padded per item.
     """
     b, c, h, w = x.data.shape
-    if v.counts is None:
+    if v.valid is None:
         items = v.indices[:, 0]  # row i of d belongs to batch item items[i]
         pool = np.zeros((b, len(items)))
         pool[items, np.arange(len(items))] = 1.0 / np.bincount(items, minlength=b)[items]
@@ -514,22 +501,7 @@ def schedule_rho(cfg: RegularizerConfig, step: int, total_steps: int) -> float:
         raise ContractError(f"total_steps must be positive, got {total_steps}")
     if step < 0 or step > total_steps:
         raise ContractError(f"step {step} outside [0, {total_steps}]")
-    r = step / total_steps
-    rho = cfg.rho
-    kind = cfg.scheduler
-    if kind == "constant":
-        return rho
-    if kind == "f1":
-        return rho * r
-    if kind == "f2":
-        return rho * r * r
-    if kind == "f3":
-        return rho * math.sqrt(r)
-    if kind == "f4":
-        return rho * (1.0 - math.cos(math.pi * r)) / 2.0
-    if kind == "f5":
-        return rho * r * r * (3.0 - 2.0 * r)
-    raise ConfigError(f"unknown scheduler kind {kind!r}")
+    return _RAMPS[cfg.scheduler](cfg.rho, step / total_steps)
 
 
 # -- backbone-insertable modules ------------------------------------------------------
@@ -593,10 +565,7 @@ class PartialGraphReasoning(Module):
     def __init__(self, channels: int, cfg: RegularizerConfig, rng: RngStream):
         super().__init__()
         self.cfg = cfg
-        self.weight = Tensor(
-            rng.child("pgr_w").normal(size=(channels, channels), scale=math.sqrt(2.0 / channels)),
-            requires_grad=True,
-        )
+        self.weight = kaiming(rng.child("pgr_w"), (channels, channels), channels)
 
     def _select_top(self, x: Tensor) -> np.ndarray:
         b, _, h, w = x.data.shape
@@ -620,7 +589,7 @@ class PartialGraphReasoning(Module):
         adj = build_adjacency(graphs, self.cfg.adjacency,
                               normalize=self.cfg.normalize_similarity)
         rows = matmul(matmul(adj, graphs.values), self.weight)
-        return replace_spatial_vectors(x, *graphs.positions(), rows, valid=graphs.valid)
+        return replace_spatial_vectors(x, *graphs.positions, rows, valid=graphs.valid)
 
 
 def make_regularizer(cfg: RegularizerConfig, channels: int, rng: RngStream,
@@ -635,9 +604,8 @@ def make_regularizer(cfg: RegularizerConfig, channels: int, rng: RngStream,
     if cfg.kind in ("dropout", "spatial_dropout"):
         return Dropout(cfg)
     if cfg.kind == "dropblock":
-        # The block mask alone: no vertices, no generator, no adjacency.
-        mask_only = replace(cfg, alpha=0.0, generator="none", adjacency="zero")
-        return DropGraph(channels, mask_only, rng)
+        # The block mask alone: no vertices and no generator, so no adjacency is read.
+        return DropGraph(channels, replace(cfg, alpha=0.0, generator="none"), rng)
     if cfg.kind == "dropgraph":
         return DropGraph(channels, cfg, rng, spatial_size=spatial_size)
     return PartialGraphReasoning(channels, cfg, rng)  # kind "pgr"

@@ -101,11 +101,12 @@ def test_verify_exits_1_on_a_failed_check(monkeypatch, capsys):
     (_GRAPH, ["--axis", "adjacency", "--values", "eq6,learned"], "reg.adjacency: learned"),
     (_GRAPH + "model.hidden = 0\n", [], "model: hidden width must be a positive multiple of 4"),
     (_GRAPH + "data.feature_dim = 0\n", [], "data: feature_dim must be >= 1, got 0"),
+    (_GRAPH + "data.feature_noise = -1\n", [], "data: feature_noise must be >= 0, got -1.0"),
 ], ids=["missing_file", "bad_key", "seeds_not_int", "seeds_empty_entry", "two_seeds",
         "repeated_seed",        "threads_0", "values_empty", "value_out_of_range", "values_same_parsed_value",
         "value_unknown", "seeds_comment", "threads_newline", "values_comment", "values_newline",
         "pgr_learned", "node_graph_dropgraph_learned", "sweep_node_graph_learned",
-        "zero_width_gcn", "zero_width_features"])
+        "zero_width_gcn", "zero_width_features", "negative_feature_noise"])
 def test_config_errors_exit_2_before_any_output(tmp_path, capsys, text, extra, message):
     config = _write(tmp_path, text) if text is not None else str(tmp_path / "missing.cfg")
     out = tmp_path / "out"

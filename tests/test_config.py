@@ -81,6 +81,17 @@ _GRAPH = "task = node_graph\n"
     (_GRAPH + "model.hidden = -4", "model", "hidden width must be a positive multiple of 4"),
     (_GRAPH + "data.feature_dim = 0", "data", "feature_dim must be >= 1"),
     (_GRAPH + "reg.kind = dropgraph\nreg.block_size = 3", "reg", "block_size"),
+    (_IMAGE + "train.lr = nan", "train.lr", "must be a finite number, got 'nan'"),
+    (_IMAGE + "train.weight_decay = inf", "train.weight_decay", "finite"),
+    (_IMAGE + "train.lr_decay_factor = -inf", "train.lr_decay_factor", "finite"),
+    (_IMAGE + "train.lr_decay_points = 0.5,nan", "train.lr_decay_points", "finite"),
+    (_IMAGE + "data.noise_std = nan", "data.noise_std", "finite"),
+    (_GRAPH + "data.p_in = nan", "data.p_in", "finite"),
+    (_GRAPH + "data.p_in = 2.0", "data", "p_in=2.0"),
+    (_GRAPH + "data.p_out = -0.5", "data", "p_out=-0.5"),
+    (_GRAPH + "data.feature_noise = -1", "data", "feature_noise must be >= 0"),
+    (_GRAPH + "data.labeled_per_class = 0", "data", "labeled_per_class must be >= 1"),
+    (_GRAPH + "data.communities = 1", "data", "communities must be >= 2"),
 ])
 def test_rejected_values_name_section_and_field(text, section, field):
     with pytest.raises(ConfigError) as info:

@@ -1,5 +1,6 @@
 """The named-array file format behind the dataset cache and checkpoints."""
 
+import json
 from dataclasses import asdict
 
 import numpy as np
@@ -16,6 +17,7 @@ from dropgraph.data import (
     save_graph_dataset,
     save_image_dataset,
 )
+from dropgraph.errors import ContractError
 
 _IMAGE_SPEC = SyntheticImageSpec(image_size=8, train_count=8, val_count=4, seed=2)
 _GRAPH_SPEC = SbmGraphSpec(nodes=36, communities=3, p_in=0.3, p_out=0.05,
@@ -73,3 +75,16 @@ def test_arrays_keep_dtype_shape_and_memory_order(tmp_path):
         assert (got[name].dtype, got[name].shape) == (want.dtype, want.shape), name
         npt.assert_array_equal(got[name], want, err_msg=name)
 
+
+
+@pytest.mark.parametrize("header", [
+    {"kind": "test", "meta": {}, "names": ["w", "w"]},
+    {"kind": "test", "meta": [], "names": ["w", "v"]},
+], ids=["repeated_name", "meta_not_a_dict"])
+def test_bad_header_raises_contract_error_naming_the_file(tmp_path, header):
+    path = tmp_path / "bad.npys"
+    with open(path, "wb") as fh:
+        for arr in (np.array(json.dumps(header).encode("utf-8")), np.zeros(2), np.ones(2)):
+            np.save(fh, arr, allow_pickle=False)
+    with pytest.raises(ContractError, match="bad.npys: not a named-array file"):
+        load_arrays(path, "test")

@@ -1,6 +1,7 @@
 """A run is a pure function of (config, seed), on one process or several."""
 
 import dataclasses
+import json
 import re
 import tracemalloc
 
@@ -9,12 +10,12 @@ import pytest
 
 from dropgraph import train
 from dropgraph.backbones import TinyResNet
-from dropgraph.config import parse_config
+from dropgraph.config import config_to_text, parse_config
 from dropgraph.errors import ConfigError
 from dropgraph.nn import cross_entropy
 from dropgraph.rng import RngStream
 from dropgraph.tensor import Tensor
-from dropgraph.train import SGD, multi_seed, run_experiment
+from dropgraph.train import SGD, multi_seed, run_experiment, write_run_records
 
 _IMAGE = parse_config("task = image\ndata.image_size = 16\ndata.train_count = 32\n"
                       "data.val_count = 16\ntrain.epochs = 2\ntrain.batch_size = 16\n"
@@ -59,8 +60,8 @@ def test_multi_seed_starts_at_most_one_worker_per_run(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return [fn(t) for t in tasks]
+        def starmap(self, fn, tasks):
+            return [fn(*t) for t in tasks]
 
     monkeypatch.setattr(train.multiprocessing, "Pool", InlinePool)
     monkeypatch.setattr(train, "run_experiment", lambda cfg, seed: (cfg.task, seed))
@@ -68,6 +69,37 @@ def test_multi_seed_starts_at_most_one_worker_per_run(monkeypatch):
         [("node_graph", 1), ("node_graph", 2), ("node_graph", 3)]]
     assert multi_seed([_IMAGE, _GRAPH], (1, 2, 3), threads=4)[0][2] == ("image", 3)
     assert started == [3, 4]
+
+
+_RUN_KEYS = {"type", "hash", "seed", "status", "epochs", "wall_time_s",
+             "final_train_acc", "final_val_acc", "generalization_gap"}
+_EPOCH_KEYS = {"epoch", "train_loss", "train_acc", "val_loss", "val_acc",
+               "rho_start", "rho_end", "lr"}
+
+
+def test_run_lines_keep_every_field_of_ok_and_diverged_runs(tmp_path):
+    ok = run_experiment(_GRAPH, 4)
+    # The first step at lr 1e200 finishes one epoch; the second step's loss is not finite.
+    diverged = run_experiment(dataclasses.replace(_GRAPH, train_lr=1e200), 5)
+    assert (ok.status, len(ok.epochs)) == ("ok", 2)
+    assert (diverged.status, len(diverged.epochs)) == ("diverged", 1)
+    path = tmp_path / "runs.jsonl"
+    write_run_records(path, _GRAPH, [ok, diverged])
+    config, *runs = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert config == {"type": "config", "hash": _GRAPH.config_hash(),
+                      "text": config_to_text(_GRAPH)}
+    for line, record in zip(runs, (ok, diverged), strict=True):
+        assert set(line) == _RUN_KEYS
+        assert all(set(epoch) == _EPOCH_KEYS for epoch in line["epochs"])
+        assert (line["type"], line["hash"]) == ("run", record.config_hash)
+        # assert_equal counts NaN equal to NaN: the diverged epoch's val_loss is NaN.
+        np.testing.assert_equal(line["epochs"], [dataclasses.asdict(e) for e in record.epochs])
+        for key in ("seed", "status", "wall_time_s", "final_train_acc", "final_val_acc",
+                    "generalization_gap"):
+            assert line[key] == getattr(record, key), key
+    assert runs[1]["wall_time_s"] > 0.0
+    assert [runs[1][key] for key in ("final_train_acc", "final_val_acc",
+                                     "generalization_gap")] == [0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("seeds, message", [

@@ -12,7 +12,10 @@ the tool compares
 
 * ``runs.jsonl`` without ``wall_time_s``,
 * ``summary.csv`` and ``config.txt``,
-* the console output (stdout, stderr and the exit code),
+* the console output (stdout, stderr and the exit code); numpy's warnings
+  on a diverging run name the file and line they come from, and the tool
+  writes these as ``<src>/dropgraph/nn.py:<line>``, since where a tree sits
+  and where its lines fall are not the program's output,
 
 and prints one line per differing file with the largest relative deviation
 between its numbers (``inf`` when the files differ in anything but numbers).
@@ -42,14 +45,15 @@ _IMAGE = ("task = image\ndata.image_size = 16\ndata.train_count = 16\n"
           "data.val_count = 8\ntrain.batch_size = 8\ntrain.epochs = 2\n")
 _GRAPH = "task = node_graph\ntrain.epochs = 20\n"
 
-# 35 configs: every reg.kind, generator, adjacency mode and ramp, both pgr
+# 38 configs: every reg.kind, generator, adjacency mode and ramp, both pgr
 # strategies and arms, pgr with a normalized similarity, and both tasks, with
 # every generator on the node-graph task's one-item (flat) vertex layout; an
-# odd image size, whose stride-2 maps round up; an image config whose last
-# batch holds one item (the flat layout with a shared skip mask); alpha = 1,
-# where every item of a padded vertex set fills n_max; and three groups, whose
-# two strided convs run on an even 18x18 and an odd 9x9 map.  Each config runs
-# the default three seeds.
+# odd image size, whose stride-2 maps round up; image configs whose last
+# batch holds one item (the flat layout with a shared skip mask, and pgr
+# writing back a flat set's rows); alpha = 1, where every item of a padded
+# vertex set fills n_max; three groups, whose two strided convs run on an
+# even 18x18 and an odd 9x9 map; and a diverging run of each task, which
+# keeps the epochs it finished.  Each config runs the default three seeds.
 CONFIGS = {
     "image-none": _IMAGE,
     "image-dropout-rescale": _IMAGE + "reg.kind = dropout\nreg.rescale_dropout = true\n",
@@ -81,6 +85,8 @@ CONFIGS = {
     "image-dropgraph-alpha-one": _IMAGE + "reg.kind = dropgraph\nreg.alpha = 1.0\n",
     "image-dropgraph-three-groups": _IMAGE + ("data.image_size = 18\nmodel.groups = 1x8,1x8,1x8\n"
                                               "reg.kind = dropgraph\n"),
+    "image-pgr-one-item-batch": _IMAGE + "data.train_count = 17\nreg.kind = pgr\n",
+    "image-diverges": _IMAGE + "train.batch_size = 16\ntrain.epochs = 3\ntrain.lr = 1e200\n",
     "graph-none": _GRAPH,
     "graph-dropout": _GRAPH + "reg.kind = dropout\n",
     "graph-spatial-dropout": _GRAPH + "reg.kind = spatial_dropout\n",
@@ -92,9 +98,12 @@ CONFIGS = {
     "graph-dropgraph-random-noise": _GRAPH + "reg.kind = dropgraph\nreg.generator = random_noise\n",
     "graph-dropgraph-avg-pool": _GRAPH + "reg.kind = dropgraph\nreg.generator = avg_pool\n",
     "graph-dropgraph-no-generator": _GRAPH + "reg.kind = dropgraph\nreg.generator = none\n",
+    "graph-diverges": _GRAPH + "train.lr = 1e200\n",
 }
 
 COMPARED = ("runs.jsonl", "summary.csv", "config.txt", "console.txt")
+# The source location a warning is printed with, once its tree's path is ``<src>``.
+_WARNING_LINE = re.compile(r"(<src>/\S+\.py):\d+:")
 
 
 @contextlib.contextmanager
@@ -116,6 +125,7 @@ def run_configs(out_root: Path, configs: dict = CONFIGS):
     """
     from dropgraph import cli
 
+    src = str(Path(cli.__file__).parent.parent)
     out_root.mkdir(parents=True, exist_ok=True)
     with _cwd(out_root):
         for name, text in configs.items():
@@ -124,8 +134,9 @@ def run_configs(out_root: Path, configs: dict = CONFIGS):
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 rc = cli.main(["run", f"{name}.cfg", "--out-dir", name])
             Path(name).mkdir(exist_ok=True)
-            (Path(name) / "console.txt").write_text(
-                f"{out.getvalue()}--- stderr\n{err.getvalue()}--- exit {rc}\n", encoding="utf-8")
+            console = f"{out.getvalue()}--- stderr\n{err.getvalue()}--- exit {rc}\n"
+            console = _WARNING_LINE.sub(r"\1:<line>:", console.replace(src, "<src>"))
+            (Path(name) / "console.txt").write_text(console, encoding="utf-8")
 
 
 def _normalized(path: Path) -> str:
