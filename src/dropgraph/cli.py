@@ -18,6 +18,12 @@ Subcommands:
 same parser and checks as the file itself; a bad override is a config error,
 and so is a ``#`` or a line break in one (it would end the value early).
 
+``run`` and ``sweep`` each generate the dataset twice: for the dataset
+cache, and in ``train.multi_seed``, which shares its copy among every run.
+The cache's generation stays until the cache goes (ROADMAP item 9): the
+benchmark's probes require both generators to run, and a process-wide memo
+would let later commands in one process skip generation.
+
 ``main`` first fixes two glibc malloc thresholds (``_keep_freed_memory``).
 glibc returns a free heap top above its trim threshold to the kernel, and it
 raises its mmap threshold to the largest mapped block freed so far, so how

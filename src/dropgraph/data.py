@@ -9,6 +9,10 @@ Graphs: a stochastic block model with community-informative noisy node
 features, split Cora-style (a few labeled nodes per class, disjoint
 val/test).
 
+Every array a generator returns is read-only (``flags.writeable`` is
+False): one dataset is shared by every run of a command, so a write into
+it raises instead of changing the next run's data.
+
 Both dataset kinds are written as a cache of named arrays (write only: the
 datasets are pure functions of their specs) by ``save_arrays``, which
 checkpoints use too: ``.npy`` records behind a JSON header.
@@ -16,10 +20,11 @@ checkpoints use too: ``.npy`` records behind a JSON header.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -76,9 +81,17 @@ class ImageDataset:
     pixel_std: float
 
 
+def _read_only(*arrays):
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=8)
 def _grid(size):
+    """The ``(yy, xx)`` pixel coordinates on [-1, 1], shared by every image of one size."""
     ax = np.linspace(-1.0, 1.0, size)
-    return np.meshgrid(ax, ax, indexing="ij")
+    return _read_only(*np.meshgrid(ax, ax, indexing="ij"))
 
 
 def _pattern(family: str, size: int, rng: RngStream) -> np.ndarray:
@@ -134,6 +147,7 @@ def gen_images(spec: SyntheticImageSpec) -> ImageDataset:
         std = 1.0
     train_x = (train_x - mean) / std
     val_x = (val_x - mean) / std
+    _read_only(train_x, train_y, val_x, val_y)
     return ImageDataset(spec=spec, train_x=train_x, train_y=train_y,
                         val_x=val_x, val_y=val_y, pixel_mean=mean, pixel_std=std)
 
@@ -148,8 +162,9 @@ class GraphInstance:
     ``propagated_features`` is ``normalized_adjacency @ node_features``,
     the first GCN layer's propagation.  It depends on no parameter, so it
     is computed once here (as SGC does) instead of in every forward.  The
-    instance is treated as immutable: the derived array is not refreshed
-    if the arrays it came from are changed or rebound later.
+    instance is immutable: every array it holds is made read-only here, and
+    the derived array is not refreshed if the arrays it came from are
+    rebound later.
     """
 
     node_features: np.ndarray  # (n, f)
@@ -162,6 +177,7 @@ class GraphInstance:
 
     def __post_init__(self):
         self.propagated_features = self.normalized_adjacency @ self.node_features
+        _read_only(*(getattr(self, f.name) for f in fields(self)))
 
 
 @dataclass

@@ -34,19 +34,19 @@ def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
     analytic = np.zeros_like(x.data) if x.grad is None else np.asarray(x.grad, dtype=np.float64)
     analytic = analytic.reshape(x.data.shape).copy()
 
-    flat = x.data.ravel()
-    ana = analytic.ravel()
+    # Index x.data itself: ravel() copies a strided array, and f would not see the change.
+    data = x.data
     worst = 0.0
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
+    for i in np.ndindex(data.shape):
+        orig = data[i]
+        data[i] = orig + eps
         f_plus = float(f(x).data)
-        flat[i] = orig - eps
+        data[i] = orig - eps
         f_minus = float(f(x).data)
-        flat[i] = orig
+        data[i] = orig
         numeric = (f_plus - f_minus) / (2.0 * eps)
-        denom = max(1.0, abs(ana[i]), abs(numeric))
-        worst = max(worst, abs(ana[i] - numeric) / denom)
+        denom = max(1.0, abs(analytic[i]), abs(numeric))
+        worst = max(worst, abs(analytic[i] - numeric) / denom)
     return worst
 
 

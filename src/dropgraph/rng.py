@@ -11,6 +11,7 @@ sites consume.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -18,16 +19,26 @@ import numpy as np
 __all__ = ["RngStream"]
 
 
+@functools.lru_cache(maxsize=1024)
+def _hash_label(label: str) -> int:
+    # blake2s, not hash(): stable across processes and platforms.
+    digest = hashlib.blake2s(label.encode("utf-8"), digest_size=4).digest()
+    return int.from_bytes(digest, "little")
+
+
 def _label_to_int(label) -> int:
-    """Map a path label (int or str) to a stable uint32."""
+    """Map a path label (int or str) to a stable uint32.
+
+    An int outside ``[0, 2**32)`` is refused: ``SeedSequence`` splits a
+    larger int into 32-bit words, so ``("step", 2**32 + 5)`` would address
+    the same stream as ``("step", 5, 1)``.
+    """
     if isinstance(label, (int, np.integer)):
-        if label < 0:
-            raise ValueError(f"path labels must be nonnegative, got {label}")
+        if not 0 <= label < 2**32:
+            raise ValueError(f"path labels must lie in [0, 2**32), got {label}")
         return int(label)
     if isinstance(label, str):
-        # blake2s, not hash(): stable across processes and platforms.
-        digest = hashlib.blake2s(label.encode("utf-8"), digest_size=4).digest()
-        return int.from_bytes(digest, "little")
+        return _hash_label(label)
     raise TypeError(f"path label must be int or str, got {type(label).__name__}")
 
 
@@ -48,8 +59,15 @@ class RngStream:
         self._gen = None
 
     def child(self, *labels) -> "RngStream":
-        """Derive an independent stream addressed by an extended path."""
-        return RngStream(self.seed, self.path + tuple(labels))
+        """Derive an independent stream addressed by an extended path.
+
+        Only the new labels are mapped; ``self.path`` already holds ints.
+        """
+        stream = object.__new__(RngStream)
+        stream.seed = self.seed
+        stream.path = self.path + tuple(map(_label_to_int, labels))
+        stream._gen = None
+        return stream
 
     @property
     def generator(self) -> np.random.Generator:

@@ -4,6 +4,11 @@ Every run is a pure function of (config, seed): the seed roots one RNG tree
 whose named paths drive init, shuffling, augmentation, and every regularizer
 site, so records reproduce bit-exactly.  A non-finite loss marks the record
 ``diverged`` instead of raising.
+
+A run's dataset is a pure function of its config's data spec.
+``multi_seed`` generates each distinct spec's dataset once and passes that
+one (read-only) object to every run of it, on the pool too;
+``run_experiment`` called without a dataset generates its own.
 """
 
 from __future__ import annotations
@@ -12,13 +17,13 @@ import json
 import math
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .backbones import TinyResNet, TwoLayerGcn
 from .config import ExperimentConfig, check_seeds, config_to_text
-from .data import GraphInstance, gen_images, gen_sbm
+from .data import GraphInstance, ImageDataset, SyntheticImageSpec, gen_images, gen_sbm
 from .errors import ConfigError
 from .nn import cross_entropy
 from .regularizers import schedule_rho
@@ -120,8 +125,7 @@ def _evaluate_image(model, xs, ys, rng):
     return total_loss / xs.shape[0], correct / xs.shape[0]
 
 
-def _train_image(cfg: ExperimentConfig, seed: int) -> RunRecord:
-    ds = gen_images(cfg.image_spec())
+def _train_image(cfg: ExperimentConfig, seed: int, ds: ImageDataset) -> RunRecord:
     rng = RngStream(seed)
     reg_cfg = cfg.regularizer_config()
     model = TinyResNet(cfg.resnet_config(), rng.child("init"), reg_cfg)
@@ -181,8 +185,7 @@ def _evaluate_graph(model, g: GraphInstance, idx, rng):
     return loss, acc
 
 
-def _train_graph(cfg: ExperimentConfig, seed: int) -> RunRecord:
-    g = gen_sbm(cfg.graph_spec())
+def _train_graph(cfg: ExperimentConfig, seed: int, g: GraphInstance) -> RunRecord:
     rng = RngStream(seed)
     reg_cfg = cfg.regularizer_config()
     model = TwoLayerGcn(cfg.gcn_config(), rng.child("init"), reg_cfg)
@@ -212,25 +215,51 @@ def _train_graph(cfg: ExperimentConfig, seed: int) -> RunRecord:
     return _end_run(record, start, final_train_acc)
 
 
-def run_experiment(cfg: ExperimentConfig, seed: int) -> RunRecord:
-    """Train one model for one seed and return its record."""
+def _data_spec(cfg: ExperimentConfig):
     if cfg.task == "image":
-        return _train_image(cfg, seed)
+        return cfg.image_spec()
     if cfg.task == "node_graph":
-        return _train_graph(cfg, seed)
+        return cfg.graph_spec()
     raise ConfigError(f"unknown task {cfg.task!r}")
+
+
+def _generate(spec):
+    return gen_images(spec) if isinstance(spec, SyntheticImageSpec) else gen_sbm(spec)
+
+
+def run_experiment(cfg: ExperimentConfig, seed: int, data=None) -> RunRecord:
+    """Train one model for one seed and return its record.
+
+    ``data`` is the dataset of ``cfg``'s data spec, as ``multi_seed`` passes
+    it; without one the run generates it.
+    """
+    spec = _data_spec(cfg)  # refuses an unknown task, with or without a dataset
+    if data is None:
+        data = _generate(spec)
+    train = _train_image if cfg.task == "image" else _train_graph
+    return train(cfg, seed, data)
 
 
 def multi_seed(configs, seeds, threads: int = 1):
     """Run the (config x seed) grid; returns records grouped per config.
 
     ``seeds`` obey the config file's rule (at least three, none repeated).
+    Each distinct data spec's dataset is generated once, before any run, and
+    every run of that spec gets the same object; configs that differ only
+    outside the data section (a sweep over ``reg.*``) share one dataset.
     Runs are independent; with threads > 1 they execute on a process pool
-    of ``min(threads, runs)`` workers.
+    of ``min(threads, runs)`` workers, and each task carries its dataset.
     Results are assembled in deterministic (config, seed) order either way.
     """
     check_seeds(seeds)
-    tasks = [(cfg, seed) for cfg in configs for seed in seeds]
+    datasets = {}
+    tasks = []
+    for cfg in configs:
+        spec = _data_spec(cfg)
+        key = (type(spec), astuple(spec))
+        if key not in datasets:
+            datasets[key] = _generate(spec)
+        tasks.extend((cfg, seed, datasets[key]) for seed in seeds)
     if threads > 1:
         with multiprocessing.Pool(processes=min(threads, len(tasks))) as pool:
             flat = pool.starmap(run_experiment, tasks)

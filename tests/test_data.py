@@ -1,5 +1,7 @@
-"""The named-array file format behind the dataset cache and checkpoints."""
+"""The generated datasets, and the named-array file format behind the dataset cache and
+checkpoints."""
 
+import hashlib
 import json
 from dataclasses import asdict
 
@@ -25,6 +27,48 @@ _GRAPH_SPEC = SbmGraphSpec(nodes=36, communities=3, p_in=0.3, p_out=0.05,
 _IMAGE_ARRAYS = ("train_x", "train_y", "val_x", "val_y")
 _GRAPH_ARRAYS = ("node_features", "normalized_adjacency", "labels",
                  "train_idx", "val_idx", "test_idx")
+
+
+# SHA-256 of each generated array's bytes.  The records contract sees a change to the
+# generated bits only through the runs trained on them; these pins see it directly.
+_IMAGE_DIGESTS = {
+    "train_x": "0a70bef467aabb24569b535445b74948049c517d9dfbfca46649654860af395a",
+    "train_y": "26d5e8917b1d4afe921e66f37cc682de14ae09f99950e41e9d40d2fddbade6a8",
+    "val_x": "c7c0c24f0bf7265cd0a4a455e6b27f2375c6611945a242023561bacde4cab1f0",
+    "val_y": "a1e03200f1f82ad2c1cec8795c271aaecf98f5aa2d151d2229ec5fa0c177cf77",
+}
+_DEFAULT_SBM_DIGESTS = {
+    "node_features": "cc4c9b563c6da7a7e18bbf435173057eda709038375990b13bb086fcd3bbaf36",
+    "normalized_adjacency": "90f272c54b8c0d6919b782dd66c25e5e51e9e77f98bbb581353566b3c530f352",
+    "labels": "d2c97e5c656637523848ff6895b48043be172703aee9374513204c5aa7a78dda",
+    "train_idx": "c7beaf284ccf40bbf202eae31e7d2f8dfc50e3c31c02ee4e038fc63c2d421a04",
+    "val_idx": "55f0f217fbc9832f7386b4292431435b9f15f1df858fbb571e1270134b453822",
+    "test_idx": "e15aa4e0efc644e7039128e14648c4ba477b5d8376fc0a7246e5081092ae70d2",
+    "propagated_features": "fc7dd1f0f43de496fd1c6988eab674cc474e4dcb3d7e12589efbaf31f76a20b9",
+}
+
+
+def _digests(source, names):
+    return {name: hashlib.sha256(getattr(source, name).tobytes()).hexdigest() for name in names}
+
+
+def test_generated_arrays_keep_their_bits():
+    ds = gen_images(_IMAGE_SPEC)
+    assert _digests(ds, _IMAGE_DIGESTS) == _IMAGE_DIGESTS
+    assert (ds.pixel_mean, ds.pixel_std) == (0.09090961261690741, 1.2210216850033733)
+    assert _digests(gen_sbm(SbmGraphSpec()), _DEFAULT_SBM_DIGESTS) == _DEFAULT_SBM_DIGESTS
+
+
+@pytest.mark.parametrize("source, names", [
+    (lambda: gen_images(_IMAGE_SPEC), _IMAGE_ARRAYS),
+    (lambda: gen_sbm(_GRAPH_SPEC), _GRAPH_ARRAYS + ("propagated_features",)),
+], ids=["image", "graph"])
+def test_generated_arrays_are_read_only(source, names):
+    data = source()
+    for name in names:
+        arr = getattr(data, name)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 1
 
 
 def _write_image(path):

@@ -63,3 +63,18 @@ def test_max_relative_deviation_reads_only_free_standing_numbers():
     assert rc.max_relative_deviation("hash b549c9 f5", "hash b549c8 f5") == math.inf
     assert rc.max_relative_deviation("x = 0", "x = 0") == 0.0
     assert rc.max_relative_deviation("loss NaN", "loss 1.0") != 0.0
+
+
+def test_a_sweep_compares_each_value_s_records_and_its_csv(tmp_path):
+    sweep = {"graph-sweep-kind": rc.CONFIGS["graph-sweep-kind"]}
+    assert rc.compared_files(sweep["graph-sweep-kind"]) == (
+        "runs_kind_none.jsonl", "runs_kind_dropgraph.jsonl", "sweep.csv", "console.txt")
+    rc.run_configs(tmp_path / "a", sweep)
+    rc.run_configs(tmp_path / "b", sweep)
+    for fname in rc.compared_files(sweep["graph-sweep-kind"]):
+        assert (tmp_path / "a" / "graph-sweep-kind" / fname).exists(), fname
+    assert rc.diff_outputs(tmp_path / "a", tmp_path / "b", sweep) == []
+    runs = tmp_path / "b" / "graph-sweep-kind" / "runs_kind_dropgraph.jsonl"
+    runs.write_text(runs.read_text().replace('"status": "ok"', '"status": "diverged"', 1))
+    assert [(d.file, d.deviation) for d in rc.diff_outputs(tmp_path / "a", tmp_path / "b", sweep)] \
+        == [("runs_kind_dropgraph.jsonl", float("inf"))]

@@ -274,6 +274,19 @@ def test_grad_check_relu_away_from_kink():
     assert grad_check(lambda t: relu(t).sum(), x, eps=1e-5) <= 1e-6
 
 
+@pytest.mark.parametrize("layout", ["strided", "fortran"])
+def test_grad_check_perturbs_a_non_contiguous_x_in_place(layout):
+    base = RNG.normal(size=(4, 6))
+    data = base[:, ::2] if layout == "strided" else np.asfortranarray(base[:, :3])
+    assert not data.flags.c_contiguous
+
+    def error(values):
+        return grad_check(lambda t: (t * t).sum(), Tensor(values, requires_grad=True))
+
+    assert error(data) < 1e-8
+    assert abs(error(data) - error(np.ascontiguousarray(data))) < 1e-8
+
+
 def test_grad_check_eps_bounds():
     x = Tensor(np.ones(2), requires_grad=True)
     with pytest.raises(ContractError):
@@ -383,6 +396,35 @@ def test_rng_draw_sequence_is_stateful():
     replay = RngStream(9, ("x",))
     npt.assert_array_equal(first, replay.uniform(size=10))
     npt.assert_array_equal(second, replay.uniform(size=10))
+
+
+@pytest.mark.parametrize("base, labels", [
+    ((), ("mask",)),
+    ((), (3,)),
+    (("step", 4), (np.int64(7), "flip")),
+    (("layer", np.int32(2)), ("vertices", 0, "x")),
+])
+def test_rng_child_draws_equal_the_full_path_draws(base, labels):
+    child = RngStream(11, base).child(*labels)
+    full = RngStream(11, base + labels)
+    assert child.path == full.path
+    npt.assert_array_equal(child.uniform(size=20), full.uniform(size=20))
+    nested = RngStream(11, base).child(*labels[:1]).child(*labels[1:])
+    npt.assert_array_equal(nested.normal(size=5), RngStream(11, base + labels).normal(size=5))
+
+
+def test_rng_int_labels_must_fit_32_bits():
+    # SeedSequence splits a larger int into 32-bit words: 2**32 + 5 would alias (5, 1).
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        RngStream(7, ("step", 2**32 + 5))
+    with pytest.raises(ValueError):
+        RngStream(7).child("step", np.uint64(2**32))
+    with pytest.raises(ValueError):
+        RngStream(7, ("step", -1))
+    top = RngStream(7, ("step", 2**32 - 1))
+    assert top.path[-1] == 2**32 - 1 and top.uniform(size=3).shape == (3,)
+    npt.assert_array_equal(RngStream(7, ("step", np.int64(5))).uniform(size=4),
+                           RngStream(7, ("step", 5)).uniform(size=4))
 
 
 def test_rng_string_labels_stable():

@@ -2,15 +2,17 @@
 
 import dataclasses
 import json
+import os
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from dropgraph import train
+from dropgraph import cli, train
 from dropgraph.backbones import TinyResNet
 from dropgraph.config import config_to_text, parse_config
+from dropgraph.data import GraphInstance, ImageDataset
 from dropgraph.errors import ConfigError
 from dropgraph.nn import cross_entropy
 from dropgraph.rng import RngStream
@@ -64,11 +66,65 @@ def test_multi_seed_starts_at_most_one_worker_per_run(monkeypatch):
             return [fn(*t) for t in tasks]
 
     monkeypatch.setattr(train.multiprocessing, "Pool", InlinePool)
-    monkeypatch.setattr(train, "run_experiment", lambda cfg, seed: (cfg.task, seed))
+    monkeypatch.setattr(train, "run_experiment", lambda cfg, seed, data: (cfg.task, seed))
     assert multi_seed([_GRAPH], (1, 2, 3), threads=8) == [
         [("node_graph", 1), ("node_graph", 2), ("node_graph", 3)]]
     assert multi_seed([_IMAGE, _GRAPH], (1, 2, 3), threads=4)[0][2] == ("image", 3)
     assert started == [3, 4]
+
+
+def _count_generations(monkeypatch):
+    """Specs passed to ``train.gen_images`` / ``train.gen_sbm``; a call in another process fails."""
+    calls, pid = [], os.getpid()
+    for name in ("gen_images", "gen_sbm"):
+        def counted(spec, _generate=getattr(train, name)):
+            assert os.getpid() == pid, "a pool worker generated its own dataset"
+            calls.append(spec)
+            return _generate(spec)
+        monkeypatch.setattr(train, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("configs, datasets", [
+    ([_GRAPH], 1),
+    ([_GRAPH, dataclasses.replace(_GRAPH, reg_kind="none")], 1),
+    ([_GRAPH, dataclasses.replace(_GRAPH, data_seed=1)], 2),
+    ([_IMAGE, _GRAPH, dataclasses.replace(_IMAGE, reg_kind="dropout")], 2),
+], ids=["seeds", "reg_kind", "data_seed", "both_tasks"])
+def test_multi_seed_generates_each_distinct_dataset_once(monkeypatch, configs, datasets):
+    calls = _count_generations(monkeypatch)
+    seen = []
+    monkeypatch.setattr(train, "run_experiment", lambda cfg, seed, data: seen.append(data) or seed)
+    assert multi_seed(configs, (1, 2, 3)) == [[1, 2, 3]] * len(configs)
+    assert len(calls) == len({id(data) for data in seen}) == datasets
+    for i, cfg in enumerate(configs):
+        group = seen[3 * i : 3 * i + 3]
+        assert all(data is group[0] for data in group)
+        assert isinstance(group[0], ImageDataset if cfg.task == "image" else GraphInstance)
+
+
+def test_runs_on_a_shared_dataset_match_runs_that_generate_their_own(monkeypatch):
+    calls = _count_generations(monkeypatch)
+    pooled = multi_seed([_GRAPH], (1, 2, 3), threads=2)[0]
+    assert len(calls) == 1
+    alone = [run_experiment(_GRAPH, seed) for seed in (1, 2, 3)]
+    assert len(calls) == 4
+    assert [_without_wall_time(r) for r in pooled] == [_without_wall_time(r) for r in alone]
+
+
+@pytest.mark.parametrize("text", [
+    "task = image\ndata.image_size = 8\ndata.train_count = 8\ndata.val_count = 4\n"
+    "train.epochs = 1\ntrain.batch_size = 8\n",
+    "task = node_graph\ntrain.epochs = 1\n",
+], ids=["image", "node_graph"])
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "kind", "--values",
+                                               "none,dropout"]], ids=["run", "sweep"])
+def test_a_command_runs_the_train_side_generator_once(monkeypatch, tmp_path, text, command):
+    calls = _count_generations(monkeypatch)
+    path = tmp_path / "exp.cfg"
+    path.write_text(text, encoding="utf-8")
+    rc = cli.main([command[0], str(path), *command[1:], "--out-dir", str(tmp_path / "out")])
+    assert (rc, len(calls)) == (0, 1)
 
 
 _RUN_KEYS = {"type", "hash", "seed", "status", "epochs", "wall_time_s",

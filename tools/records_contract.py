@@ -7,11 +7,12 @@ The parent revision is exported with ``git archive`` into a temporary
 directory (no worktree is registered, so nothing is left in ``.git`` if the
 tool is interrupted).  The parent's ``src`` and this checkout's ``src`` then
 each run every config of ``CONFIGS`` through ``dropgraph.cli.main(["run",
-...])`` in a fresh interpreter with BLAS pinned to one thread.  Per config
-the tool compares
+...])``, or ``["sweep", ...]`` for a ``Sweep``, in a fresh interpreter with
+BLAS pinned to one thread.  Per config the tool compares
 
-* ``runs.jsonl`` without ``wall_time_s``,
-* ``summary.csv`` and ``config.txt``,
+* ``runs.jsonl`` without ``wall_time_s`` (a sweep: each
+  ``runs_<axis>_<value>.jsonl``),
+* ``summary.csv`` and ``config.txt`` (a sweep: ``sweep.csv``),
 * the console output (stdout, stderr and the exit code); numpy's warnings
   on a diverging run name the file and line they come from, and the tool
   writes these as ``<src>/dropgraph/nn.py:<line>``, since where a tree sits
@@ -45,7 +46,17 @@ _IMAGE = ("task = image\ndata.image_size = 16\ndata.train_count = 16\n"
           "data.val_count = 8\ntrain.batch_size = 8\ntrain.epochs = 2\n")
 _GRAPH = "task = node_graph\ntrain.epochs = 20\n"
 
-# 38 configs: every reg.kind, generator, adjacency mode and ramp, both pgr
+
+@dataclass(frozen=True)
+class Sweep:
+    """A config run as ``dropgraph sweep --axis <axis> --values <values>``."""
+
+    text: str
+    axis: str
+    values: tuple
+
+
+# 40 configs: every reg.kind, generator, adjacency mode and ramp, both pgr
 # strategies and arms, pgr with a normalized similarity, and both tasks, with
 # every generator on the node-graph task's one-item (flat) vertex layout; an
 # odd image size, whose stride-2 maps round up; image configs whose last
@@ -53,7 +64,9 @@ _GRAPH = "task = node_graph\ntrain.epochs = 20\n"
 # writing back a flat set's rows); alpha = 1, where every item of a padded
 # vertex set fills n_max; three groups, whose two strided convs run on an
 # even 18x18 and an odd 9x9 map; and a diverging run of each task, which
-# keeps the epochs it finished.  Each config runs the default three seeds.
+# keeps the epochs it finished; a run on a process pool of two workers; and
+# a sweep over reg.kind, whose configs share one dataset.  Each config runs
+# the default three seeds.
 CONFIGS = {
     "image-none": _IMAGE,
     "image-dropout-rescale": _IMAGE + "reg.kind = dropout\nreg.rescale_dropout = true\n",
@@ -87,6 +100,7 @@ CONFIGS = {
                                               "reg.kind = dropgraph\n"),
     "image-pgr-one-item-batch": _IMAGE + "data.train_count = 17\nreg.kind = pgr\n",
     "image-diverges": _IMAGE + "train.batch_size = 16\ntrain.epochs = 3\ntrain.lr = 1e200\n",
+    "image-dropgraph-two-threads": _IMAGE + "reg.kind = dropgraph\nthreads = 2\n",
     "graph-none": _GRAPH,
     "graph-dropout": _GRAPH + "reg.kind = dropout\n",
     "graph-spatial-dropout": _GRAPH + "reg.kind = spatial_dropout\n",
@@ -99,9 +113,20 @@ CONFIGS = {
     "graph-dropgraph-avg-pool": _GRAPH + "reg.kind = dropgraph\nreg.generator = avg_pool\n",
     "graph-dropgraph-no-generator": _GRAPH + "reg.kind = dropgraph\nreg.generator = none\n",
     "graph-diverges": _GRAPH + "train.lr = 1e200\n",
+    "graph-sweep-kind": Sweep(_GRAPH, "kind", ("none", "dropgraph")),
 }
 
 COMPARED = ("runs.jsonl", "summary.csv", "config.txt", "console.txt")
+
+
+def compared_files(config) -> tuple:
+    """The files a config's command writes that the contract compares."""
+    if isinstance(config, Sweep):
+        runs = tuple(f"runs_{config.axis}_{value}.jsonl" for value in config.values)
+        return (*runs, "sweep.csv", "console.txt")
+    return COMPARED
+
+
 # The source location a warning is printed with, once its tree's path is ``<src>``.
 _WARNING_LINE = re.compile(r"(<src>/\S+\.py):\d+:")
 
@@ -128,11 +153,16 @@ def run_configs(out_root: Path, configs: dict = CONFIGS):
     src = str(Path(cli.__file__).parent.parent)
     out_root.mkdir(parents=True, exist_ok=True)
     with _cwd(out_root):
-        for name, text in configs.items():
+        for name, config in configs.items():
+            if isinstance(config, Sweep):
+                text, command = config.text, ["sweep", f"{name}.cfg", "--axis", config.axis,
+                                              "--values", ",".join(config.values)]
+            else:
+                text, command = config, ["run", f"{name}.cfg"]
             Path(f"{name}.cfg").write_text(text, encoding="utf-8")
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                rc = cli.main(["run", f"{name}.cfg", "--out-dir", name])
+                rc = cli.main([*command, "--out-dir", name])
             Path(name).mkdir(exist_ok=True)
             console = f"{out.getvalue()}--- stderr\n{err.getvalue()}--- exit {rc}\n"
             console = _WARNING_LINE.sub(r"\1:<line>:", console.replace(src, "<src>"))
@@ -140,11 +170,11 @@ def run_configs(out_root: Path, configs: dict = CONFIGS):
 
 
 def _normalized(path: Path) -> str:
-    """A compared file's text; ``runs.jsonl`` loses its ``wall_time_s`` fields."""
+    """A compared file's text; a ``.jsonl`` file loses its ``wall_time_s`` fields."""
     if not path.exists():
         return "<missing>"
     text = path.read_text(encoding="utf-8")
-    if path.name != "runs.jsonl":
+    if path.suffix != ".jsonl":
         return text
     rows = []
     for line in text.splitlines():
@@ -187,11 +217,11 @@ class Difference:
     deviation: float
 
 
-def diff_outputs(a_root: Path, b_root: Path, names=CONFIGS) -> list:
+def diff_outputs(a_root: Path, b_root: Path, configs: dict = CONFIGS) -> list:
     """Every compared file of every config that differs between two output roots."""
     diffs = []
-    for name in names:
-        for fname in COMPARED:
+    for name, config in configs.items():
+        for fname in compared_files(config):
             a = _normalized(a_root / name / fname)
             b = _normalized(b_root / name / fname)
             if a != b:
