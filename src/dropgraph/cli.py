@@ -33,9 +33,9 @@ faulted back in, page by page, by the next.  With the mmap threshold at
 32 MB and the trim threshold at 1 GB, freed arrays stay mapped for reuse.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration/parse error
-(an unreadable config file or an output directory that cannot be made
-included), 3 training divergence.  A config error prints one ``error: <key
-or section>: <message>`` line.
+(an unreadable or undecodable config file, a negative seed or an output
+directory that cannot be made included), 3 training divergence.  A config
+error prints one ``error: <key or section>: <message>`` line.
 """
 
 from __future__ import annotations
@@ -95,7 +95,11 @@ def _check_override(key: str, value: str) -> str:
 def _config_text(args) -> str:
     """The config file's text with the command-line overrides appended."""
     with _usage_errors("config"):
-        lines = [Path(args.config).read_text(encoding="utf-8")]
+        try:
+            lines = [Path(args.config).read_text(encoding="utf-8")]
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config: not UTF-8 text (byte {exc.start}): "
+                              f"{args.config}") from None
     for key, value in (("seeds", args.seeds), ("out_dir", args.out_dir),
                        ("threads", args.threads)):
         if value is not None:

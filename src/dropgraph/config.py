@@ -221,11 +221,13 @@ def config_to_text(cfg: ExperimentConfig) -> str:
 
 
 def check_seeds(seeds) -> None:
-    """The seed rule of every multi-seed run: at least MIN_SEEDS seeds, none repeated."""
+    """The seed rule of every multi-seed run: at least MIN_SEEDS distinct seeds, none negative."""
     if len(seeds) < MIN_SEEDS:
         raise ConfigError(f"seeds: at least {MIN_SEEDS} seeds are required, got {len(seeds)}")
     if len(set(seeds)) < len(seeds):
         raise ConfigError(f"seeds: a seed may appear once, got {_format_value('seeds', seeds)}")
+    if min(seeds) < 0:
+        raise ConfigError(f"seeds: a seed must be >= 0, got {_format_value('seeds', seeds)}")
 
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:

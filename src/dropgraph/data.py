@@ -68,6 +68,8 @@ class SyntheticImageSpec:
             raise ConfigError("train_count and val_count must cover every class")
         if self.noise_std < 0:
             raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -205,6 +207,8 @@ class SbmGraphSpec:
             raise ConfigError("not enough nodes for the requested labeled/val/test split")
         if self.feature_dim < 1:
             raise ConfigError(f"feature_dim must be >= 1, got {self.feature_dim}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def gen_sbm(spec: SbmGraphSpec) -> GraphInstance:

@@ -25,7 +25,8 @@ rows are zero.  Adjacency and GCN layers are then single stacked tensor
 ops over the batch.  The softmax is masked to each item's own vertices,
 per-item scales such as 1/max(n_i - 1, 1) are (b, 1, 1) arrays, and pad
 rows and columns of ``A`` are exactly zero, so each item's result equals
-its stand-alone graph up to floating-point summation order.
+its stand-alone graph up to floating-point summation order.  A one-item
+batch is one flat (n, c) graph instead (see ``VertexSet``).
 
 Each stochastic site draws from its own named RNG path, so any site can be
 replayed in isolation and configurations that ignore a site (for example a
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -151,17 +152,24 @@ class VertexSet:
     the rows where ``valid[i]`` is True, in ``indices`` order, and its pad
     rows after them are zero.  ``positions`` are the rows' (ib, iy, ix) map
     positions: ``indices`` when flat, and (i, 0, 0) at a pad row of item i.
-    ``_gather_vertices`` picks flat for a one-item batch, padded otherwise.
+    ``_gather_vertices`` alone picks the layout, flat exactly for a one-item
+    batch; consumers read ``row_mask`` ((..., n, 1): 1 at vertex rows, 0 at
+    pad rows) and ``sizes`` (each graph's vertex count, (..., 1, 1)).
     """
 
     indices: np.ndarray  # (n, 3) int rows (batch, y, x), lexicographically sorted
     values: Tensor  # (n, c), or (b, n_max, c) when valid is set
     valid: np.ndarray | None = None  # (b, n_max) bool, True at vertex rows; None when flat
     positions: tuple | None = None  # (ib, iy, ix), each shaped like values' rows
+    row_mask: np.ndarray = field(init=False)
+    sizes: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.positions is None:
             self.positions = tuple(self.indices.T)
+        valid = np.ones(self.values.data.shape[:-1], bool) if self.valid is None else self.valid
+        self.row_mask = valid[..., None].astype(np.float64)
+        self.sizes = self.row_mask.sum(axis=-2, keepdims=True)
 
     @property
     def count(self) -> int:
@@ -172,25 +180,13 @@ class VertexSet:
         """(b,) vertices per item of the padded layout; None when flat."""
         return None if self.valid is None else self.valid.sum(axis=1)
 
-    def sizes(self) -> np.ndarray:
-        """Vertices per graph, shaped to broadcast against (..., n, n)."""
-        if self.valid is None:
-            return np.float64(self.values.data.shape[0])
-        return self.counts[:, None, None].astype(np.float64)
-
-    def row_mask(self) -> np.ndarray:
-        """(..., n, 1): 1 at vertex rows, 0 at pad rows."""
-        if self.valid is None:
-            return np.ones(self.values.data.shape[:-1] + (1,))
-        return self.valid[:, :, None].astype(np.float64)
-
 
 def _gather_vertices(x: Tensor, indices: np.ndarray) -> VertexSet:
     """The feature vectors of ``x`` at ``indices``, one graph per batch item.
 
     A one-item batch is one flat (n, c) graph; a larger batch is padded
     (see ``VertexSet``) and always carries its ``valid`` mask.  Every item
-    must hold at least one vertex.
+    holds at least one vertex, or none does.
     """
     b = x.data.shape[0]
     # Flat for speed: padding the node-graph task's one (1, c, n, 1) map made its
@@ -323,20 +319,19 @@ def sample_vertices(x: Tensor, alpha: float, rng: RngStream) -> VertexSet:
     """Select each spatial position of each batch item with probability alpha.
 
     When alpha > 0 an item whose draw comes up empty gets one forced vertex
-    at a uniform random position, so the per-item vertex count is >= 1.
-    The values come in their graph layout (``_gather_vertices``); at
-    alpha = 0 the set is empty and flat.
+    at a uniform random position, so the per-item vertex count is >= 1; at
+    alpha = 0 nothing is drawn.  The values come in their graph layout
+    (``_gather_vertices``), so an empty set is (b, 0, c), or (0, c) when b = 1.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ContractError(f"alpha must lie in [0, 1], got {alpha}")
     b, _, h, w = x.data.shape
-    if alpha == 0.0:
-        indices = np.zeros((0, 3), dtype=np.intp)
-        return VertexSet(indices=indices, values=take_spatial_vectors(x, [], [], []))
-    selected = rng.child("select").uniform(size=(b, h, w)) < alpha
-    for bi in np.flatnonzero(~selected.reshape(b, h * w).any(axis=1)):
-        flat = int(rng.child("force", int(bi)).integers(0, h * w))
-        selected[bi, flat // w, flat % w] = True
+    selected = np.zeros((b, h, w), dtype=bool)
+    if alpha > 0.0:
+        selected = rng.child("select").uniform(size=(b, h, w)) < alpha
+        for bi in np.flatnonzero(~selected.reshape(b, h * w).any(axis=1)):
+            flat = int(rng.child("force", int(bi)).integers(0, h * w))
+            selected[bi, flat // w, flat % w] = True
     return _gather_vertices(x, np.argwhere(selected))  # lexicographic (b, y, x)
 
 
@@ -359,7 +354,7 @@ def build_adjacency(v: VertexSet, mode: str = "eq6", normalize: bool = False,
         if mode == "identity":
             a = np.eye(m)
         elif mode == "uniform":
-            a = np.ones((m, m)) / v.sizes()
+            a = np.ones((m, m)) / v.sizes
         else:
             a = np.zeros((m, m))
         return Tensor(a if pairs is None else a * pairs)
@@ -381,7 +376,7 @@ def build_adjacency(v: VertexSet, mode: str = "eq6", normalize: bool = False,
     if mode == "similarity":
         return gated
     if mode == "eq6":
-        scale = -1.0 / np.maximum(v.sizes() - 1.0, 1.0)
+        scale = -1.0 / np.maximum(v.sizes - 1.0, 1.0)
         # (1 - S) * scale written as (S - 1) * -scale, which negates the
         # scale instead of the (b, n, n) stack; the result is the same bits.
         return (gated - 1.0) * (scale if pairs is None else pairs * scale)
@@ -416,8 +411,8 @@ def generate_alt_distortions(v: VertexSet, kind: str, rng: RngStream) -> Tensor:
     if v.count < 1:
         raise ContractError("distortion generation requires at least one vertex")
     if kind == "avg_pool":
-        mean_row = v.values.sum(axis=-2, keepdims=True) / np.maximum(v.sizes(), 1.0)
-        return mean_row * v.row_mask()
+        mean_row = v.values.sum(axis=-2, keepdims=True) / np.maximum(v.sizes, 1.0)
+        return mean_row * v.row_mask
     if kind == "random_noise":
         # Scale is detached: the noise magnitude follows the vertex statistics
         # but contributes no gradient path of its own.
@@ -445,12 +440,7 @@ def pool_expand_apply(x: Tensor, m: DropMask, d: Tensor, v: VertexSet,
     layout of ``v.values``: one row per vertex, or padded per item.
     """
     b, c, h, w = x.data.shape
-    if v.valid is None:
-        items = v.indices[:, 0]  # row i of d belongs to batch item items[i]
-        pool = np.zeros((b, len(items)))
-        pool[items, np.arange(len(items))] = 1.0 / np.bincount(items, minlength=b)[items]
-    else:
-        pool = v.row_mask().transpose(0, 2, 1) / np.maximum(v.sizes(), 1.0)  # (b, 1, n_max)
+    pool = np.swapaxes(v.row_mask, -1, -2) / np.maximum(v.sizes, 1.0)  # (..., 1, n): 1/n_i
     pooled = matmul(Tensor(pool), d)
     u = rng.uniform(size=(b, 1, h, w))
     gate = m.gate[:, None, :, :]

@@ -48,13 +48,16 @@ class RngStream:
     The stream is backed by a Philox counter-based bit generator keyed by
     ``(seed, path)`` through :class:`numpy.random.SeedSequence`.  Draws are
     stateful within one instance; re-constructing the same ``(seed, path)``
-    replays the same sequence from the start.
+    replays the same sequence from the start.  The seed must be >= 0, as
+    ``SeedSequence`` requires.
     """
 
     __slots__ = ("seed", "path", "_gen")
 
     def __init__(self, seed: int, path: tuple = ()):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         self.path = tuple(_label_to_int(p) for p in path)
         self._gen = None
 

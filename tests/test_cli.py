@@ -22,7 +22,10 @@ _GRAPH = "task = node_graph\nreg.kind = dropgraph\ntrain.epochs = 2\n"
 
 def _write(tmp_path, text):
     path = tmp_path / "exp.cfg"
-    path.write_text(text, encoding="utf-8")
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -102,18 +105,25 @@ def test_verify_exits_1_on_a_failed_check(monkeypatch, capsys):
     (_GRAPH + "model.hidden = 0\n", [], "model: hidden width must be a positive multiple of 4"),
     (_GRAPH + "data.feature_dim = 0\n", [], "data: feature_dim must be >= 1, got 0"),
     (_GRAPH + "data.feature_noise = -1\n", [], "data: feature_noise must be >= 0, got -1.0"),
+    (_GRAPH, ["--seeds=-1,2,3"], "seeds: a seed must be >= 0, got -1,2,3"),
+    (_GRAPH, ["--axis", "alpha", "--values", "0.1,0.2", "--seeds", "1,2,-3"],
+     "seeds: a seed must be >= 0, got 1,2,-3"),
+    (_GRAPH + "data.seed = -4\n", [], "data: seed must be >= 0, got -4"),
+    (b"task = node_graph\xff\n", [], "config: not UTF-8 text (byte 17): "),
 ], ids=["missing_file", "bad_key", "seeds_not_int", "seeds_empty_entry", "two_seeds",
         "repeated_seed",        "threads_0", "values_empty", "value_out_of_range", "values_same_parsed_value",
         "value_unknown", "seeds_comment", "threads_newline", "values_comment", "values_newline",
         "pgr_learned", "node_graph_dropgraph_learned", "sweep_node_graph_learned",
-        "zero_width_gcn", "zero_width_features", "negative_feature_noise"])
+        "zero_width_gcn", "zero_width_features", "negative_feature_noise",
+        "negative_seed", "sweep_negative_seed", "negative_data_seed", "not_utf8"])
 def test_config_errors_exit_2_before_any_output(tmp_path, capsys, text, extra, message):
     config = _write(tmp_path, text) if text is not None else str(tmp_path / "missing.cfg")
     out = tmp_path / "out"
     command = "sweep" if "--axis" in extra else "run"
     rc = cli.main([command, config, "--out-dir", str(out), *extra])
-    err = capsys.readouterr().err
+    printed, err = capsys.readouterr()
     assert rc == 2
+    assert printed == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err, err
     assert not out.exists()
 
@@ -163,10 +173,12 @@ def _assert_diverges(tmp_path, text):
     assert '"status": "diverged"' in (out / "runs.jsonl").read_text()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the run overflows on purpose
 def test_divergence_exits_3(tmp_path):
     _assert_diverges(tmp_path, "task = node_graph\ntrain.epochs = 5\ntrain.lr = 1e200\n")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the run overflows on purpose
 def test_image_divergence_exits_3(tmp_path):
     # One step per epoch: the first blows the weights up, the second's loss is not finite.
     _assert_diverges(tmp_path, "task = image\ndata.train_count = 32\ndata.val_count = 8\n"

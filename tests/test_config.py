@@ -92,6 +92,9 @@ _GRAPH = "task = node_graph\n"
     (_GRAPH + "data.feature_noise = -1", "data", "feature_noise must be >= 0"),
     (_GRAPH + "data.labeled_per_class = 0", "data", "labeled_per_class must be >= 1"),
     (_GRAPH + "data.communities = 1", "data", "communities must be >= 2"),
+    (_IMAGE + "seeds = 1,2,-3", "seeds", "a seed must be >= 0, got 1,2,-3"),
+    (_IMAGE + "data.seed = -1", "data", "seed must be >= 0, got -1"),
+    (_GRAPH + "data.seed = -4", "data", "seed must be >= 0, got -4"),
 ])
 def test_rejected_values_name_section_and_field(text, section, field):
     with pytest.raises(ConfigError) as info:

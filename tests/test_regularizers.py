@@ -182,10 +182,13 @@ def test_sample_vertices_alpha_one_takes_all():
 
 
 def test_sample_vertices_alpha_zero_empty():
-    x = Tensor(RNG.normal(size=(2, 4, 5, 5)))
-    v = sample_vertices(x, 0.0, RngStream(12, ("v0",)))
-    assert v.count == 0
-    assert v.values.data.shape == (0, 4)
+    # An empty set has the layout of its batch: padded for two items, flat for one.
+    for batch, shape in ((2, (2, 0, 4)), (1, (0, 4))):
+        x = Tensor(RNG.normal(size=(batch, 4, 5, 5)))
+        v = sample_vertices(x, 0.0, RngStream(12, ("v0",)))
+        assert v.count == 0
+        assert v.values.data.shape == shape
+        npt.assert_array_equal(v.sizes, np.zeros(shape[:-2] + (1, 1)))
 
 
 def test_sample_vertices_expected_count():
@@ -556,10 +559,16 @@ def test_dropgraph_deterministic_replay():
     assert not np.array_equal(a.data, c.data)
 
 
-@pytest.mark.parametrize("adjacency", ["eq6", "similarity", "identity", "uniform"])
-def test_dropgraph_gradients(adjacency):
-    cfg = RegularizerConfig(alpha=0.5, rho=0.4, block_size=3,
-                            adjacency=adjacency, scheduler="constant")
+# normalize_similarity divides each vertex by its norm, a denominator that takes a gradient.
+_NORMALIZED = [pytest.param(a, True, id=f"{a}-normalize") for a in ("eq6", "similarity")]
+
+
+@pytest.mark.parametrize("adjacency, normalize", [
+    *(pytest.param(a, False, id=a) for a in ("eq6", "similarity", "identity", "uniform")),
+    *_NORMALIZED])
+def test_dropgraph_gradients(adjacency, normalize):
+    cfg = RegularizerConfig(alpha=0.5, rho=0.4, block_size=3, adjacency=adjacency,
+                            normalize_similarity=normalize, scheduler="constant")
     for attempt in range(30):
         # Fresh generator weights per attempt: one draw can leave the
         # generator dead (all-zero relu outputs) on every input.
@@ -810,10 +819,12 @@ def test_select_top_keeps_the_lexsort_order_on_ties():
     npt.assert_array_equal(mod._select_top(Tensor(x)), np.argwhere(selected))
 
 
-@pytest.mark.parametrize("adjacency", ["eq6", "similarity", "learned"])
-def test_dropgraph_gradients_with_unequal_items(adjacency):
-    cfg = RegularizerConfig(alpha=0.3, rho=0.4, block_size=3,
-                            adjacency=adjacency, scheduler="constant")
+@pytest.mark.parametrize("adjacency, normalize", [
+    *(pytest.param(a, False, id=a) for a in ("eq6", "similarity", "learned")),
+    *_NORMALIZED])
+def test_dropgraph_gradients_with_unequal_items(adjacency, normalize):
+    cfg = RegularizerConfig(alpha=0.3, rho=0.4, block_size=3, adjacency=adjacency,
+                            normalize_similarity=normalize, scheduler="constant")
     for attempt in range(30):
         params = GraphGeneratorParams(4, RngStream(38, ("p", adjacency, attempt)))
         learned = (Tensor(1.0 / 11 + 0.05 * RNG.normal(size=(11, 11)))

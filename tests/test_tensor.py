@@ -413,6 +413,13 @@ def test_rng_child_draws_equal_the_full_path_draws(base, labels):
     npt.assert_array_equal(nested.normal(size=5), RngStream(11, base + labels).normal(size=5))
 
 
+def test_rng_seed_must_be_non_negative():
+    # SeedSequence refuses a negative seed only when the first draw builds the stream.
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        RngStream(-1)
+    assert RngStream(0).uniform(size=2).shape == (2,)
+
+
 def test_rng_int_labels_must_fit_32_bits():
     # SeedSequence splits a larger int into 32-bit words: 2**32 + 5 would alias (5, 1).
     with pytest.raises(ValueError, match="2\\*\\*32"):

@@ -133,6 +133,7 @@ _EPOCH_KEYS = {"epoch", "train_loss", "train_acc", "val_loss", "val_acc",
                "rho_start", "rho_end", "lr"}
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the run overflows on purpose
 def test_run_lines_keep_every_field_of_ok_and_diverged_runs(tmp_path):
     ok = run_experiment(_GRAPH, 4)
     # The first step at lr 1e200 finishes one epoch; the second step's loss is not finite.
@@ -161,7 +162,8 @@ def test_run_lines_keep_every_field_of_ok_and_diverged_runs(tmp_path):
 @pytest.mark.parametrize("seeds, message", [
     ((4, 4, 5), "seeds: a seed may appear once, got 4,4,5"),
     ((4, 5), "seeds: at least 3 seeds are required, got 2"),
-], ids=["repeated", "two"])
+    ((1, 2, -3), "seeds: a seed must be >= 0, got 1,2,-3"),
+], ids=["repeated", "two", "negative"])
 def test_multi_seed_rejects_the_seeds_a_config_rejects(seeds, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         multi_seed([_GRAPH], seeds)

@@ -56,7 +56,7 @@ class Sweep:
     values: tuple
 
 
-# 40 configs: every reg.kind, generator, adjacency mode and ramp, both pgr
+# 43 configs: every reg.kind, generator, adjacency mode and ramp, both pgr
 # strategies and arms, pgr with a normalized similarity, and both tasks, with
 # every generator on the node-graph task's one-item (flat) vertex layout; an
 # odd image size, whose stride-2 maps round up; image configs whose last
@@ -64,9 +64,12 @@ class Sweep:
 # writing back a flat set's rows); alpha = 1, where every item of a padded
 # vertex set fills n_max; three groups, whose two strided convs run on an
 # even 18x18 and an odd 9x9 map; and a diverging run of each task, which
-# keeps the epochs it finished; a run on a process pool of two workers; and
-# a sweep over reg.kind, whose configs share one dataset.  Each config runs
-# the default three seeds.
+# keeps the epochs it finished; a run on a process pool of two workers; a
+# sweep over reg.kind, whose configs share one dataset; dropgraph at an alpha
+# so small that some items draw no vertex and get a forced one, on both
+# tasks; and pgr at alpha = 0, which returns its input and leaves its weight
+# without a gradient for SGD to skip.  Each config runs the default three
+# seeds.
 CONFIGS = {
     "image-none": _IMAGE,
     "image-dropout-rescale": _IMAGE + "reg.kind = dropout\nreg.rescale_dropout = true\n",
@@ -101,6 +104,8 @@ CONFIGS = {
     "image-pgr-one-item-batch": _IMAGE + "data.train_count = 17\nreg.kind = pgr\n",
     "image-diverges": _IMAGE + "train.batch_size = 16\ntrain.epochs = 3\ntrain.lr = 1e200\n",
     "image-dropgraph-two-threads": _IMAGE + "reg.kind = dropgraph\nthreads = 2\n",
+    "image-dropgraph-sparse": _IMAGE + "reg.kind = dropgraph\nreg.alpha = 0.02\n",
+    "image-pgr-alpha-zero": _IMAGE + "reg.kind = pgr\nreg.alpha = 0.0\n",
     "graph-none": _GRAPH,
     "graph-dropout": _GRAPH + "reg.kind = dropout\n",
     "graph-spatial-dropout": _GRAPH + "reg.kind = spatial_dropout\n",
@@ -112,6 +117,7 @@ CONFIGS = {
     "graph-dropgraph-random-noise": _GRAPH + "reg.kind = dropgraph\nreg.generator = random_noise\n",
     "graph-dropgraph-avg-pool": _GRAPH + "reg.kind = dropgraph\nreg.generator = avg_pool\n",
     "graph-dropgraph-no-generator": _GRAPH + "reg.kind = dropgraph\nreg.generator = none\n",
+    "graph-dropgraph-sparse": _GRAPH + "reg.kind = dropgraph\nreg.alpha = 0.002\n",
     "graph-diverges": _GRAPH + "train.lr = 1e200\n",
     "graph-sweep-kind": Sweep(_GRAPH, "kind", ("none", "dropgraph")),
 }
