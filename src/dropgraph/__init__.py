@@ -1,12 +1,13 @@
 """Graph-reasoning feature-map regularization on a small float64 autodiff core.
 
-The package builds up in layers: ``tensor`` (reverse-mode autodiff),
-``nn`` (conv/norm/linear/losses), ``regularizers`` (one dropout, per scalar
-or per feature vector; block masking, which DropBlock is alone and the graph
-regularizer fills with distortions from its GCN generator; partial graph
-reasoning; the drop-probability schedulers), ``backbones`` (a tiny residual CNN and a two-layer GCN with
-insertion points), ``data``/``train`` (synthetic tasks and the seeded
-experiment harness), and ``cli`` (run/sweep/verify front end).
+The package builds up in layers: ``tensor`` (reverse-mode autodiff), ``nn``
+(the conv-norm unit, the linear layer and losses), ``regularizers`` (one
+dropout, per scalar or per feature vector; block masking, which DropBlock is
+alone and the graph regularizer fills with distortions from its GCN
+generator; partial graph reasoning; the drop-probability schedulers),
+``backbones`` (a tiny residual CNN and a two-layer GCN with insertion
+points), ``data``/``train`` (synthetic tasks and the seeded experiment
+harness), and ``cli`` (run/sweep/verify front end).
 """
 
 from .backbones import (
@@ -29,7 +30,7 @@ from .data import (
 )
 from .errors import ConfigError, ContractError, DimensionError, DropGraphError
 from .gradcheck import grad_check
-from .nn import BatchNorm2d, Conv2d, Linear, Module, conv2d, cross_entropy, global_avg_pool
+from .nn import ConvBN, Linear, Module, conv2d, cross_entropy, global_avg_pool
 from .regularizers import (
     DropGraph,
     DropMask,

@@ -1,12 +1,14 @@
 """Desk-scale backbones with regularizer insertion points.
 
-``TinyResNet`` is a two-group residual classifier; regularizers sit after
-each block's final activation in the configured groups and, optionally, on
-the skip feature (sharing the block's mask but drawing fresh multipliers).
+``TinyResNet`` is a two-group residual classifier of ``nn.ConvBN`` units;
+regularizers sit after each block's final activation in the configured
+groups and, optionally, on the skip feature (sharing the block's mask but
+drawing fresh multipliers).
 ``TwoLayerGcn`` is a node classifier with the regularizer placed before the
 second graph layer, where block masking degenerates to per-node gating.
 Checkpoints store a model's named parameters and buffers as ``.npy`` records
-behind a JSON header (``data.save_arrays``).
+behind a JSON header (``data.save_arrays``); a unit's batch-norm arrays sit
+under its conv's name (``stem.gamma``, ``blocks.0.conv1.running_mean``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .data import GraphInstance, load_arrays, save_arrays
 from .errors import ConfigError, ContractError, DimensionError
-from .nn import BatchNorm2d, Conv2d, Linear, Module, conv_bn, global_avg_pool
+from .nn import ConvBN, Linear, Module, global_avg_pool
 from .regularizers import MASK_KINDS, RegularizerConfig, make_regularizer, sample_block_mask
 from .rng import RngStream
 from .tensor import Tensor, matmul, relu
@@ -76,29 +78,23 @@ class TinyResNetConfig:
 
 
 class ResidualBlock(Module):
-    """conv-norm-relu x2 plus skip; regularizers after the block activation
-    and (optionally) on the skip feature."""
+    """conv-norm-relu x2 plus skip (a 1x1 conv-norm where the shape changes);
+    regularizers after the block activation and (optionally) on the skip feature."""
 
     def __init__(self, cin: int, cout: int, stride: int, rng: RngStream,
                  main_reg=None, skip_reg=None):
         super().__init__()
-        self.conv1 = Conv2d(cin, cout, 3, rng.child("conv1"), stride=stride, padding=1)
-        self.bn1 = BatchNorm2d(cout)
-        self.conv2 = Conv2d(cout, cout, 3, rng.child("conv2"), stride=1, padding=1)
-        self.bn2 = BatchNorm2d(cout)
+        self.conv1 = ConvBN(cin, cout, 3, stride, rng.child("conv1"))
+        self.conv2 = ConvBN(cout, cout, 3, 1, rng.child("conv2"))
         self.projection = None
-        self.proj_bn = None
         if stride != 1 or cin != cout:
-            self.projection = Conv2d(cin, cout, 1, rng.child("proj"), stride=stride,
-                                     padding=0, bias=False)
-            self.proj_bn = BatchNorm2d(cout)
+            self.projection = ConvBN(cin, cout, 1, stride, rng.child("proj"), bias=False)
         self.main_reg = main_reg
         self.skip_reg = skip_reg
 
     def forward(self, x: Tensor, rng: RngStream, rho: float | None) -> Tensor:
-        h = relu(conv_bn(self.conv1, self.bn1, x))
-        h = relu(conv_bn(self.conv2, self.bn2, h))
-        sk = x if self.projection is None else conv_bn(self.projection, self.proj_bn, x)
+        h = relu(self.conv2(relu(self.conv1(x))))
+        sk = x if self.projection is None else self.projection(x)
         # The regularizers run in eval too: each is the identity there, except
         # partial graph reasoning's train-and-infer arm.
         mask = None
@@ -115,7 +111,7 @@ class ResidualBlock(Module):
 
 
 class TinyResNet(Module):
-    """Stem conv, residual groups, global average pool, linear head.
+    """Stem conv-norm-relu, residual groups, global average pool, linear head.
 
     ``reg_cfg`` (kind included) places the regularizers; ``forward`` takes
     the step's drop probability ``rho``, which evaluation passes as None.
@@ -128,8 +124,7 @@ class TinyResNet(Module):
         reg_cfg = reg_cfg or RegularizerConfig()
         cfg.check_block_size(reg_cfg)
         # The synthetic images are single-channel.
-        self.stem = Conv2d(1, cfg.stem_channels, 3, rng.child("stem"), stride=1, padding=1)
-        self.stem_bn = BatchNorm2d(cfg.stem_channels)
+        self.stem = ConvBN(1, cfg.stem_channels, 3, 1, rng.child("stem"))
         blocks = []
         cin = cfg.stem_channels
         reg_index = 0
@@ -160,7 +155,7 @@ class TinyResNet(Module):
             raise ContractError(f"input spatial size must be >= 8, got {x.data.shape}")
         if rng is None:
             rng = RngStream(0).child("unseeded_forward")
-        h = relu(conv_bn(self.stem, self.stem_bn, x))
+        h = relu(self.stem(x))
         for i, block in enumerate(self.blocks):
             h = block(h, rng.child("block", i), rho)
         return self.head(global_avg_pool(h))

@@ -6,11 +6,11 @@ backward rules; everything else composes tensor primitives.
 
 Batch norm costs one pass over the feature map in training and none in
 eval: ``batchnorm_train`` takes its per-channel sums by einsum and keeps
-only the centred input for the backward, and ``conv_bn`` folds an eval-mode
-batch norm into the kernel and bias of the conv before it (Ioffe & Szegedy,
-arXiv 1502.03167, section 3.1), so eval runs one conv per conv/BN pair.  The
-folded kernel and bias are tape ops on the conv and BN parameters, so an
-eval-mode model stays differentiable.
+only the centred input for the backward, and ``ConvBN``, the one conv-norm
+unit, folds its eval-mode batch norm into the kernel and bias of its conv
+(Ioffe & Szegedy, arXiv 1502.03167, section 3.1), so eval runs one conv per
+unit.  The folded kernel and bias are tape ops on the conv and BN
+parameters, so an eval-mode model stays differentiable.
 
 Conv kernels, linear weights and the regularizers' GCN weights start from
 ``kaiming``, the He initialisation N(0, 2 / fan_in) (arXiv 1502.01852).
@@ -27,11 +27,9 @@ from .tensor import Tensor, matmul, relu
 
 __all__ = [
     "Module",
-    "Conv2d",
-    "BatchNorm2d",
+    "ConvBN",
     "Linear",
     "conv2d",
-    "conv_bn",
     "cross_entropy",
     "global_avg_pool",
     "kaiming",
@@ -230,64 +228,44 @@ class Module:
             p.grad = None
 
 
-class Conv2d(Module):
-    """Convolution layer with Kaiming fan-in init."""
+class ConvBN(Module):
+    """A conv with Kaiming fan-in init, then batch norm with running statistics.
 
-    def __init__(self, cin: int, cout: int, k: int, rng: RngStream,
-                 stride: int = 1, padding: int = 0, bias: bool = True):
+    The conv keeps same-padding (``k // 2``).  Train mode runs
+    ``batchnorm_train`` on the conv output and updates the running statistics
+    with momentum ``BN_MOMENTUM``.  Eval mode uses the running statistics and
+    mutates nothing: the batch norm is then a per-channel affine map
+    ``x * scale + shift``, so it folds into the conv as kernel
+    ``kernel * scale`` and bias ``bias * scale + shift``.  Both modes add
+    ``BN_EPS`` to the variance.
+    """
+
+    def __init__(self, cin: int, cout: int, k: int, stride: int, rng: RngStream,
+                 bias: bool = True):
         super().__init__()
         self.kernel = kaiming(rng, (cout, cin, k, k), cin * k * k)
         self.bias = Tensor(np.zeros(cout), requires_grad=True) if bias else None
+        self.gamma = Tensor(np.ones(cout), requires_grad=True)
+        self.beta = Tensor(np.zeros(cout), requires_grad=True)
+        self.running_mean = np.zeros(cout)
+        self.running_var = np.ones(cout)
         self.stride = stride
-        self.padding = padding
-
-    def forward(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.kernel, self.bias, self.stride, self.padding)
-
-
-class BatchNorm2d(Module):
-    """Batch norm with running statistics; train mode updates them with
-    momentum ``BN_MOMENTUM``, eval is a fixed affine map (no state mutation).
-    Both modes add ``BN_EPS`` to the variance."""
-
-    def __init__(self, channels: int):
-        super().__init__()
-        self.gamma = Tensor(np.ones(channels), requires_grad=True)
-        self.beta = Tensor(np.zeros(channels), requires_grad=True)
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
+        self.padding = k // 2
 
     def forward(self, x: Tensor) -> Tensor:
         if self.training:
-            out, m, v = batchnorm_train(x, self.gamma, self.beta)
+            out, m, v = batchnorm_train(conv2d(x, self.kernel, self.bias, self.stride,
+                                               self.padding), self.gamma, self.beta)
             mom = BN_MOMENTUM
             self.running_mean = (1.0 - mom) * self.running_mean + mom * m
             self.running_var = (1.0 - mom) * self.running_var + mom * v
             return out
-        scale, shift = self.eval_affine()
-        c = scale.data.shape[0]
-        return x * scale.reshape(1, c, 1, 1) + shift.reshape(1, c, 1, 1)
-
-    def eval_affine(self):
-        """Per-channel ``(scale, shift)`` of the eval map ``x * scale + shift``,
-        as tape ops on ``gamma`` and ``beta``."""
         inv = Tensor(1.0 / np.sqrt(self.running_var + BN_EPS))
         scale = self.gamma * inv
-        return scale, self.beta - Tensor(self.running_mean) * scale
-
-
-def conv_bn(conv: Conv2d, bn: BatchNorm2d, x: Tensor) -> Tensor:
-    """``bn(conv(x))``; in eval mode one conv with the batch norm folded in.
-
-    The eval-mode batch norm is a per-channel affine map, so it composes into
-    the conv: kernel ``kernel * scale`` and bias ``bias * scale + shift``.
-    """
-    if bn.training:
-        return bn(conv(x))
-    scale, shift = bn.eval_affine()
-    kernel = conv.kernel * scale.reshape(scale.data.shape[0], 1, 1, 1)
-    bias = shift if conv.bias is None else conv.bias * scale + shift
-    return conv2d(x, kernel, bias, conv.stride, conv.padding)
+        shift = self.beta - Tensor(self.running_mean) * scale
+        kernel = self.kernel * scale.reshape(scale.data.shape[0], 1, 1, 1)
+        bias = shift if self.bias is None else self.bias * scale + shift
+        return conv2d(x, kernel, bias, self.stride, self.padding)
 
 
 class Linear(Module):

@@ -175,11 +175,6 @@ class VertexSet:
     def count(self) -> int:
         return self.indices.shape[0]
 
-    @property
-    def counts(self) -> np.ndarray | None:
-        """(b,) vertices per item of the padded layout; None when flat."""
-        return None if self.valid is None else self.valid.sum(axis=1)
-
 
 def _gather_vertices(x: Tensor, indices: np.ndarray) -> VertexSet:
     """The feature vectors of ``x`` at ``indices``, one graph per batch item.
@@ -420,9 +415,8 @@ def generate_alt_distortions(v: VertexSet, kind: str, rng: RngStream) -> Tensor:
         if v.valid is None:
             return Tensor(rng.normal(size=vals.shape) * vals.std(axis=0))
         noise = np.zeros_like(vals)
-        counts = v.counts
-        for bi in np.flatnonzero(counts):
-            item = vals[bi, : counts[bi]]
+        for bi in np.flatnonzero(v.sizes[:, 0, 0]):
+            item = vals[bi, : int(v.sizes[bi, 0, 0])]
             noise[bi, : len(item)] = rng.child(int(bi)).normal(size=item.shape) * item.std(axis=0)
         return Tensor(noise)
     raise ConfigError(f"unknown alternative generator {kind!r}")

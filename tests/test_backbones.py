@@ -15,7 +15,7 @@ from dropgraph.config import parse_config
 from dropgraph.data import SbmGraphSpec, gen_sbm, load_arrays, save_arrays, save_graph_dataset
 from dropgraph.errors import ContractError
 from dropgraph.gradcheck import grad_check, relu_margin
-from dropgraph.nn import conv_bn, cross_entropy
+from dropgraph.nn import cross_entropy
 from dropgraph.regularizers import (
     REG_KINDS,
     DropGraph,
@@ -36,13 +36,13 @@ def _small_model(seed: int) -> TinyResNet:
 
 def test_checkpoint_round_trip(tmp_path):
     src, dst = _small_model(1), _small_model(2)
-    src.blocks[0].bn1.running_mean = np.arange(4.0)
+    src.blocks[0].conv1.running_mean = np.arange(4.0)
     path = tmp_path / "model.ckpt"
     save_checkpoint(src, path)
     apply_checkpoint(dst, path)
     for (name, p), (_, q) in zip(src.named_parameters(), dst.named_parameters()):
         npt.assert_array_equal(p.data, q.data, err_msg=name)
-    npt.assert_array_equal(dst.blocks[0].bn1.running_mean, np.arange(4.0))
+    npt.assert_array_equal(dst.blocks[0].conv1.running_mean, np.arange(4.0))
 
 
 def _tiny_gcn_checkpoint(path):
@@ -110,7 +110,7 @@ def test_dataset_cache_loaded_as_checkpoint_raises_contract_error(tmp_path):
 
 
 @pytest.mark.parametrize("name, dtype", [("stem.kernel", np.float32),
-                                         ("blocks.0.bn1.running_mean", np.float32),
+                                         ("blocks.0.conv1.running_mean", np.float32),
                                          ("head.bias", np.int64)])
 def test_checkpoint_dtype_mismatch_raises_contract_error(tmp_path, name, dtype):
     src = _small_model(6)
@@ -129,7 +129,7 @@ def test_group_map_size_matches_the_forward_pass(size):
     # A stride-2, padding-1 3x3 conv maps a side of n to ceil(n/2), odd n included.
     cfg = TinyResNetConfig(stem_channels=4, groups=((1, 4), (1, 4), (1, 4)), image_size=size)
     model = TinyResNet(cfg, RngStream(3))
-    h = relu(conv_bn(model.stem, model.stem_bn, Tensor(np.ones((1, 1, size, size)))))
+    h = relu(model.stem(Tensor(np.ones((1, 1, size, size)))))
     for group, block in enumerate(model.blocks):
         h = block(h, RngStream(4), 0.1)
         assert h.data.shape[2:] == (cfg.spatial_size_of_group(group),) * 2

@@ -6,12 +6,11 @@ from dropgraph.errors import ContractError, DimensionError
 from dropgraph.gradcheck import grad_check
 from dropgraph.nn import (
     BN_EPS,
-    BatchNorm2d,
-    Conv2d,
+    BN_MOMENTUM,
+    ConvBN,
     Linear,
     batchnorm_train,
     conv2d,
-    conv_bn,
     cross_entropy,
     global_avg_pool,
 )
@@ -188,7 +187,7 @@ def test_batchnorm_gradients():
 
 
 def test_batchnorm_eval_is_affine_and_stateless():
-    bn = BatchNorm2d(3)
+    bn = ConvBN(3, 3, 3, 1, RngStream(0, ("bn",)))
     for _ in range(5):
         bn(Tensor(RNG.normal(size=(8, 3, 4, 4)) * 2 + 1))
     assert (bn.running_var > 0).all()
@@ -243,42 +242,53 @@ def test_fused_batchnorm_matches_two_pass_formula(shape):
 
 def _eval_conv_bn(bias: bool, stride: int, padding: int, k: int):
     rng = RngStream(31, ("conv_bn", bias, stride, padding, k))
-    conv = Conv2d(3, 4, k, rng.child("conv"), stride=stride, padding=padding, bias=bias)
-    bn = BatchNorm2d(4)
-    bn.gamma.data = rng.child("gamma").normal(size=4) + 1.0
-    bn.beta.data = rng.child("beta").normal(size=4)
-    bn.running_mean = rng.child("mean").normal(size=4)
-    bn.running_var = rng.child("var").uniform(size=4) + 0.5
+    unit = ConvBN(3, 4, k, stride, rng.child("conv"), bias=bias)
+    assert unit.padding == padding  # same-padding, k // 2
+    unit.gamma.data = rng.child("gamma").normal(size=4) + 1.0
+    unit.beta.data = rng.child("beta").normal(size=4)
+    unit.running_mean = rng.child("mean").normal(size=4)
+    unit.running_var = rng.child("var").uniform(size=4) + 0.5
     if bias:
-        conv.bias.data = rng.child("bias").normal(size=4)
-    conv.eval()
-    bn.eval()
+        unit.bias.data = rng.child("bias").normal(size=4)
+    unit.eval()
     x = Tensor(rng.child("x").normal(size=(2, 3, 6, 6)), requires_grad=True)
-    return conv, bn, x
+    return unit, x
+
+
+def _conv_of(unit, x):
+    return conv2d(x, unit.kernel, unit.bias, unit.stride, unit.padding)
 
 
 @pytest.mark.parametrize("bias, stride, padding, k",
                          [(True, 1, 1, 3), (False, 2, 1, 3), (False, 2, 0, 1)])
 def test_eval_conv_bn_matches_unfused(bias, stride, padding, k):
-    conv, bn, x = _eval_conv_bn(bias, stride, padding, k)
-    fused = conv_bn(conv, bn, x)
+    unit, x = _eval_conv_bn(bias, stride, padding, k)
+    fused = unit(x)
     assert fused._op == "conv2d"  # the batch norm is folded, not applied after
-    assert _rel_err(fused.data, bn(conv(x)).data) <= 1e-12
+    # The unfused eval batch norm, in numpy, after the conv.
+    per_channel = lambda a: a[:, None, None]  # noqa: E731
+    unfused = ((_conv_of(unit, x).data - per_channel(unit.running_mean))
+               / per_channel(np.sqrt(unit.running_var + BN_EPS))
+               * per_channel(unit.gamma.data) + per_channel(unit.beta.data))
+    assert _rel_err(fused.data, unfused) <= 1e-12
 
 
 def test_train_conv_bn_is_bn_of_conv():
-    conv, bn, x = _eval_conv_bn(True, 1, 1, 3)
-    conv.train()
-    bn.train()
+    unit, x = _eval_conv_bn(True, 1, 1, 3)
+    unit.train()
+    rm, rv = unit.running_mean.copy(), unit.running_var.copy()
     # Train-mode batch norm ignores the running statistics it updates.
-    npt.assert_array_equal(conv_bn(conv, bn, x).data, bn(conv(x)).data)
+    out, m, v = batchnorm_train(_conv_of(unit, x), unit.gamma, unit.beta)
+    npt.assert_array_equal(unit(x).data, out.data)
+    npt.assert_array_equal(unit.running_mean, (1.0 - BN_MOMENTUM) * rm + BN_MOMENTUM * m)
+    npt.assert_array_equal(unit.running_var, (1.0 - BN_MOMENTUM) * rv + BN_MOMENTUM * v)
 
 
 @pytest.mark.parametrize("bias", [True, False])
 def test_eval_conv_bn_gradients(bias):
-    conv, bn, x = _eval_conv_bn(bias, 2, 1, 3)
-    loss = lambda _: (conv_bn(conv, bn, x) ** 2).sum()  # noqa: E731
-    params = [x, conv.kernel, bn.gamma, bn.beta] + ([conv.bias] if bias else [])
+    unit, x = _eval_conv_bn(bias, 2, 1, 3)
+    loss = lambda _: (unit(x) ** 2).sum()  # noqa: E731
+    params = [x, unit.kernel, unit.gamma, unit.beta] + ([unit.bias] if bias else [])
     for p in params:
         assert grad_check(loss, p) <= 1e-6
 
@@ -353,12 +363,12 @@ def test_linear_layer_forward_and_grad():
 
 
 def test_conv_layer_output_shape():
-    layer = Conv2d(3, 8, 3, RngStream(0, ("c",)), stride=2, padding=1)
+    layer = ConvBN(3, 8, 3, 2, RngStream(0, ("c",)))
     out = layer(Tensor(RNG.normal(size=(2, 3, 9, 9))))
     assert out.data.shape == (2, 8, 5, 5)
 
 
 def test_module_collects_parameters():
-    layer = Conv2d(3, 8, 3, RngStream(0, ("c",)))
-    names = dict(layer.named_parameters())
-    assert set(names) == {"kernel", "bias"}
+    layer = ConvBN(3, 8, 3, 1, RngStream(0, ("c",)))
+    # In this order, which SGD and checkpoints see.
+    assert [name for name, _ in layer.named_parameters()] == ["kernel", "bias", "gamma", "beta"]

@@ -78,3 +78,26 @@ def test_a_sweep_compares_each_value_s_records_and_its_csv(tmp_path):
     runs.write_text(runs.read_text().replace('"status": "ok"', '"status": "diverged"', 1))
     assert [(d.file, d.deviation) for d in rc.diff_outputs(tmp_path / "a", tmp_path / "b", sweep)] \
         == [("runs_kind_dropgraph.jsonl", float("inf"))]
+
+
+def test_console_normalization_blanks_paths_warning_lines_and_check_seconds():
+    src = "/tmp/tree/src"
+    console = ("gradient_soundness       PASS     0.66s  110 instances, worst 5.35e-08\n"
+               "mask_rate_calibration    FAIL    12.50s  (16,16,s=3,rho=0.05): 0.0501\n"
+               "7/7 checks passed\n"
+               f"{src}/dropgraph/nn.py:141: RuntimeWarning: overflow\n")
+    assert rc.normalize_console(console, src) == (
+        "gradient_soundness       PASS  <seconds>  110 instances, worst 5.35e-08\n"
+        "mask_rate_calibration    FAIL  <seconds>  (16,16,s=3,rho=0.05): 0.0501\n"
+        "7/7 checks passed\n"
+        "<src>/dropgraph/nn.py:<line>: RuntimeWarning: overflow\n")
+    # A check that took longer reads the same; its detail line still counts.
+    slower = console.replace("0.66s", "1.02s")
+    assert rc.normalize_console(slower, src) == rc.normalize_console(console, src)
+    worse = console.replace("5.35e-08", "5.36e-08")
+    assert rc.normalize_console(worse, src) != rc.normalize_console(console, src)
+
+
+def test_verify_entry_compares_its_console_only():
+    assert isinstance(rc.CONFIGS["verify"], rc.Verify)
+    assert rc.compared_files(rc.CONFIGS["verify"]) == ("console.txt",)

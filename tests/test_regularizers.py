@@ -201,12 +201,12 @@ def test_sample_vertices_expected_count():
 
 
 def test_sample_vertices_values_match_positions():
-    # A batch of two comes padded: item i's vertices fill rows :counts[i] of
+    # A batch of two comes padded: item i's vertices fill rows :sizes[i] of
     # values[i] in indices order, and the pad rows are zero.
     x = Tensor(RNG.normal(size=(2, 3, 6, 6)))
     v = sample_vertices(x, 0.3, RngStream(14, ("vm",)))
-    npt.assert_array_equal(v.counts, np.bincount(v.indices[:, 0], minlength=2))
-    assert v.values.data.shape == (2, v.counts.max(), 3)
+    npt.assert_array_equal(v.sizes[:, 0, 0], np.bincount(v.indices[:, 0], minlength=2))
+    assert v.values.data.shape == (2, v.sizes.max(), 3)
     for bi in range(2):
         own = v.indices[v.indices[:, 0] == bi]
         npt.assert_array_equal(v.values.data[bi, : len(own)], x.data[bi, :, own[:, 1], own[:, 2]])
@@ -218,7 +218,7 @@ def test_sample_vertices_values_match_positions():
 def test_sample_vertices_one_item_is_one_flat_graph():
     x = Tensor(RNG.normal(size=(1, 3, 6, 6)))
     v = sample_vertices(x, 0.3, RngStream(14, ("vm1",)))
-    assert v.counts is None
+    assert v.valid is None and v.sizes.tolist() == [[v.count]]
     for row, (b, y, xx) in zip(v.values.data, v.indices, strict=True):
         npt.assert_array_equal(row, x.data[b, :, y, xx])
 

@@ -8,7 +8,7 @@ from dropgraph import _conv
 from dropgraph.backbones import ResidualBlock
 from dropgraph.errors import ContractError, DimensionError
 from dropgraph.gradcheck import grad_check, relu_margin
-from dropgraph.nn import BN_EPS, batchnorm_train, conv2d, conv_bn
+from dropgraph.nn import BN_EPS, batchnorm_train, conv2d
 from dropgraph.rng import RngStream
 from dropgraph.tensor import (
     Tensor,
@@ -190,8 +190,7 @@ def test_backward_through_a_residual_skip():
     # The main branch alone: the identity skip adds exactly 1 to the input's gradient.
     block.zero_grad()
     x = Tensor(data, requires_grad=True)
-    relu(conv_bn(block.conv2, block.bn2,
-                 relu(conv_bn(block.conv1, block.bn1, x)))).sum().backward()
+    relu(block.conv2(relu(block.conv1(x)))).sum().backward()
     npt.assert_array_equal(skipped, x.grad + 1.0)
     for got, want in zip(params, [p.grad for p in block.parameters()]):
         npt.assert_array_equal(got, want)

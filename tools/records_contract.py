@@ -7,8 +7,9 @@ The parent revision is exported with ``git archive`` into a temporary
 directory (no worktree is registered, so nothing is left in ``.git`` if the
 tool is interrupted).  The parent's ``src`` and this checkout's ``src`` then
 each run every config of ``CONFIGS`` through ``dropgraph.cli.main(["run",
-...])``, or ``["sweep", ...]`` for a ``Sweep``, in a fresh interpreter with
-BLAS pinned to one thread.  Per config the tool compares
+...])``, or ``["sweep", ...]`` for a ``Sweep`` and ``["verify"]`` for
+a ``Verify``, in a fresh interpreter with BLAS pinned to one thread.  Per
+config the tool compares
 
 * ``runs.jsonl`` without ``wall_time_s`` (a sweep: each
   ``runs_<axis>_<value>.jsonl``),
@@ -16,7 +17,8 @@ BLAS pinned to one thread.  Per config the tool compares
 * the console output (stdout, stderr and the exit code); numpy's warnings
   on a diverging run name the file and line they come from, and the tool
   writes these as ``<src>/dropgraph/nn.py:<line>``, since where a tree sits
-  and where its lines fall are not the program's output,
+  and where its lines fall are not the program's output; ``verify`` prints
+  each check's seconds, which the tool writes as ``<seconds>``,
 
 and prints one line per differing file with the largest relative deviation
 between its numbers (``inf`` when the files differ in anything but numbers).
@@ -56,20 +58,27 @@ class Sweep:
     values: tuple
 
 
-# 43 configs: every reg.kind, generator, adjacency mode and ramp, both pgr
-# strategies and arms, pgr with a normalized similarity, and both tasks, with
-# every generator on the node-graph task's one-item (flat) vertex layout; an
-# odd image size, whose stride-2 maps round up; image configs whose last
-# batch holds one item (the flat layout with a shared skip mask, and pgr
-# writing back a flat set's rows); alpha = 1, where every item of a padded
-# vertex set fills n_max; three groups, whose two strided convs run on an
-# even 18x18 and an odd 9x9 map; and a diverging run of each task, which
-# keeps the epochs it finished; a run on a process pool of two workers; a
-# sweep over reg.kind, whose configs share one dataset; dropgraph at an alpha
-# so small that some items draw no vertex and get a forced one, on both
-# tasks; and pgr at alpha = 0, which returns its input and leaves its weight
-# without a gradient for SGD to skip.  Each config runs the default three
-# seeds.
+@dataclass(frozen=True)
+class Verify:
+    """``dropgraph verify``, whose console output is its one compared file."""
+
+
+# 44 entries: 43 configs and ``dropgraph verify``.  The configs cover every
+# reg.kind, generator, adjacency mode and ramp, both pgr strategies and arms,
+# pgr with a normalized similarity, and both tasks, with every generator on
+# the node-graph task's one-item (flat) vertex layout; an odd image size,
+# whose stride-2 maps round up; image configs whose last batch holds one item
+# (the flat layout with a shared skip mask, and pgr writing back a flat set's
+# rows); alpha = 1, where every item of a padded vertex set fills n_max; three
+# groups, whose two strided convs run on an even 18x18 and an odd 9x9 map; and
+# a diverging run of each task, which keeps the epochs it finished; a run on a
+# process pool of two workers; a sweep over reg.kind, whose configs share one
+# dataset; dropgraph at an alpha so small that some items draw no vertex and
+# get a forced one, on both tasks; and pgr at alpha = 0, which returns its
+# input and leaves its weight without a gradient for SGD to skip.  Each config
+# runs the default three seeds.  The verify entry holds the release gate's
+# checks and their detail lines (worst errors, calibrated rates) to the
+# parent's.
 CONFIGS = {
     "image-none": _IMAGE,
     "image-dropout-rescale": _IMAGE + "reg.kind = dropout\nreg.rescale_dropout = true\n",
@@ -120,6 +129,7 @@ CONFIGS = {
     "graph-dropgraph-sparse": _GRAPH + "reg.kind = dropgraph\nreg.alpha = 0.002\n",
     "graph-diverges": _GRAPH + "train.lr = 1e200\n",
     "graph-sweep-kind": Sweep(_GRAPH, "kind", ("none", "dropgraph")),
+    "verify": Verify(),
 }
 
 COMPARED = ("runs.jsonl", "summary.csv", "config.txt", "console.txt")
@@ -127,6 +137,8 @@ COMPARED = ("runs.jsonl", "summary.csv", "config.txt", "console.txt")
 
 def compared_files(config) -> tuple:
     """The files a config's command writes that the contract compares."""
+    if isinstance(config, Verify):
+        return ("console.txt",)
     if isinstance(config, Sweep):
         runs = tuple(f"runs_{config.axis}_{value}.jsonl" for value in config.values)
         return (*runs, "sweep.csv", "console.txt")
@@ -135,6 +147,18 @@ def compared_files(config) -> tuple:
 
 # The source location a warning is printed with, once its tree's path is ``<src>``.
 _WARNING_LINE = re.compile(r"(<src>/\S+\.py):\d+:")
+# A verify check's status and its seconds column, which timing alone sets.
+_CHECK_SECONDS = re.compile(r"\b(PASS|FAIL) +\d+\.\d+s(?!\S)")
+
+
+def normalize_console(console: str, src: str) -> str:
+    """``console`` without what varies between trees and runs but not programs.
+
+    The tree's path ``src`` becomes ``<src>``, a warning's line number
+    ``<line>`` and a verify check's seconds ``<seconds>``.
+    """
+    console = _WARNING_LINE.sub(r"\1:<line>:", console.replace(src, "<src>"))
+    return _CHECK_SECONDS.sub(r"\1  <seconds>", console)
 
 
 @contextlib.contextmanager
@@ -160,19 +184,23 @@ def run_configs(out_root: Path, configs: dict = CONFIGS):
     out_root.mkdir(parents=True, exist_ok=True)
     with _cwd(out_root):
         for name, config in configs.items():
-            if isinstance(config, Sweep):
-                text, command = config.text, ["sweep", f"{name}.cfg", "--axis", config.axis,
-                                              "--values", ",".join(config.values)]
+            if isinstance(config, Verify):
+                command = ["verify"]
             else:
-                text, command = config, ["run", f"{name}.cfg"]
-            Path(f"{name}.cfg").write_text(text, encoding="utf-8")
+                if isinstance(config, Sweep):
+                    text, command = config.text, ["sweep", f"{name}.cfg", "--axis",
+                                                  config.axis, "--values", ",".join(config.values)]
+                else:
+                    text, command = config, ["run", f"{name}.cfg"]
+                Path(f"{name}.cfg").write_text(text, encoding="utf-8")
+                command += ["--out-dir", name]
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                rc = cli.main([*command, "--out-dir", name])
+                rc = cli.main(command)
             Path(name).mkdir(exist_ok=True)
             console = f"{out.getvalue()}--- stderr\n{err.getvalue()}--- exit {rc}\n"
-            console = _WARNING_LINE.sub(r"\1:<line>:", console.replace(src, "<src>"))
-            (Path(name) / "console.txt").write_text(console, encoding="utf-8")
+            (Path(name) / "console.txt").write_text(normalize_console(console, src),
+                                                    encoding="utf-8")
 
 
 def _normalized(path: Path) -> str:
@@ -276,7 +304,7 @@ def main(argv=None) -> int:
     for d in diffs:
         print(f"DIFF {d.config}/{d.file}: max relative deviation {d.deviation:.3g}")
     worst = max((d.deviation for d in diffs), default=0.0)
-    print(f"{len(CONFIGS)} configs, {len(diffs)} differing files, "
+    print(f"{len(CONFIGS)} entries, {len(diffs)} differing files, "
           f"max relative deviation {worst:.3g}")
     return 1 if diffs else 0
 
