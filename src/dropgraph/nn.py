@@ -136,24 +136,31 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         raise DimensionError(f"cross_entropy expects (n, classes) logits, got {logits.data.shape}")
     labels = np.asarray(labels, dtype=np.intp)
     n, classes = logits.data.shape
+    if n == 0:
+        raise ContractError(f"cross_entropy needs at least one row, got logits of shape "
+                            f"{logits.data.shape}")
     if labels.shape != (n,):
         raise ContractError(f"labels must have shape ({n},), got {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= classes):
+    if labels.min() < 0 or labels.max() >= classes:
         raise ContractError(
             f"labels must lie in [0, {classes}), got range [{labels.min()}, {labels.max()}]"
         )
     z = logits.data
     zmax = z.max(axis=1, keepdims=True)
     lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
-    losses = lse - z[np.arange(n), labels]
+    rows = np.arange(n)
+    losses = lse - z[rows, labels]
     probs = np.exp(z - lse[:, None])
 
     def backward(g, node):
         grad = probs.copy()
-        grad[np.arange(n), labels] -= 1.0
+        grad[rows, labels] -= 1.0
         node._accum(grad * (np.asarray(g) / n))
 
-    return Tensor._result(np.asarray(losses.mean()), (logits,), backward, "cross_entropy")
+    # The mean as numpy's own mean takes it (sum, then divide), the same bits
+    # without its Python-level overhead.
+    return Tensor._result(np.asarray(np.add.reduce(losses) / n), (logits,), backward,
+                          "cross_entropy")
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

@@ -167,9 +167,12 @@ class VertexSet:
     def __post_init__(self):
         if self.positions is None:
             self.positions = tuple(self.indices.T)
-        valid = np.ones(self.values.data.shape[:-1], bool) if self.valid is None else self.valid
-        self.row_mask = valid[..., None].astype(np.float64)
-        self.sizes = self.row_mask.sum(axis=-2, keepdims=True)
+        if self.valid is None:
+            n = self.values.data.shape[0]
+            self.row_mask, self.sizes = np.ones((n, 1)), np.array([[float(n)]])
+        else:
+            self.row_mask = self.valid[..., None].astype(np.float64)
+            self.sizes = self.row_mask.sum(axis=-2, keepdims=True)
 
     @property
     def count(self) -> int:
@@ -299,12 +302,14 @@ def sample_block_mask(h: int, w: int, s: int, rho: float, rng: RngStream,
     else:
         gamma = _block_seed_rate(h, w, s, rho)
     seeds = rng.uniform(size=(batch, vh, vw)) < gamma
-    dropped = np.zeros((batch, h, w), dtype=bool)
-    for dy in range(s):
-        for dx in range(s):
-            dropped[:, dy : dy + vh, dx : dx + vw] |= seeds
-    gate = 1.0 - dropped.astype(np.float64)
-    return DropMask(gate=gate, dropped_fraction=float(dropped.mean()))
+    dropped = seeds  # at s = 1 a seed's block is the seed itself
+    if s > 1:
+        dropped = np.zeros((batch, h, w), dtype=bool)
+        for dy in range(s):
+            for dx in range(s):
+                dropped[:, dy : dy + vh, dx : dx + vw] |= seeds
+    return DropMask(gate=1.0 - dropped.astype(np.float64),
+                    dropped_fraction=int(np.count_nonzero(dropped)) / dropped.size)
 
 
 # -- graph branch --------------------------------------------------------------------
@@ -321,13 +326,15 @@ def sample_vertices(x: Tensor, alpha: float, rng: RngStream) -> VertexSet:
     if not (0.0 <= alpha <= 1.0):
         raise ContractError(f"alpha must lie in [0, 1], got {alpha}")
     b, _, h, w = x.data.shape
-    selected = np.zeros((b, h, w), dtype=bool)
-    if alpha > 0.0:
+    if alpha == 0.0:
+        selected = np.zeros((b, h, w), dtype=bool)
+    else:
         selected = rng.child("select").uniform(size=(b, h, w)) < alpha
-        for bi in np.flatnonzero(~selected.reshape(b, h * w).any(axis=1)):
+        for bi in (~selected.any(axis=(1, 2))).nonzero()[0]:
             flat = int(rng.child("force", int(bi)).integers(0, h * w))
             selected[bi, flat // w, flat % w] = True
-    return _gather_vertices(x, np.argwhere(selected))  # lexicographic (b, y, x)
+    # np.argwhere(selected), lexicographic (b, y, x), without its Python wrapper.
+    return _gather_vertices(x, np.array(selected.nonzero()).T)
 
 
 def build_adjacency(v: VertexSet, mode: str = "eq6", normalize: bool = False,
@@ -372,9 +379,9 @@ def build_adjacency(v: VertexSet, mode: str = "eq6", normalize: bool = False,
         return gated
     if mode == "eq6":
         scale = -1.0 / np.maximum(v.sizes - 1.0, 1.0)
-        # (1 - S) * scale written as (S - 1) * -scale, which negates the
+        # (1 - S) * scale written as (S + -1) * -scale, which negates the
         # scale instead of the (b, n, n) stack; the result is the same bits.
-        return (gated - 1.0) * (scale if pairs is None else pairs * scale)
+        return (gated + -1.0) * (scale if pairs is None else pairs * scale)
     raise ConfigError(f"unknown adjacency mode {mode!r}")
 
 
@@ -434,7 +441,7 @@ def pool_expand_apply(x: Tensor, m: DropMask, d: Tensor, v: VertexSet,
     layout of ``v.values``: one row per vertex, or padded per item.
     """
     b, c, h, w = x.data.shape
-    pool = np.swapaxes(v.row_mask, -1, -2) / np.maximum(v.sizes, 1.0)  # (..., 1, n): 1/n_i
+    pool = v.row_mask.swapaxes(-1, -2) / np.maximum(v.sizes, 1.0)  # (..., 1, n): 1/n_i
     pooled = matmul(Tensor(pool), d)
     u = rng.uniform(size=(b, 1, h, w))
     gate = m.gate[:, None, :, :]

@@ -10,7 +10,12 @@ dies with its last user reference: a batch-norm output dies as soon as the
 relu after it has run.  A value that needs no gradient gets a node (a
 gradient-free leaf) only when it becomes a parent of a recorded op.
 ``backward()`` on a scalar walks the tape in reverse topological order and
-populates ``grad`` on the leaves (parameters and inputs).  The walk consumes
+populates ``grad`` on the leaves (parameters and inputs).  The order is the
+reverse of a depth-first post-order from the scalar that enters each node's
+parents last one first.  It is part of the records contract: a node with
+several consumers sums their gradients in the order their closures run, and
+another topological order (creation order, say) changes those sums in the
+last bits and with them the run records.  The walk consumes
 the graph: each interior node drops its gradient, closure and parent links
 once its closure has run, and a second ``backward()`` through a consumed
 node raises ``ContractError``.  The tape is rebuilt on every forward call,
@@ -174,7 +179,8 @@ class Tensor:
         Each interior node is released as soon as its closure has run, so the
         tape's memory is freed as the walk goes; a second call through a
         consumed node raises ``ContractError``.  Gradients of leaves
-        accumulate over calls; the trainer zeroes them between steps.
+        accumulate over calls; the trainer's optimizer clears them between
+        steps.  Called on a leaf, it adds 1 to that leaf's own gradient.
         """
         if self.data.size != 1:
             raise ContractError(
@@ -182,30 +188,31 @@ class Tensor:
             )
         if not self.requires_grad:
             return  # no tape reaches a leaf that requires grad
-        # Iterative post-order: recursion would overflow on long tapes.
+        root = self._node
+        # Iterative post-order over the op nodes (recursion would overflow on
+        # long tapes).  A leaf runs no closure, so the walk never enters one;
+        # an op node is entered once, and raises if its closure is gone.
         topo = []
         visited = set()
-        stack = [(self._node, False)]
+        stack = [] if root._op == "leaf" else [(root, False)]
         while stack:
             node, done = stack.pop()
             if done:
                 topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            node._check_live()
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited:
-                    stack.append((p, False))
-        self._node._accum(np.ones_like(self.data))
+            elif node not in visited:
+                if node._backward is None:
+                    node._check_live()
+                visited.add(node)
+                stack.append((node, True))
+                for p in node._parents:
+                    if p._op != "leaf" and p not in visited:
+                        stack.append((p, False))
+        root._accum(np.ones_like(self.data))
         for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad, *node._parents)
-                node.grad = None
-                node._backward = None
-                node._parents = ()
+            node._backward(node.grad, *node._parents)
+            node.grad = None
+            node._backward = None
+            node._parents = ()
 
     # -- operator sugar ----------------------------------------------------
 
@@ -268,6 +275,8 @@ def _zeros_like(a: np.ndarray):
 
 def _sum_to_shape(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a broadcast gradient back to the operand's shape."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -419,7 +428,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g, na, nb):
         if na.requires_grad:
             ga = g @ _matrix_t(bv)
-            na._accum(ga if ga.shape == sa else _sum_to_shape(ga, sa))
+            na._accum(_sum_to_shape(ga, sa))
         if nb.requires_grad:
             if len(sb) == 2:
                 # One matrix shared by a stack: one GEMM over all the stack's rows.
@@ -442,7 +451,7 @@ def softmax_rows(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
         raise DimensionError("softmax_rows expects at least 1 dim, got a scalar")
     y = a.data if mask is None else np.where(mask, a.data, -np.inf)
     top = y.max(axis=-1, keepdims=True)
-    top[np.isneginf(top)] = 0.0  # a row with no True entry
+    top[top == -np.inf] = 0.0  # a row with no True entry
     y = y - top
     np.exp(y, out=y)
     # A row sums to at least 1 (its maximum gives exp(0)) unless no entry is True.

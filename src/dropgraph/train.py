@@ -55,14 +55,19 @@ class SGD:
 
     def step(self):
         for p, v in zip(self.params, self.velocity):
-            if p.grad is None:
-                continue
             g = p.grad
+            if g is None:
+                continue
             if self.weight_decay:
                 g = g + self.weight_decay * p.data
             v *= self.momentum
             v += g
             p.data = p.data - self.lr * v
+
+    def zero_grad(self):
+        """Clear the gradients of the parameters this optimizer updates."""
+        for p in self.params:
+            p.grad = None
 
 
 @dataclass
@@ -156,7 +161,7 @@ def _train_image(cfg: ExperimentConfig, seed: int, ds: ImageDataset) -> RunRecor
             loss = cross_entropy(logits, yb)
             if not np.isfinite(loss.item()):
                 return _end_run(record, start)
-            model.zero_grad()
+            opt.zero_grad()
             loss.backward()
             opt.step()
             epoch_loss += loss.item() * len(yb)
@@ -191,20 +196,20 @@ def _train_graph(cfg: ExperimentConfig, seed: int, g: GraphInstance) -> RunRecor
     model = TwoLayerGcn(cfg.gcn_config(), rng.child("init"), reg_cfg)
     opt = SGD(model.parameters(), cfg.train_lr, cfg.train_momentum, cfg.train_weight_decay)
     record = RunRecord(config_hash=cfg.config_hash(), seed=seed)
+    train_labels = g.labels[g.train_idx]
     start = time.perf_counter()
     for epoch in range(cfg.train_epochs):
         opt.lr = _lr_at(cfg, epoch)
         rho_start = schedule_rho(reg_cfg, epoch, cfg.train_epochs)
         logits = model(g, rng.child("step", epoch), rho_start)
-        loss = cross_entropy(take_rows(logits, g.train_idx), g.labels[g.train_idx])
+        loss = cross_entropy(take_rows(logits, g.train_idx), train_labels)
         if not np.isfinite(loss.item()):
             return _end_run(record, start)
-        model.zero_grad()
+        opt.zero_grad()
         loss.backward()
         opt.step()
         rho_end = schedule_rho(reg_cfg, epoch + 1, cfg.train_epochs)
-        train_acc = float((logits.data[g.train_idx].argmax(axis=1)
-                           == g.labels[g.train_idx]).mean())
+        train_acc = float((logits.data[g.train_idx].argmax(axis=1) == train_labels).mean())
         val_loss, val_acc = _evaluate_graph(model, g, g.val_idx, rng.child("eval", epoch))
         record.epochs.append(EpochStats(
             epoch=epoch, train_loss=loss.item(), train_acc=train_acc,

@@ -325,6 +325,11 @@ def test_cross_entropy_label_range():
         cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
 
 
+def test_cross_entropy_refuses_zero_rows_naming_the_shape():
+    with pytest.raises(ContractError, match=r"\(0, 3\)"):
+        cross_entropy(Tensor(np.zeros((0, 3))), np.zeros(0, dtype=int))
+
+
 def test_cross_entropy_gradient():
     logits = Tensor(RNG.normal(size=(6, 4)), requires_grad=True)
     labels = RNG.integers(0, 4, size=6)

@@ -98,6 +98,12 @@ def test_console_normalization_blanks_paths_warning_lines_and_check_seconds():
     assert rc.normalize_console(worse, src) != rc.normalize_console(console, src)
 
 
+def test_the_contract_holds_45_entries_one_of_them_block_size_one_on_batches():
+    assert len(rc.CONFIGS) == 45
+    assert "reg.block_size = 1" in rc.CONFIGS["image-dropgraph-block-one"]
+    assert "task = image" in rc.CONFIGS["image-dropgraph-block-one"]
+
+
 def test_verify_entry_compares_its_console_only():
     assert isinstance(rc.CONFIGS["verify"], rc.Verify)
     assert rc.compared_files(rc.CONFIGS["verify"]) == ("console.txt",)

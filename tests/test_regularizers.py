@@ -148,7 +148,9 @@ def test_block_mask_s1_keeps_the_dropblock_rate():
     h, w, rho = 7, 1, 0.3
     m = sample_block_mask(h, w, 1, rho, RngStream(11, ("s1",)), batch=40)
     u = RngStream(11, ("s1",)).uniform(size=(40, h, w))
-    npt.assert_array_equal(m.gate, 1.0 - (u < rho * h * w / (h * w)))
+    dropped = u < rho * h * w / (h * w)
+    npt.assert_array_equal(m.gate, 1.0 - dropped)
+    assert type(m.dropped_fraction) is float and m.dropped_fraction == dropped.mean()
 
 
 def test_block_mask_blocks_are_full_squares_inside():

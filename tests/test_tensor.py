@@ -207,6 +207,46 @@ def test_second_backward_through_a_consumed_node_raises():
     npt.assert_array_equal(x.grad, [2.0, 4.0])  # the refused calls added nothing
 
 
+def test_a_consumed_node_met_only_as_a_parent_raises_before_any_closure_runs():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    h = relu(x)
+    h.sum().backward()
+    later = (h * 3.0).sum()  # a live root over a live mul whose parent h is consumed
+    live = [n for n in _tape(later) if n is not h._node and n._op != "leaf"]
+    with pytest.raises(ContractError, match="'relu' node was already consumed"):
+        later.backward()
+    assert [n._op for n in live] == ["sum", "mul"]
+    assert all(n._backward is not None and n.grad is None for n in live)
+    npt.assert_array_equal(x.grad, [1.0, 1.0])
+
+
+def test_backward_on_a_scalar_leaf_sets_its_gradient_to_one():
+    x = Tensor(np.array(3.0), requires_grad=True)
+    x.backward()
+    assert x.grad.shape == () and x.grad == 1.0
+
+
+# Three consumers of one node contribute 1e16, 1.0 and -1e16 to its gradient;
+# the float64 sum is 1.0 only if 1.0 is added last.  The walk runs closures in
+# the reverse of a depth-first post-order that enters a node's parents last one
+# first: for ``(a + c) + b`` that is a, c, b, and for ``(b + a) + c`` b, a, c.
+# Reverse creation order would give the other value in both.  The records
+# contract (byte-identical run records) rests on this order.
+@pytest.mark.parametrize("shape, want", [("(a + c) + b", 1.0), ("(b + a) + c", 0.0)])
+@pytest.mark.parametrize("interior", [False, True], ids=["leaf", "interior"])
+def test_backward_sums_a_node_s_consumers_in_walk_order(shape, want, interior):
+    x = Tensor(np.array([2.0]), requires_grad=True)
+    h = x * 1.0 if interior else x
+    if shape == "(a + c) + b":
+        a, b, c = h * 1e16, h * 1.0, h * -1e16
+        out = (a + c) + b
+    else:
+        b, a, c = h * 1.0, h * 1e16, h * -1e16
+        out = (b + a) + c
+    out.sum().backward()
+    npt.assert_array_equal(x.grad, [want])
+
+
 def test_a_value_no_backward_reads_dies_while_the_tape_lives():
     rng = RngStream(41)
     xd, kd, bd = (rng.child(n).normal(size=s)

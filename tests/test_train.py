@@ -190,10 +190,39 @@ def test_training_peak_is_bounded_by_one_tape():
             loss = cross_entropy(logits, y)
             if step == 0:
                 tape = tracemalloc.get_traced_memory()[0] - base
-            model.zero_grad()
+            opt.zero_grad()
             loss.backward()
             opt.step()
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * tape, f"peak {peak / tape:.2f}x the first forward tape"
+
+
+def test_sgd_zero_grad_keeps_gradients_from_accumulating_across_steps():
+    """The trainer clears gradients through its optimizer: after ``SGD.zero_grad``
+    a second step's gradients equal a fresh first step's from the same weights."""
+    cfg = parse_config("task = image\ndata.image_size = 16\nreg.kind = dropgraph\n")
+    data = np.random.default_rng(9)
+    x, y = data.normal(size=(4, 1, 16, 16)), data.integers(0, cfg.data_classes, size=4)
+
+    def model_and_opt():
+        model = TinyResNet(cfg.resnet_config(), RngStream(9).child("init"),
+                           cfg.regularizer_config())
+        return model, SGD(model.parameters(), 0.05, cfg.train_momentum, cfg.train_weight_decay)
+
+    def backward(model, step):
+        cross_entropy(model(Tensor(x), RngStream(9).child("step", step), 0.3), y).backward()
+
+    model, opt = model_and_opt()
+    backward(model, 0)
+    opt.step()
+    opt.zero_grad()
+    assert all(p.grad is None for p in model.parameters())
+    backward(model, 1)
+    fresh, _ = model_and_opt()
+    for p, q in zip(fresh.parameters(), model.parameters()):
+        p.data = q.data.copy()
+    backward(fresh, 1)
+    for p, q in zip(model.parameters(), fresh.parameters()):
+        np.testing.assert_array_equal(p.grad, q.grad)

@@ -63,7 +63,7 @@ class Verify:
     """``dropgraph verify``, whose console output is its one compared file."""
 
 
-# 44 entries: 43 configs and ``dropgraph verify``.  The configs cover every
+# 45 entries: 44 configs and ``dropgraph verify``.  The configs cover every
 # reg.kind, generator, adjacency mode and ramp, both pgr strategies and arms,
 # pgr with a normalized similarity, and both tasks, with every generator on
 # the node-graph task's one-item (flat) vertex layout; an odd image size,
@@ -74,10 +74,11 @@ class Verify:
 # a diverging run of each task, which keeps the epochs it finished; a run on a
 # process pool of two workers; a sweep over reg.kind, whose configs share one
 # dataset; dropgraph at an alpha so small that some items draw no vertex and
-# get a forced one, on both tasks; and pgr at alpha = 0, which returns its
-# input and leaves its weight without a gradient for SGD to skip.  Each config
-# runs the default three seeds.  The verify entry holds the release gate's
-# checks and their detail lines (worst errors, calibrated rates) to the
+# get a forced one, on both tasks; pgr at alpha = 0, which returns its input
+# and leaves its weight without a gradient for SGD to skip; and dropgraph at
+# block size 1 on multi-item batches, where the mask is its seed draw.  Each
+# config runs the default three seeds.  The verify entry holds the release
+# gate's checks and their detail lines (worst errors, calibrated rates) to the
 # parent's.
 CONFIGS = {
     "image-none": _IMAGE,
@@ -115,6 +116,7 @@ CONFIGS = {
     "image-dropgraph-two-threads": _IMAGE + "reg.kind = dropgraph\nthreads = 2\n",
     "image-dropgraph-sparse": _IMAGE + "reg.kind = dropgraph\nreg.alpha = 0.02\n",
     "image-pgr-alpha-zero": _IMAGE + "reg.kind = pgr\nreg.alpha = 0.0\n",
+    "image-dropgraph-block-one": _IMAGE + "reg.kind = dropgraph\nreg.block_size = 1\n",
     "graph-none": _GRAPH,
     "graph-dropout": _GRAPH + "reg.kind = dropout\n",
     "graph-spatial-dropout": _GRAPH + "reg.kind = spatial_dropout\n",
@@ -277,7 +279,7 @@ def _run_tree(src: Path, out_root: Path):
     subprocess.run([sys.executable, "-c", code, str(out_root), str(src)], env=env, check=True)
 
 
-def _export(rev: str, dest: Path):
+def export_tree(rev: str, dest: Path):
     """Write the tree of ``rev`` into ``dest`` with ``git archive``."""
     archive = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", rev],
                              capture_output=True, check=True).stdout
@@ -297,7 +299,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="records_contract_") as tmp:
         root = Path(tmp)
         parent_tree = root / "parent_tree"
-        _export(args.parent_rev, parent_tree)
+        export_tree(args.parent_rev, parent_tree)
         _run_tree(parent_tree / "src", root / "parent")
         _run_tree(REPO / "src", root / "head")
         diffs = diff_outputs(root / "parent", root / "head")
