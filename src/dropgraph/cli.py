@@ -119,10 +119,10 @@ def _start(cfg: ExperimentConfig, command: str) -> Path:
 
 
 def _write_dataset_cache(cfg: ExperimentConfig, out_dir: Path):
+    spec = cfg.data_spec()
     if cfg.task == "image":
-        save_image_dataset(gen_images(cfg.image_spec()), out_dir / "dataset.dgd")
+        save_image_dataset(gen_images(spec), out_dir / "dataset.dgd")
     else:
-        spec = cfg.graph_spec()
         save_graph_dataset(gen_sbm(spec), spec, out_dir / "dataset.dgd")
 
 

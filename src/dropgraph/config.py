@@ -3,13 +3,16 @@
 Keys use dotted section names (``reg.alpha = 0.2``); ``#`` starts a comment.
 Each key is derived from an :class:`ExperimentConfig` field name: a
 ``data_``/``model_``/``reg_``/``train_`` prefix becomes ``data.`` etc., and
-other names are keys as they stand.  Parsing is strict: unknown keys and
-malformed values raise :class:`ConfigError` naming the offending key.  Range
-checks live in the component specs (``SyntheticImageSpec``, ``SbmGraphSpec``,
-``TinyResNetConfig``, ``TwoLayerGcnConfig``, ``RegularizerConfig``), which
-``ExperimentConfig`` builds in one place each; their errors are prefixed by
-section, e.g. ``reg: alpha must lie in [0, 1], got 1.5``.  ``config_to_text``
-emits a canonical form, so parse -> serialize -> parse is the identity.
+other names are keys as they stand.  The ``data.*`` and ``reg.*`` fields take
+their types and defaults from the specs they build (``SyntheticImageSpec``,
+``SbmGraphSpec``, ``RegularizerConfig``); ``model.*`` and ``train.*`` are
+declared here.  Parsing is strict: unknown keys and malformed values raise
+:class:`ConfigError` naming the offending key.  Range checks live in the
+component specs (those three, ``TinyResNetConfig`` and ``TwoLayerGcnConfig``),
+which ``ExperimentConfig`` builds in one place each; their errors are prefixed
+by section, e.g. ``reg: alpha must lie in [0, 1], got 1.5``.
+``config_to_text`` emits a canonical form, so parse -> serialize -> parse is
+the identity.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, make_dataclass, replace
 
 from .backbones import TinyResNetConfig, TwoLayerGcnConfig
 from .data import SbmGraphSpec, SyntheticImageSpec
@@ -26,7 +29,8 @@ from .regularizers import MASK_KINDS, RegularizerConfig
 
 __all__ = ["ExperimentConfig", "parse_config", "config_to_text"]
 
-TASKS = ("image", "node_graph")
+_DATA_SPECS = {"image": SyntheticImageSpec, "node_graph": SbmGraphSpec}  # task -> data spec
+TASKS = tuple(_DATA_SPECS)
 MIN_SEEDS = 3  # the median/min/max summary of a config needs at least three runs
 
 
@@ -39,59 +43,18 @@ def _section(name: str):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-@dataclass
-class ExperimentConfig:
-    task: str = "image"
-    seeds: tuple = (1, 2, 3)
-    out_dir: str = "runs/out"
-    threads: int = 1
+def _settings(section: str, *specs):
+    """``(f"{section}_{name}", type, default)`` for each init field of ``specs``;
+    where two specs share a name (``seed``) the first one's field is used."""
+    first = {}
+    for spec in specs:
+        for f in fields(spec):
+            first.setdefault(f.name, f)
+    return [(f"{section}_{f.name}", f.type, f.default) for f in first.values() if f.init]
 
-    # data (image task)
-    data_classes: int = 4
-    data_image_size: int = 32
-    data_train_count: int = 512
-    data_val_count: int = 2048
-    data_noise_std: float = 1.0
-    data_seed: int = 0
 
-    # data (node_graph task)
-    data_nodes: int = 300
-    data_communities: int = 3
-    data_p_in: float = 0.08
-    data_p_out: float = 0.01
-    data_labeled_per_class: int = 20
-    data_feature_noise: float = 2.5
-    data_feature_dim: int = 16
-
-    # model
-    model_stem_channels: int = 16
-    model_groups: tuple = ((2, 16), (2, 32))
-    model_regularize_groups: str = "last"
-    model_regularize_skip: bool = True
-    model_hidden: int = 16
-
-    # regularizer
-    reg_kind: str = "none"
-    reg_alpha: float = 0.2
-    reg_rho: float = 0.1
-    reg_block_size: int = 3
-    reg_adjacency: str = "eq6"
-    reg_generator: str = "graph"
-    reg_scheduler: str = "f1"
-    reg_rescale_dropout: bool = False
-    reg_normalize_similarity: bool = False
-    reg_pgr_strategy: str = "random"
-    reg_pgr_active_in_eval: bool = False
-
-    # training
-    train_epochs: int = 60
-    train_batch_size: int = 32
-    train_lr: float = 0.1
-    train_momentum: float = 0.9
-    train_weight_decay: float = 0.0005
-    train_lr_decay_points: tuple = (0.6, 0.85)
-    train_lr_decay_factor: float = 0.1
-    train_augment_flip: bool = True
+class _ExperimentConfigMethods:
+    """The methods of ``ExperimentConfig``, a dataclass built from field lists below."""
 
     def regularizer_config(self) -> RegularizerConfig:
         return self._spec("reg", RegularizerConfig)
@@ -101,6 +64,12 @@ class ExperimentConfig:
 
     def graph_spec(self) -> SbmGraphSpec:
         return self._spec("data", SbmGraphSpec)
+
+    def data_spec(self):
+        """The data spec of ``task``; an unknown task raises ``ConfigError``."""
+        if self.task not in _DATA_SPECS:
+            raise ConfigError(f"unknown task {self.task!r}")
+        return self._spec("data", _DATA_SPECS[self.task])
 
     def _spec(self, section: str, cls):
         """``cls`` built with each field ``x`` from config field ``<section>_x``."""
@@ -144,6 +113,30 @@ class ExperimentConfig:
         text = "\n".join(f"{name} = {_format_value(name, getattr(self, name))}"
                          for name in _KEY_BY_FIELD if name not in skip)
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+
+
+ExperimentConfig = make_dataclass("ExperimentConfig", [
+    ("task", str, "image"),
+    ("seeds", tuple, (1, 2, 3)),
+    ("out_dir", str, "runs/out"),
+    ("threads", int, 1),
+    *_settings("data", SyntheticImageSpec, SbmGraphSpec),
+    ("model_stem_channels", int, 16),
+    ("model_groups", tuple, ((2, 16), (2, 32))),
+    ("model_regularize_groups", str, "last"),
+    ("model_regularize_skip", bool, True),
+    ("model_hidden", int, 16),
+    *_settings("reg", RegularizerConfig),
+    ("train_epochs", int, 60),
+    ("train_batch_size", int, 32),
+    ("train_lr", float, 0.1),
+    ("train_momentum", float, 0.9),
+    ("train_weight_decay", float, 0.0005),
+    ("train_lr_decay_points", tuple, (0.6, 0.85)),
+    ("train_lr_decay_factor", float, 0.1),
+    ("train_augment_flip", bool, True),
+], bases=(_ExperimentConfigMethods,))
+ExperimentConfig.__module__ = __name__  # so that a process pool can pickle it
 
 
 # field name -> config key: a section prefix becomes ``section.``
@@ -262,13 +255,12 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if any(not (0.0 < p <= 1.0) for p in cfg.train_lr_decay_points):
         fail("train.lr_decay_points", f"points must lie in (0, 1], got {cfg.train_lr_decay_points}")
 
+    cfg.data_spec()
     if cfg.task == "image":
-        cfg.image_spec()
         resnet = cfg.resnet_config()
         with _section("reg"):
             resnet.check_block_size(reg)
     else:
-        cfg.graph_spec()
         cfg.gcn_config()
         if cfg.reg_kind in MASK_KINDS and cfg.reg_block_size != 1:
             fail("reg.block_size", "node-graph regularizers use block_size = 1")

@@ -145,28 +145,24 @@ class DropMask:
 
 @dataclass
 class VertexSet:
-    """Sampled feature vectors: their positions and their values.
+    """Sampled feature vectors: their (b, y, x) map rows and their values.
 
     ``values`` is one flat (n, c) graph over all rows of ``indices``, or one
     graph per batch item padded to the largest item: item i's vertices fill
     the rows where ``valid[i]`` is True, in ``indices`` order, and its pad
-    rows after them are zero.  ``positions`` are the rows' (ib, iy, ix) map
-    positions: ``indices`` when flat, and (i, 0, 0) at a pad row of item i.
-    ``_gather_vertices`` alone picks the layout, flat exactly for a one-item
-    batch; consumers read ``row_mask`` ((..., n, 1): 1 at vertex rows, 0 at
-    pad rows) and ``sizes`` (each graph's vertex count, (..., 1, 1)).
+    rows after them are zero.  ``_gather_vertices`` alone picks the layout,
+    flat exactly for a one-item batch; consumers read ``row_mask`` ((..., n,
+    1): 1 at vertex rows, 0 at pad rows) and ``sizes`` (each graph's vertex
+    count, (..., 1, 1)).
     """
 
     indices: np.ndarray  # (n, 3) int rows (batch, y, x), lexicographically sorted
     values: Tensor  # (n, c), or (b, n_max, c) when valid is set
     valid: np.ndarray | None = None  # (b, n_max) bool, True at vertex rows; None when flat
-    positions: tuple | None = None  # (ib, iy, ix), each shaped like values' rows
     row_mask: np.ndarray = field(init=False)
     sizes: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.positions is None:
-            self.positions = tuple(self.indices.T)
         if self.valid is None:
             n = self.values.data.shape[0]
             self.row_mask, self.sizes = np.ones((n, 1)), np.array([[float(n)]])
@@ -179,25 +175,24 @@ class VertexSet:
         return self.indices.shape[0]
 
 
-def _gather_vertices(x: Tensor, indices: np.ndarray) -> VertexSet:
-    """The feature vectors of ``x`` at ``indices``, one graph per batch item.
+def _gather_vertices(x: Tensor, selected: np.ndarray) -> VertexSet:
+    """The feature vectors of ``x`` at the True entries of the (b, h, w) map ``selected``.
 
     A one-item batch is one flat (n, c) graph; a larger batch is padded
     (see ``VertexSet``) and always carries its ``valid`` mask.  Every item
     holds at least one vertex, or none does.
     """
-    b = x.data.shape[0]
+    # np.argwhere(selected), lexicographic (b, y, x), without its Python wrapper.
+    indices = np.array(selected.nonzero()).T
+    b = selected.shape[0]
     # Flat for speed: padding the node-graph task's one (1, c, n, 1) map made its
     # regularizer 8-23% slower (2-core Xeon VM), and changed random_noise's RNG stream.
     if b == 1:
-        return VertexSet(indices, take_spatial_vectors(x, *indices.T))
+        return VertexSet(indices, take_spatial_vectors(x, indices))
     counts = np.bincount(indices[:, 0], minlength=b)
-    valid = np.arange(counts.max()) < counts[:, None]
     # ``indices`` is sorted by item, so its rows fill ``valid``'s True entries in order.
-    pos = np.zeros((3,) + valid.shape, dtype=np.intp)
-    pos[0] = np.arange(b)[:, None]
-    pos[1:, valid] = indices[:, 1:].T
-    return VertexSet(indices, take_spatial_vectors(x, *pos, valid=valid), valid, tuple(pos))
+    valid = np.arange(counts.max()) < counts[:, None]
+    return VertexSet(indices, take_spatial_vectors(x, indices, valid), valid)
 
 
 class GraphGeneratorParams(Module):
@@ -333,8 +328,7 @@ def sample_vertices(x: Tensor, alpha: float, rng: RngStream) -> VertexSet:
         for bi in (~selected.any(axis=(1, 2))).nonzero()[0]:
             flat = int(rng.child("force", int(bi)).integers(0, h * w))
             selected[bi, flat // w, flat % w] = True
-    # np.argwhere(selected), lexicographic (b, y, x), without its Python wrapper.
-    return _gather_vertices(x, np.array(selected.nonzero()).T)
+    return _gather_vertices(x, selected)
 
 
 def build_adjacency(v: VertexSet, mode: str = "eq6", normalize: bool = False,
@@ -566,7 +560,7 @@ class PartialGraphReasoning(Module):
         order = np.argsort(-mag, axis=1, kind="stable")[:, :k]
         selected = np.zeros((b, h * w), dtype=bool)
         selected[np.arange(b)[:, None], order] = True
-        return np.argwhere(selected.reshape(b, h, w))
+        return selected.reshape(b, h, w)
 
     def forward(self, x: Tensor, rng: RngStream, rho=None, mask=None) -> Tensor:
         if not self.training and not self.cfg.pgr_active_in_eval:
@@ -580,7 +574,7 @@ class PartialGraphReasoning(Module):
         adj = build_adjacency(graphs, self.cfg.adjacency,
                               normalize=self.cfg.normalize_similarity)
         rows = matmul(matmul(adj, graphs.values), self.weight)
-        return replace_spatial_vectors(x, *graphs.positions, rows, valid=graphs.valid)
+        return replace_spatial_vectors(x, graphs.indices, rows, valid=graphs.valid)
 
 
 def make_regularizer(cfg: RegularizerConfig, channels: int, rng: RngStream,

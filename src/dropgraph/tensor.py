@@ -470,18 +470,26 @@ def softmax_rows(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
 # -- spatial gather / scatter -------------------------------------------------
 
 
-def take_spatial_vectors(x: Tensor, ib, iy, ix, valid=None) -> Tensor:
-    """Gather feature vectors at positions (ib, :, iy, ix) into shape ``ib.shape + (c,)``.
+def _padded(rows: np.ndarray, valid):
+    """``rows`` in order at the True entries of zeros shaped ``valid.shape + (c,)``, or as is."""
+    if valid is None:
+        return rows
+    block = np.zeros(valid.shape + rows.shape[-1:])
+    block[valid] = rows
+    return block
 
-    Positions must be unique; the backward scatter relies on it.  With a
-    boolean ``valid`` of the index shape only its True entries are
-    positions: the others read as zero rows and take no gradient.
+
+def take_spatial_vectors(x: Tensor, indices: np.ndarray, valid=None) -> Tensor:
+    """Gather the feature vectors of ``x`` at the (n, 3) rows (b, y, x) of ``indices``.
+
+    Rows must be unique; the backward scatter relies on it.  Without
+    ``valid`` the result is (n, c).  A boolean ``valid`` with n True entries
+    gives a ``valid.shape + (c,)`` block: the gathered rows fill its True
+    entries in order, and the other entries are zero rows that take no
+    gradient.
     """
-    ib, iy, ix = (np.asarray(i, dtype=np.intp) for i in (ib, iy, ix))
-    out_data = x.data[ib, :, iy, ix]
-    if valid is not None:
-        out_data[~valid] = 0.0
-        ib, iy, ix = ib[valid], iy[valid], ix[valid]
+    ib, iy, ix = indices.T
+    out_data = _padded(x.data[ib, :, iy, ix], valid)
     zeros = _zeros_like(x.data)
 
     def backward(g, nx):
@@ -492,29 +500,22 @@ def take_spatial_vectors(x: Tensor, ib, iy, ix, valid=None) -> Tensor:
     return Tensor._result(out_data, (x,), backward, "take_spatial_vectors")
 
 
-def replace_spatial_vectors(x: Tensor, ib, iy, ix, rows: Tensor, valid=None) -> Tensor:
-    """Copy of ``x`` with feature vectors at the given positions replaced by ``rows``.
+def replace_spatial_vectors(x: Tensor, indices: np.ndarray, rows: Tensor, valid=None) -> Tensor:
+    """Copy of ``x`` with the feature vectors at the rows of ``indices`` replaced by ``rows``.
 
-    ``rows`` has shape ``ib.shape + (c,)`` and positions must be unique.
-    With a boolean ``valid`` only its True entries are written; the other
-    rows are ignored and get zero gradient.
+    Rows must be unique.  Without ``valid``, ``rows`` is (n, c).  With a
+    boolean ``valid`` of n True entries, ``rows`` is ``valid.shape + (c,)``
+    and its rows at the True entries are written in order; the others are
+    ignored and get zero gradient.
     """
-    ib, iy, ix = (np.asarray(i, dtype=np.intp) for i in (ib, iy, ix))
+    ib, iy, ix = indices.T
     rows = _lift(rows)
-    if valid is not None:
-        ib, iy, ix = ib[valid], iy[valid], ix[valid]
     out_data = x.data.copy()
     out_data[ib, :, iy, ix] = rows.data if valid is None else rows.data[valid]
-    zeros = _zeros_like(rows.data)
 
     def backward(g, nx, nr):
         if nr.requires_grad:
-            if valid is None:
-                nr._accum(g[ib, :, iy, ix])
-            else:
-                gr = zeros()
-                gr[valid] = g[ib, :, iy, ix]
-                nr._accum(gr)
+            nr._accum(_padded(g[ib, :, iy, ix], valid))
         if nx.requires_grad:
             gx = g.copy()
             gx[ib, :, iy, ix] = 0.0

@@ -24,7 +24,6 @@ import numpy as np
 from .backbones import TinyResNet, TwoLayerGcn
 from .config import ExperimentConfig, check_seeds, config_to_text
 from .data import GraphInstance, ImageDataset, SyntheticImageSpec, gen_images, gen_sbm
-from .errors import ConfigError
 from .nn import cross_entropy
 from .regularizers import schedule_rho
 from .rng import RngStream
@@ -220,14 +219,6 @@ def _train_graph(cfg: ExperimentConfig, seed: int, g: GraphInstance) -> RunRecor
     return _end_run(record, start, final_train_acc)
 
 
-def _data_spec(cfg: ExperimentConfig):
-    if cfg.task == "image":
-        return cfg.image_spec()
-    if cfg.task == "node_graph":
-        return cfg.graph_spec()
-    raise ConfigError(f"unknown task {cfg.task!r}")
-
-
 def _generate(spec):
     return gen_images(spec) if isinstance(spec, SyntheticImageSpec) else gen_sbm(spec)
 
@@ -238,7 +229,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int, data=None) -> RunRecord:
     ``data`` is the dataset of ``cfg``'s data spec, as ``multi_seed`` passes
     it; without one the run generates it.
     """
-    spec = _data_spec(cfg)  # refuses an unknown task, with or without a dataset
+    spec = cfg.data_spec()  # refuses an unknown task, with or without a dataset
     if data is None:
         data = _generate(spec)
     train = _train_image if cfg.task == "image" else _train_graph
@@ -260,7 +251,7 @@ def multi_seed(configs, seeds, threads: int = 1):
     datasets = {}
     tasks = []
     for cfg in configs:
-        spec = _data_spec(cfg)
+        spec = cfg.data_spec()
         key = (type(spec), astuple(spec))
         if key not in datasets:
             datasets[key] = _generate(spec)

@@ -1,7 +1,7 @@
 import pytest
 
 from dropgraph.backbones import TinyResNet, TinyResNetConfig, TwoLayerGcnConfig
-from dropgraph.config import config_to_text, parse_config
+from dropgraph.config import ExperimentConfig, config_to_text, parse_config
 from dropgraph.data import SbmGraphSpec, SyntheticImageSpec
 from dropgraph.errors import ConfigError
 from dropgraph.regularizers import RegularizerConfig
@@ -127,14 +127,23 @@ def test_resnet_spec_requires_positive_channel_multiples_of_4():
 
 
 def test_component_specs_follow_the_config():
-    cfg = parse_config("")
-    assert cfg.image_spec() == SyntheticImageSpec()
-    assert cfg.resnet_config() == TinyResNetConfig()
-    assert cfg.regularizer_config() == RegularizerConfig()
+    # data.* and reg.* take their defaults from the specs, so a default config builds theirs.
+    for cfg in (ExperimentConfig(), parse_config("")):
+        assert cfg.image_spec() == cfg.data_spec() == SyntheticImageSpec()
+        assert cfg.graph_spec() == SbmGraphSpec()
+        assert cfg.resnet_config() == TinyResNetConfig()
+        assert cfg.regularizer_config() == RegularizerConfig()
     cfg = parse_config("task = node_graph\ndata.nodes = 240\ndata.feature_dim = 8\n"
                        "data.seed = 5\nmodel.hidden = 8")
-    assert cfg.graph_spec() == SbmGraphSpec(nodes=240, feature_dim=8, seed=5)
+    assert cfg.graph_spec() == cfg.data_spec() == SbmGraphSpec(nodes=240, feature_dim=8, seed=5)
     assert cfg.gcn_config() == TwoLayerGcnConfig(in_features=8, hidden=8, classes=3)
+
+
+def test_regularize_groups_all_regularizes_every_group():
+    cfg = parse_config("model.regularize_groups = all\nreg.kind = dropgraph\n")
+    assert cfg.resnet_config().regularize_groups == (0, 1)
+    model = TinyResNet(cfg.resnet_config(), RngStream(0), cfg.regularizer_config())
+    assert len(model.blocks) == 4 and all(b.main_reg is not None for b in model.blocks)
 
 
 @pytest.mark.parametrize("first, last", [("node_graph", "image"), ("image", "node_graph")])

@@ -98,10 +98,13 @@ def test_console_normalization_blanks_paths_warning_lines_and_check_seconds():
     assert rc.normalize_console(worse, src) != rc.normalize_console(console, src)
 
 
-def test_the_contract_holds_45_entries_one_of_them_block_size_one_on_batches():
-    assert len(rc.CONFIGS) == 45
+def test_the_contract_holds_46_entries_with_block_size_one_on_batches():
+    assert len(rc.CONFIGS) == 46
     assert "reg.block_size = 1" in rc.CONFIGS["image-dropgraph-block-one"]
     assert "task = image" in rc.CONFIGS["image-dropgraph-block-one"]
+    # pgr's top selection on a last batch of one item: a flat set written back without valid.
+    top = rc.CONFIGS["image-pgr-top-one-item-batch"]
+    assert "data.train_count = 17" in top and "reg.pgr_strategy = top" in top
 
 
 def test_verify_entry_compares_its_console_only():

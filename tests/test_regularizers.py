@@ -323,6 +323,14 @@ def test_adjacency_empty_set_rejected():
         build_adjacency(empty, "eq6")
 
 
+def test_adjacency_refuses_learned_without_a_parameter_and_an_unknown_mode():
+    v = make_vertices(RNG.normal(size=(3, 2)))
+    with pytest.raises(ConfigError, match="needs a parameter matrix"):
+        build_adjacency(v, "learned")
+    with pytest.raises(ConfigError, match="unknown adjacency mode 'ring'"):
+        build_adjacency(v, "ring")
+
+
 # -- graph reasoning and generators ---------------------------------------------------
 
 
@@ -391,6 +399,14 @@ def test_alt_avg_pool_mean():
     v = make_vertices([[0.0, 2.0], [2.0, 0.0]])
     out = generate_alt_distortions(v, "avg_pool", RngStream(0))
     npt.assert_allclose(out.data, [[1.0, 1.0], [1.0, 1.0]], atol=1e-15)
+
+
+def test_alt_generators_refuse_an_empty_set_and_an_unknown_kind():
+    empty = VertexSet(indices=np.zeros((0, 3), dtype=np.intp), values=Tensor(np.zeros((0, 2))))
+    with pytest.raises(ContractError, match="at least one vertex"):
+        generate_alt_distortions(empty, "avg_pool", RngStream(0))
+    with pytest.raises(ConfigError, match="unknown alternative generator 'median'"):
+        generate_alt_distortions(make_vertices([[1.0, 2.0]]), "median", RngStream(0))
 
 
 def test_alt_random_noise_std_matches():
@@ -626,6 +642,13 @@ def test_pgr_train_only_eval_identity():
     assert out is x
 
 
+def test_pgr_alpha_zero_returns_its_input_in_training():
+    mod = make_pgr(4, 0.0, RngStream(28, ("pgr",)))
+    x = Tensor(RNG.normal(size=(2, 4, 5, 5)), requires_grad=True)
+    assert mod.training
+    assert mod(x, RngStream(1, ("t",))) is x
+
+
 def test_pgr_replaces_selected_rows_with_avw():
     mod = make_pgr(4, 1.0, RngStream(29, ("pgr",)), pgr_strategy="random")
     x = Tensor(RNG.normal(size=(1, 4, 3, 3)))
@@ -795,7 +818,7 @@ def test_pgr_padded_matches_per_item_oracle(strategy, mode):
         counts = np.bincount(idx[:, 0], minlength=4)
         assert 1 in counts and len(set(counts)) > 2
     else:
-        idx = mod._select_top(Tensor(x))
+        idx = np.argwhere(mod._select_top(Tensor(x)))
     want = x.copy()
     for bi in range(4):
         pos = idx[idx[:, 0] == bi]
@@ -818,7 +841,7 @@ def test_select_top_keeps_the_lexsort_order_on_ties():
         order = np.lexsort((np.arange(h * w), -mag[bi]))[:k]
         selected[bi, order // w, order % w] = True
     assert len(np.unique(mag)) < 10
-    npt.assert_array_equal(mod._select_top(Tensor(x)), np.argwhere(selected))
+    npt.assert_array_equal(mod._select_top(Tensor(x)), selected)
 
 
 @pytest.mark.parametrize("adjacency, normalize", [

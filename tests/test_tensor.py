@@ -360,18 +360,16 @@ def test_primitive_gradients(name, f):
 
 
 def test_gather_scatter_gradients():
-    ib = np.array([0, 1, 1])
-    iy = np.array([2, 0, 3])
-    ix = np.array([1, 3, 2])
+    indices = np.array([[0, 2, 1], [1, 0, 3], [1, 3, 2]])
     x = Tensor(RNG.normal(size=(2, 3, 4, 4)), requires_grad=True)
-    assert grad_check(lambda t: (take_spatial_vectors(t, ib, iy, ix) ** 2).sum(), x) <= 1e-5
+    assert grad_check(lambda t: (take_spatial_vectors(t, indices) ** 2).sum(), x) <= 1e-5
     rows = Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
     base = Tensor(RNG.normal(size=(2, 3, 4, 4)), requires_grad=True)
     assert grad_check(
-        lambda t: (replace_spatial_vectors(base, ib, iy, ix, t) ** 2).sum(), rows
+        lambda t: (replace_spatial_vectors(base, indices, t) ** 2).sum(), rows
     ) <= 1e-5
     assert grad_check(
-        lambda t: (replace_spatial_vectors(t, ib, iy, ix, rows) ** 2).sum(), base
+        lambda t: (replace_spatial_vectors(t, indices, rows) ** 2).sum(), base
     ) <= 1e-5
 
 
@@ -407,6 +405,16 @@ def test_no_grad_builds_no_tape():
     with no_grad():
         y = (x * 2).sum()
     assert not y.requires_grad and y._parents == ()
+    y.backward()  # a scalar that needs no gradient: nothing to walk
+    assert x.grad is None and y.grad is None
+
+
+def test_only_a_tensor_that_requires_grad_holds_a_gradient():
+    t = Tensor(np.ones(3))
+    t.grad = None  # clearing is always allowed
+    with pytest.raises(ContractError, match="only a tensor that requires grad"):
+        t.grad = np.ones(3)
+    assert t.grad is None
 
 
 # -- rng streams ------------------------------------------------------------------
@@ -554,21 +562,19 @@ def test_unmasked_softmax_is_unchanged_by_an_all_true_mask():
 
 
 def test_gather_scatter_with_valid_entries():
-    ib = np.array([[0, 0], [1, 1]])
-    iy = np.array([[2, 0], [0, 3]])
-    ix = np.array([[1, 0], [3, 2]])
+    indices = np.array([[0, 2, 1], [1, 0, 3], [1, 3, 2]])
     valid = np.array([[True, False], [True, True]])  # slot (0, 1) is padding
     x = Tensor(RNG.normal(size=(2, 3, 4, 4)))
-    rows = take_spatial_vectors(x, ib, iy, ix, valid=valid)
+    rows = take_spatial_vectors(x, indices, valid=valid)
     npt.assert_array_equal(rows.data[0, 1], 0.0)
     npt.assert_array_equal(rows.data[1, 1], x.data[1, :, 3, 2])
-    assert grad_check(lambda t: (take_spatial_vectors(t, ib, iy, ix, valid=valid) ** 2).sum(),
+    assert grad_check(lambda t: (take_spatial_vectors(t, indices, valid=valid) ** 2).sum(),
                       x) <= 1e-5
     new = Tensor(RNG.normal(size=(2, 2, 3)))
-    out = replace_spatial_vectors(x, ib, iy, ix, new, valid=valid)
+    out = replace_spatial_vectors(x, indices, new, valid=valid)
     npt.assert_array_equal(out.data[0, :, 0, 0], x.data[0, :, 0, 0])  # pad slot not written
     npt.assert_array_equal(out.data[1, :, 0, 3], new.data[1, 0])
-    assert grad_check(lambda t: (replace_spatial_vectors(x, ib, iy, ix, t, valid=valid) ** 2)
+    assert grad_check(lambda t: (replace_spatial_vectors(x, indices, t, valid=valid) ** 2)
                       .sum(), new) <= 1e-5
-    assert grad_check(lambda t: (replace_spatial_vectors(t, ib, iy, ix, new, valid=valid) ** 2)
+    assert grad_check(lambda t: (replace_spatial_vectors(t, indices, new, valid=valid) ** 2)
                       .sum(), x) <= 1e-5

@@ -226,3 +226,20 @@ def test_sgd_zero_grad_keeps_gradients_from_accumulating_across_steps():
     backward(fresh, 1)
     for p, q in zip(model.parameters(), fresh.parameters()):
         np.testing.assert_array_equal(p.grad, q.grad)
+
+
+def test_run_experiment_refuses_an_unknown_task():
+    cfg = dataclasses.replace(_GRAPH, task="video")  # built by hand: parse_config refuses it
+    with pytest.raises(ConfigError, match="unknown task 'video'"):
+        run_experiment(cfg, 1)
+
+
+def test_sgd_step_leaves_a_parameter_without_a_gradient_alone():
+    used = Tensor(np.ones(3), requires_grad=True)
+    unused = Tensor(np.full(2, 5.0), requires_grad=True)
+    opt = SGD([used, unused], lr=0.1, momentum=0.9, weight_decay=0.01)
+    (used * used).sum().backward()
+    opt.step()
+    np.testing.assert_array_equal(unused.data, [5.0, 5.0])
+    np.testing.assert_array_equal(opt.velocity[1], [0.0, 0.0])
+    np.testing.assert_allclose(used.data, 1.0 - 0.1 * 2.01)

@@ -63,13 +63,13 @@ class Verify:
     """``dropgraph verify``, whose console output is its one compared file."""
 
 
-# 45 entries: 44 configs and ``dropgraph verify``.  The configs cover every
+# 46 entries: 45 configs and ``dropgraph verify``.  The configs cover every
 # reg.kind, generator, adjacency mode and ramp, both pgr strategies and arms,
 # pgr with a normalized similarity, and both tasks, with every generator on
 # the node-graph task's one-item (flat) vertex layout; an odd image size,
 # whose stride-2 maps round up; image configs whose last batch holds one item
 # (the flat layout with a shared skip mask, and pgr writing back a flat set's
-# rows); alpha = 1, where every item of a padded vertex set fills n_max; three
+# rows, from a random and from a top selection); alpha = 1, where every item of a padded vertex set fills n_max; three
 # groups, whose two strided convs run on an even 18x18 and an odd 9x9 map; and
 # a diverging run of each task, which keeps the epochs it finished; a run on a
 # process pool of two workers; a sweep over reg.kind, whose configs share one
@@ -112,6 +112,8 @@ CONFIGS = {
     "image-dropgraph-three-groups": _IMAGE + ("data.image_size = 18\nmodel.groups = 1x8,1x8,1x8\n"
                                               "reg.kind = dropgraph\n"),
     "image-pgr-one-item-batch": _IMAGE + "data.train_count = 17\nreg.kind = pgr\n",
+    "image-pgr-top-one-item-batch": _IMAGE + ("data.train_count = 17\nreg.kind = pgr\n"
+                                              "reg.pgr_strategy = top\n"),
     "image-diverges": _IMAGE + "train.batch_size = 16\ntrain.epochs = 3\ntrain.lr = 1e200\n",
     "image-dropgraph-two-threads": _IMAGE + "reg.kind = dropgraph\nthreads = 2\n",
     "image-dropgraph-sparse": _IMAGE + "reg.kind = dropgraph\nreg.alpha = 0.02\n",
