@@ -184,10 +184,15 @@ class TwoLayerGcn(Module):
 
     Both layers multiply the dense (n, n) ``A`` by the narrow side.  The
     first reads ``A X`` from ``GraphInstance.propagated_features``, so
-    ``A`` meets the features once per graph, not once per forward.  The
-    second is evaluated as ``A (H W2) + b2``: ``H W2`` has ``classes``
-    columns where ``H`` has ``hidden``, which makes the n^2 product (and
-    its gradient) hidden/classes times cheaper.  The bias is added after
+    ``A`` meets the features once per graph, not once per forward; it and
+    the regularizer cover all n nodes.  The second is evaluated as
+    ``A_rows (H W2) + b2``: ``H W2`` has ``classes`` columns where ``H`` has
+    ``hidden``, which makes the product (and its gradient) hidden/classes
+    times cheaper, and ``A_rows`` is the block of ``A``'s rows whose logits
+    the caller reads (``GraphInstance.train_adjacency`` for the loss,
+    ``val_adjacency`` for the score), so the product is m x n, not n x n,
+    and its backward ``A_rows^T g`` is an m-row product.  Without ``rows``
+    the forward returns the logits of all n nodes.  The bias is added after
     ``A``, because the rows of ``A`` do not sum to 1.  ``layer2`` stays a
     ``Linear``, so checkpoints keep the names ``layer2.weight`` and
     ``layer2.bias``.
@@ -205,7 +210,7 @@ class TwoLayerGcn(Module):
         self.reg = make_regularizer(reg_cfg or RegularizerConfig(), cfg.hidden, rng.child("reg"))
 
     def forward(self, g: GraphInstance, rng: RngStream | None = None,
-                rho: float | None = None) -> Tensor:
+                rho: float | None = None, rows: np.ndarray | None = None) -> Tensor:
         if rng is None:
             rng = RngStream(0).child("unseeded_forward")
         h = relu(self.layer1(Tensor(g.propagated_features)))
@@ -215,7 +220,7 @@ class TwoLayerGcn(Module):
             n, c = h.data.shape
             as_map = h.transpose().reshape(1, c, n, 1)
             h = self.reg(as_map, rng.child("reg"), rho).reshape(c, n).transpose()
-        ahat = Tensor(g.normalized_adjacency)
+        ahat = Tensor(g.normalized_adjacency if rows is None else rows)
         return matmul(ahat, matmul(h, self.layer2.weight)) + self.layer2.bias
 
 

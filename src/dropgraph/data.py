@@ -161,12 +161,20 @@ def gen_images(spec: SyntheticImageSpec) -> ImageDataset:
 class GraphInstance:
     """One node-classification problem on a fixed graph.
 
-    ``propagated_features`` is ``normalized_adjacency @ node_features``,
-    the first GCN layer's propagation.  It depends on no parameter, so it
-    is computed once here (as SGC does) instead of in every forward.  The
-    instance is immutable: every array it holds is made read-only here, and
-    the derived array is not refreshed if the arrays it came from are
-    rebound later.
+    Three arrays are derived here, once per graph, because they depend on
+    no parameter:
+
+    * ``propagated_features`` is ``normalized_adjacency @ node_features``,
+      the first GCN layer's propagation over all n nodes (as SGC computes
+      it), instead of once in every forward;
+    * ``train_adjacency`` and ``val_adjacency`` are the row blocks
+      ``normalized_adjacency[train_idx]`` and ``[val_idx]``.  The second GCN
+      layer's propagation multiplies by one of them, so it computes the
+      logits of just the rows the loss or the score reads.
+
+    The instance is immutable: every array it holds is made read-only here,
+    and the derived arrays are not refreshed if the arrays they came from
+    are rebound later.
     """
 
     node_features: np.ndarray  # (n, f)
@@ -176,9 +184,13 @@ class GraphInstance:
     val_idx: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     test_idx: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     propagated_features: np.ndarray = field(init=False, repr=False)  # (n, f)
+    train_adjacency: np.ndarray = field(init=False, repr=False)  # (len(train_idx), n)
+    val_adjacency: np.ndarray = field(init=False, repr=False)  # (len(val_idx), n)
 
     def __post_init__(self):
         self.propagated_features = self.normalized_adjacency @ self.node_features
+        self.train_adjacency = self.normalized_adjacency[self.train_idx]
+        self.val_adjacency = self.normalized_adjacency[self.val_idx]
         _read_only(*(getattr(self, f.name) for f in fields(self)))
 
 

@@ -27,7 +27,7 @@ from .data import GraphInstance, ImageDataset, SyntheticImageSpec, gen_images, g
 from .nn import cross_entropy
 from .regularizers import schedule_rho
 from .rng import RngStream
-from .tensor import Tensor, no_grad, take_rows
+from .tensor import Tensor, no_grad
 
 __all__ = [
     "SGD",
@@ -179,13 +179,15 @@ def _train_image(cfg: ExperimentConfig, seed: int, ds: ImageDataset) -> RunRecor
     return _end_run(record, start, final_train_acc)
 
 
-def _evaluate_graph(model, g: GraphInstance, idx, rng):
+def _evaluate_graph(model, g: GraphInstance, idx, rows, rng):
+    """Loss and accuracy on the nodes ``idx``, whose adjacency row block is ``rows``."""
     model.eval()
     with no_grad():
-        logits = model(g, rng, None)
+        logits = model(g, rng, None, rows)
     model.train()
-    loss = cross_entropy(Tensor(logits.data[idx]), g.labels[idx]).item()
-    acc = float((logits.data[idx].argmax(axis=1) == g.labels[idx]).mean())
+    labels = g.labels[idx]
+    loss = cross_entropy(logits, labels).item()
+    acc = float((logits.data.argmax(axis=1) == labels).mean())
     return loss, acc
 
 
@@ -200,22 +202,24 @@ def _train_graph(cfg: ExperimentConfig, seed: int, g: GraphInstance) -> RunRecor
     for epoch in range(cfg.train_epochs):
         opt.lr = _lr_at(cfg, epoch)
         rho_start = schedule_rho(reg_cfg, epoch, cfg.train_epochs)
-        logits = model(g, rng.child("step", epoch), rho_start)
-        loss = cross_entropy(take_rows(logits, g.train_idx), train_labels)
+        logits = model(g, rng.child("step", epoch), rho_start, g.train_adjacency)
+        loss = cross_entropy(logits, train_labels)
         if not np.isfinite(loss.item()):
             return _end_run(record, start)
         opt.zero_grad()
         loss.backward()
         opt.step()
         rho_end = schedule_rho(reg_cfg, epoch + 1, cfg.train_epochs)
-        train_acc = float((logits.data[g.train_idx].argmax(axis=1) == train_labels).mean())
-        val_loss, val_acc = _evaluate_graph(model, g, g.val_idx, rng.child("eval", epoch))
+        train_acc = float((logits.data.argmax(axis=1) == train_labels).mean())
+        val_loss, val_acc = _evaluate_graph(model, g, g.val_idx, g.val_adjacency,
+                                            rng.child("eval", epoch))
         record.epochs.append(EpochStats(
             epoch=epoch, train_loss=loss.item(), train_acc=train_acc,
             val_loss=val_loss, val_acc=val_acc,
             rho_start=rho_start, rho_end=rho_end, lr=opt.lr,
         ))
-    _, final_train_acc = _evaluate_graph(model, g, g.train_idx, rng.child("final_train_eval"))
+    _, final_train_acc = _evaluate_graph(model, g, g.train_idx, g.train_adjacency,
+                                         rng.child("final_train_eval"))
     return _end_run(record, start, final_train_acc)
 
 

@@ -233,19 +233,64 @@ def test_gcn_matches_the_textbook_order(reg_kind, training):
     npt.assert_allclose(out, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
 
+def _train_loss_all_rows(model, g, rng, rho):
+    """The train loss read off the logits of all n nodes, as a row gather."""
+    logits = model(g, rng, rho)
+    return cross_entropy(take_rows(logits, g.train_idx), g.labels[g.train_idx])
+
+
+def _train_loss_row_block(model, g, rng, rho):
+    return cross_entropy(model(g, rng, rho, g.train_adjacency), g.labels[g.train_idx])
+
+
 @pytest.mark.parametrize("layer", ["layer1", "layer2"])
 def test_gcn_weight_gradients_through_a_regularized_train_forward(layer):
     g = gen_sbm(_SMALL_SBM)
     model = _gcn("dropgraph")
     rho = schedule_rho(model.reg.cfg, 5, 10)
-
-    def loss(_):
-        logits = model(g, RngStream(12, ("step",)), rho)
-        return cross_entropy(take_rows(logits, g.train_idx), g.labels[g.train_idx])
-
     weight = getattr(model, layer).weight
-    assert relu_margin(loss, weight)[1] > 1e-4
-    assert grad_check(loss, weight) < 1e-6
+    for train_loss in (_train_loss_all_rows, _train_loss_row_block):
+        def loss(_):
+            return train_loss(model, g, RngStream(12, ("step",)), rho)
+
+        assert relu_margin(loss, weight)[1] > 1e-4
+        assert grad_check(loss, weight) < 1e-6
+
+
+def _node_graph_gcn() -> TwoLayerGcn:
+    """The GCN a node-graph ``dropgraph`` run trains, at the config defaults."""
+    cfg = parse_config("task = node_graph\nreg.kind = dropgraph\n")
+    return TwoLayerGcn(cfg.gcn_config(), RngStream(8), cfg.regularizer_config())
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+def test_gcn_row_blocks_give_the_rows_of_the_full_logits(training):
+    g = gen_sbm(SbmGraphSpec())
+    model = _node_graph_gcn()
+    if not training:
+        model.eval()
+    with no_grad():
+        full = model(g, RngStream(11), 0.1).data
+        for idx, rows in ((g.train_idx, g.train_adjacency), (g.val_idx, g.val_adjacency)):
+            npt.assert_array_equal(model(g, RngStream(11), 0.1, rows).data, full[idx])
+
+
+@pytest.mark.parametrize("spec, rtol", [
+    (SbmGraphSpec(), 0.0),
+    (SbmGraphSpec(nodes=600, labeled_per_class=30), 1e-12),
+], ids=["300-nodes", "600-nodes"])
+def test_gcn_row_block_step_gradients_match_the_all_rows_gather(spec, rtol):
+    """OpenBLAS 0.3.31 sums the two forms' products in the same order at 300
+    nodes; at 600 it picks other kernels, which move the last bits."""
+    g = gen_sbm(spec)
+    grads = []
+    for train_loss in (_train_loss_all_rows, _train_loss_row_block):
+        model = _node_graph_gcn()
+        train_loss(model, g, RngStream(12, ("step", 0)), 0.1).backward()
+        grads.append([p.grad for p in model.parameters()])
+    assert all(grad is not None for grad in grads[0])
+    for reference, got in zip(*grads):
+        npt.assert_allclose(got, reference, rtol=rtol, atol=0)
 
 
 def _eval_outputs(model, x_or_graph):

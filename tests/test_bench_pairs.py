@@ -1,6 +1,7 @@
-"""The paired-benchmark claim rule, on synthetic numbers."""
+"""The paired-benchmark claim rule and the BENCH file, on synthetic numbers."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -67,3 +68,49 @@ def test_seed_range_and_quartiles_of_one_run():
     with pytest.raises(ValueError):
         bp.seed_range("5-4")
     assert bp.quartiles([3.0]) == (3.0, 3.0, 3.0)
+
+
+_END_TO_END = json.loads((_TOOL.parent.parent / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+def _synthetic_side(seed: int, scale: float):
+    """A run that reports every end-to-end metric, each spread over the seeds."""
+    metrics = {spec["name"]: scale * (1.0 + 0.01 * ((seed * 7 + i) % 5))
+               for i, spec in enumerate(_END_TO_END)}
+    env = {"numpy": "2.4.6", "seed": seed, "train_seeds": [3 * seed, 3 * seed + 1]}
+    return bp.Side(f"digest{seed % 2}", 3 + seed % 2, metrics, env)
+
+
+def _bench_files(tmp_path):
+    parent = {s: _synthetic_side(s, 1.0) for s in range(21, 31)}
+    change = {s: _synthetic_side(s, 0.8) for s in range(21, 31)}
+    docs = (bp.bench_record("aaaaaaa", "node-graph", 40.0, parent, _END_TO_END),
+            bp.bench_record("bbbbbbb-dirty", "node-graph", 40.0, change, _END_TO_END,
+                            ("aaaaaaa", parent)))
+    return [bp.write_bench_record(tmp_path, doc) for doc in docs]
+
+
+def test_bench_files_hold_every_declared_metric_with_ordered_quartiles(tmp_path):
+    paths = _bench_files(tmp_path)
+    assert [p.name for p in paths] == ["BENCH_aaaaaaa_node-graph.json",
+                                       "BENCH_bbbbbbb-dirty_node-graph.json"]
+    parent, change = (json.loads(p.read_text()) for p in paths)
+    names = sorted(spec["name"] for spec in _END_TO_END)
+    for doc in (parent, change):
+        assert sorted(doc["metrics"]) == names
+        assert all(m["q1"] <= m["median"] <= m["q3"] for m in doc["metrics"].values())
+        assert doc["seeds"] == list(range(21, 31)) and doc["env"] == {"numpy": "2.4.6"}
+        assert doc["runs"]["22"]["invocations"] == 3 and doc["runs"]["22"]["digest"] == "digest0"
+        assert sorted(doc["runs"]["22"]["metrics"]) == names
+    assert "claims" not in parent and change["parent"] == "aaaaaaa"
+    assert sorted(change["claims"]) == names and change["digests_differ"] == []
+    lower = change["claims"]["step_ms_p50"]
+    assert (lower["wins"], lower["holds"], lower["within_bound"]) == (10, True, True)
+    higher = change["claims"]["eval_samples_per_s"]
+    assert (higher["losses"], higher["holds"], higher["within_bound"]) == (10, False, True)
+
+
+def test_equal_runs_give_equal_bench_bytes(tmp_path):
+    first = [p.read_bytes() for p in _bench_files(tmp_path / "a")]
+    assert first == [p.read_bytes() for p in _bench_files(tmp_path / "b")]
+

@@ -98,8 +98,10 @@ def test_console_normalization_blanks_paths_warning_lines_and_check_seconds():
     assert rc.normalize_console(worse, src) != rc.normalize_console(console, src)
 
 
-def test_the_contract_holds_46_entries_with_block_size_one_on_batches():
-    assert len(rc.CONFIGS) == 46
+def test_the_contract_holds_47_entries_with_block_size_one_and_a_600_node_graph():
+    assert len(rc.CONFIGS) == 47
+    big = rc.CONFIGS["graph-dropgraph-600-nodes"]
+    assert "data.nodes = 600" in big and "data.labeled_per_class = 30" in big
     assert "reg.block_size = 1" in rc.CONFIGS["image-dropgraph-block-one"]
     assert "task = image" in rc.CONFIGS["image-dropgraph-block-one"]
     # pgr's top selection on a last batch of one item: a flat set written back without valid.

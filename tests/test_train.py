@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from dropgraph import cli, train
-from dropgraph.backbones import TinyResNet
+from dropgraph.backbones import TinyResNet, TwoLayerGcn
 from dropgraph.config import config_to_text, parse_config
 from dropgraph.data import GraphInstance, ImageDataset
 from dropgraph.errors import ConfigError
 from dropgraph.nn import cross_entropy
 from dropgraph.rng import RngStream
-from dropgraph.tensor import Tensor
+from dropgraph.tensor import Tensor, no_grad
 from dropgraph.train import SGD, multi_seed, run_experiment, write_run_records
 
 _IMAGE = parse_config("task = image\ndata.image_size = 16\ndata.train_count = 32\n"
@@ -110,6 +110,21 @@ def test_runs_on_a_shared_dataset_match_runs_that_generate_their_own(monkeypatch
     alone = [run_experiment(_GRAPH, seed) for seed in (1, 2, 3)]
     assert len(calls) == 4
     assert [_without_wall_time(r) for r in pooled] == [_without_wall_time(r) for r in alone]
+
+
+@pytest.mark.parametrize("split", ["train", "val"])
+def test_evaluate_graph_scores_the_split_rows_of_the_full_logits(split):
+    g = train.gen_sbm(_GRAPH.data_spec())
+    model = TwoLayerGcn(_GRAPH.gcn_config(), RngStream(3), _GRAPH.regularizer_config())
+    idx, rows = getattr(g, f"{split}_idx"), getattr(g, f"{split}_adjacency")
+    got = train._evaluate_graph(model, g, idx, rows, RngStream(4))
+    assert model.training
+    model.eval()
+    with no_grad():
+        logits = model(g, RngStream(4), None).data[idx]
+    expected = (cross_entropy(Tensor(logits), g.labels[idx]).item(),
+                float((logits.argmax(axis=1) == g.labels[idx]).mean()))
+    assert got == expected and 0.0 < expected[1] < 1.0
 
 
 @pytest.mark.parametrize("text", [

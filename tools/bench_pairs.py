@@ -1,6 +1,6 @@
 """Paired benchmark runs of a parent revision and this checkout.
 
-    python tools/bench_pairs.py <parent-rev> --workload W --seeds A-B --seconds S
+    python tools/bench_pairs.py <parent-rev> --workload W --seeds A-B --seconds S [--emit DIR]
 
 The parent revision is exported with ``git archive`` into a temporary
 directory (``records_contract.export_tree``).  For each seed in the
@@ -22,6 +22,18 @@ end-to-end metric that ``BENCHMARK.json`` declares:
 A seed whose ``# records digest`` line differs between the two trees is
 flagged: the two programs computed different records.  Exit status: 0 when
 every run succeeded and every digest agrees, 1 otherwise.
+
+With ``--emit DIR`` the tool also writes one ``BENCH_<rev>_<workload>.json``
+per side into ``DIR`` (``bench_record``).  ``<rev>`` is the parent's short
+hash, and for this checkout the short hash of HEAD, with ``-dirty`` appended
+when the working tree differs from it.  A file holds the revision, the
+workload, the seeds and ``--seconds``, the ``# env`` block of the first run
+(without its per-run ``seed`` and ``train_seeds``), and per seed each
+end-to-end metric, the invocation count and the records digest; per metric,
+the median and quartiles over the seeds.  This checkout's file also names
+the parent and holds, per metric, the verdict and bound check printed in the
+table, and the seeds whose digests differ.  The files hold no time stamp:
+the same runs give the same bytes.
 """
 
 from __future__ import annotations
@@ -43,11 +55,13 @@ WIN_SHARE = 0.9  # share of all pairs the change must win for a claim
 
 @dataclass(frozen=True)
 class Side:
-    """One benchmark run's records digest, invocation count and end-to-end metric values."""
+    """One benchmark run's records digest, invocation count, end-to-end metric values
+    and ``# env`` block."""
 
     digest: str
     invocations: int
     metrics: dict
+    env: dict
 
 
 @dataclass(frozen=True)
@@ -111,6 +125,7 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> Side:
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise RuntimeError(f"bench/run.py in {tree} failed on seed {seed}:\n{done.stderr}")
+    env = json.loads(next(ln for ln in lines if ln.startswith("# env "))[len("# env "):])
     # "# records digest <digest>  samples {...}", the samples holding the invocation count.
     head = next(ln for ln in lines if ln.startswith("# records digest"))
     digest, samples = head.split()[3], json.loads(head.split("samples ", 1)[1])
@@ -119,14 +134,13 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> Side:
         raise RuntimeError(f"bench/run.py in {tree} reports incorrect records on seed {seed}:\n"
                            f"{done.stdout}")
     metrics = {k: v["value"] for k, v in result["metrics"].items()}
-    return Side(digest, samples["invocations"], metrics)
+    return Side(digest, samples["invocations"], metrics, env)
 
 
-def report(pairs: dict, end_to_end: list) -> list[str]:
-    """The table of medians, quartiles, verdicts and bounds over ``pairs`` (seed -> sides)."""
-    rows = [f"{'metric':20s} {'better':6s} {'parent Q1 / median / Q3':>32s} "
-            f"{'change Q1 / median / Q3':>32s} {'gap':>7s} {'W/T/L':>8s} {'rule':>5s} "
-            f"{'worse':>7s} {'bound':>6s}"]
+def compare(pairs: dict, end_to_end: list) -> dict:
+    """Per end-to-end metric that both sides of some pair report: each side's quartiles,
+    the median gap, the verdict and how much worse the change's median is."""
+    out = {}
     for spec in end_to_end:
         name, better = spec["name"], spec["better"]
         seeds = [s for s, (p, c) in pairs.items() if name in p.metrics and name in c.metrics]
@@ -135,15 +149,86 @@ def report(pairs: dict, end_to_end: list) -> list[str]:
         parent = [pairs[s][0].metrics[name] for s in seeds]
         change = [pairs[s][1].metrics[name] for s in seeds]
         pq, cq = quartiles(parent), quartiles(change)
-        v = verdict(parent, change, better)
-        gap = (cq[1] / pq[1] - 1.0) if pq[1] else 0.0
-        worse = worse_by(pq[1], cq[1], better)
-        within = "ok" if worse <= spec["bound"] else "OVER"
-        rows.append(f"{name:20s} {better:6s} {pq[0]:10.4g} {pq[1]:10.4g} {pq[2]:10.4g} "
-                    f"{cq[0]:10.4g} {cq[1]:10.4g} {cq[2]:10.4g} {gap:+7.1%} "
-                    f"{v.wins:>2d}/{v.ties}/{v.losses:<2d} {'holds' if v.holds else 'no':>5s} "
-                    f"{max(0.0, worse):7.1%} {spec['bound']:5.0%} {within}")
+        out[name] = {"parent": pq, "change": cq, "verdict": verdict(parent, change, better),
+                     "gap": (cq[1] / pq[1] - 1.0) if pq[1] else 0.0,
+                     "worse": worse_by(pq[1], cq[1], better)}
+    return out
+
+
+def report(pairs: dict, end_to_end: list) -> list[str]:
+    """The table of medians, quartiles, verdicts and bounds over ``pairs`` (seed -> sides)."""
+    rows = [f"{'metric':20s} {'better':6s} {'parent Q1 / median / Q3':>32s} "
+            f"{'change Q1 / median / Q3':>32s} {'gap':>7s} {'W/T/L':>8s} {'rule':>5s} "
+            f"{'worse':>7s} {'bound':>6s}"]
+    compared = compare(pairs, end_to_end)
+    for spec in end_to_end:
+        if spec["name"] not in compared:
+            continue
+        c = compared[spec["name"]]
+        pq, cq, v = c["parent"], c["change"], c["verdict"]
+        within = "ok" if c["worse"] <= spec["bound"] else "OVER"
+        rows.append(f"{spec['name']:20s} {spec['better']:6s} {pq[0]:10.4g} {pq[1]:10.4g} "
+                    f"{pq[2]:10.4g} {cq[0]:10.4g} {cq[1]:10.4g} {cq[2]:10.4g} "
+                    f"{c['gap']:+7.1%} {v.wins:>2d}/{v.ties}/{v.losses:<2d} "
+                    f"{'holds' if v.holds else 'no':>5s} {max(0.0, c['worse']):7.1%} "
+                    f"{spec['bound']:5.0%} {within}")
     return rows
+
+
+PER_RUN_ENV = ("seed", "train_seeds")  # ``# env`` keys that differ between a side's runs
+
+
+def bench_record(revision: str, workload: str, seconds: float, runs: dict, end_to_end: list,
+                 parent: tuple | None = None) -> dict:
+    """The ``BENCH_<revision>_<workload>.json`` document of one side.
+
+    ``runs`` maps seed -> ``Side``.  The change side passes ``parent`` as
+    ``(parent revision, the parent's runs)`` and gets the claim verdicts.
+    """
+    seeds = sorted(runs)
+    env = {k: v for k, v in runs[seeds[0]].env.items() if k not in PER_RUN_ENV}
+    metrics = {}
+    for spec in end_to_end:
+        values = [runs[s].metrics[spec["name"]] for s in seeds if spec["name"] in runs[s].metrics]
+        if values:
+            metrics[spec["name"]] = dict(zip(("q1", "median", "q3"), quartiles(values)))
+    doc = {"revision": revision, "workload": workload, "seeds": seeds, "seconds": seconds,
+           "env": env, "metrics": metrics,
+           "runs": {str(s): {"digest": runs[s].digest, "invocations": runs[s].invocations,
+                             "metrics": runs[s].metrics} for s in seeds}}
+    if parent is not None:
+        parent_rev, parent_runs = parent
+        pairs = {s: (parent_runs[s], runs[s]) for s in seeds}
+        bounds = {spec["name"]: spec["bound"] for spec in end_to_end}
+        doc["parent"] = parent_rev
+        doc["digests_differ"] = [s for s in seeds if parent_runs[s].digest != runs[s].digest]
+        doc["claims"] = {
+            name: {"wins": c["verdict"].wins, "ties": c["verdict"].ties,
+                   "losses": c["verdict"].losses, "holds": c["verdict"].holds,
+                   "gap": c["gap"], "worse": c["worse"], "bound": bounds[name],
+                   "within_bound": c["worse"] <= bounds[name]}
+            for name, c in compare(pairs, end_to_end).items()}
+    return doc
+
+
+def write_bench_record(out_dir: Path, doc: dict) -> Path:
+    """Write ``doc`` as ``BENCH_<revision>_<workload>.json`` in ``out_dir``; same doc, same bytes."""
+    path = out_dir / f"BENCH_{doc['revision']}_{doc['workload']}.json"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    return path
+
+
+def _git(*args) -> str:
+    return subprocess.run(["git", "-C", str(REPO), *args], capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def revision_names(parent_rev: str) -> tuple[str, str]:
+    """Short hashes naming the parent and this checkout (``-dirty`` with local changes)."""
+    head = _git("rev-parse", "--short=7", "HEAD")
+    dirty = _git("status", "--porcelain", "--untracked-files=no")
+    return _git("rev-parse", "--short=7", parent_rev), head + ("-dirty" if dirty else "")
 
 
 def main(argv=None) -> int:
@@ -152,8 +237,13 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, help="inclusive range, e.g. 11-20")
     parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--emit", type=Path, metavar="DIR",
+                        help="write each side's BENCH_<rev>_<workload>.json into DIR")
     args = parser.parse_args(argv)
     end_to_end = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    parent_name, change_name = revision_names(args.parent_rev)
+    if args.emit is not None and parent_name == change_name:
+        parser.error(f"this checkout is {parent_name} itself; both files would share a name")
     pairs, mismatched = {}, []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         parent_tree = Path(tmp) / "parent_tree"
@@ -180,6 +270,14 @@ def main(argv=None) -> int:
           f"change {counts['change']:g}")
     if mismatched:
         print(f"# RECORDS DIFFER on seeds {mismatched}")
+    if args.emit is not None:
+        sides = {name: {s: p[i] for s, p in pairs.items()}
+                 for i, name in enumerate(("parent", "change"))}
+        for doc in (bench_record(parent_name, args.workload, args.seconds, sides["parent"],
+                                 end_to_end),
+                    bench_record(change_name, args.workload, args.seconds, sides["change"],
+                                 end_to_end, (parent_name, sides["parent"]))):
+            print(f"# wrote {write_bench_record(args.emit, doc)}")
     return 1 if mismatched else 0
 
 

@@ -63,7 +63,7 @@ class Verify:
     """``dropgraph verify``, whose console output is its one compared file."""
 
 
-# 46 entries: 45 configs and ``dropgraph verify``.  The configs cover every
+# 47 entries: 46 configs and ``dropgraph verify``.  The configs cover every
 # reg.kind, generator, adjacency mode and ramp, both pgr strategies and arms,
 # pgr with a normalized similarity, and both tasks, with every generator on
 # the node-graph task's one-item (flat) vertex layout; an odd image size,
@@ -75,8 +75,10 @@ class Verify:
 # process pool of two workers; a sweep over reg.kind, whose configs share one
 # dataset; dropgraph at an alpha so small that some items draw no vertex and
 # get a forced one, on both tasks; pgr at alpha = 0, which returns its input
-# and leaves its weight without a gradient for SGD to skip; and dropgraph at
-# block size 1 on multi-item batches, where the mask is its seed draw.  Each
+# and leaves its weight without a gradient for SGD to skip; dropgraph at
+# block size 1 on multi-item batches, where the mask is its seed draw; and a
+# 600-node graph, whose adjacency products BLAS computes with other kernels
+# than at the default 300 nodes.  Each
 # config runs the default three seeds.  The verify entry holds the release
 # gate's checks and their detail lines (worst errors, calibrated rates) to the
 # parent's.
@@ -132,6 +134,8 @@ CONFIGS = {
     "graph-dropgraph-no-generator": _GRAPH + "reg.kind = dropgraph\nreg.generator = none\n",
     "graph-dropgraph-sparse": _GRAPH + "reg.kind = dropgraph\nreg.alpha = 0.002\n",
     "graph-diverges": _GRAPH + "train.lr = 1e200\n",
+    "graph-dropgraph-600-nodes": _GRAPH + ("reg.kind = dropgraph\ndata.nodes = 600\n"
+                                           "data.labeled_per_class = 30\n"),
     "graph-sweep-kind": Sweep(_GRAPH, "kind", ("none", "dropgraph")),
     "verify": Verify(),
 }
