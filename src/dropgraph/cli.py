@@ -35,7 +35,9 @@ faulted back in, page by page, by the next.  With the mmap threshold at
 Exit codes: 0 success, 1 verification failure, 2 configuration/parse error
 (an unreadable or undecodable config file, a negative seed or an output
 directory that cannot be made included), 3 training divergence.  A config
-error prints one ``error: <key or section>: <message>`` line.
+error prints one ``error: <key or section>: <message>`` line; ``run`` and
+``sweep`` both end a divergence with ``error: at least one run diverged``,
+after all files are written.
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ def _start(cfg: ExperimentConfig, command: str) -> Path:
 def _write_dataset_cache(cfg: ExperimentConfig, out_dir: Path):
     spec = cfg.data_spec()
     if cfg.task == "image":
-        save_image_dataset(gen_images(spec), out_dir / "dataset.dgd")
+        save_image_dataset(gen_images(spec), spec, out_dir / "dataset.dgd")
     else:
         save_graph_dataset(gen_sbm(spec), spec, out_dir / "dataset.dgd")
 
@@ -146,6 +148,14 @@ def _summary_rows(label: str, records, summary):
     return rows
 
 
+def _divergence_status(records) -> int:
+    """3, after one error line, if any run diverged, else 0; called once all files are written."""
+    if any(r.status != "ok" for r in records):
+        print("error: at least one run diverged", file=sys.stderr)
+        return 3
+    return 0
+
+
 def cmd_run(args) -> int:
     cfg = parse_config(_config_text(args))
     out_dir = _start(cfg, "run")
@@ -159,10 +169,7 @@ def cmd_run(args) -> int:
     gap = summary["generalization_gap"]["median"]
     print(f"median val_acc={med:.4f} gap={gap:.4f} over {len(records)} runs "
           f"-> {out_dir / 'summary.csv'}")
-    if any(r.status != "ok" for r in records):
-        print("error: at least one run diverged", file=sys.stderr)
-        return 3
-    return 0
+    return _divergence_status(records)
 
 
 def cmd_sweep(args) -> int:
@@ -182,18 +189,16 @@ def cmd_sweep(args) -> int:
     out_dir = _start(cfg, f"sweep --axis {args.axis}")
     groups = multi_seed(sweep_cfgs, cfg.seeds, threads=cfg.threads)
     long_rows = [f"{args.axis},seed,status,final_train_acc,final_val_acc,generalization_gap"]
-    diverged = False
     for value, sub_cfg, records in zip(labels, sweep_cfgs, groups):
         write_run_records(out_dir / f"runs_{args.axis}_{value}.jsonl", sub_cfg, records)
         for r in records:
-            diverged |= r.status != "ok"
             long_rows.append(f"{value},{r.seed},{r.status},{r.final_train_acc!r},"
                              f"{r.final_val_acc!r},{r.generalization_gap!r}")
         med = summarize_records(records)["final_val_acc"]["median"]
         print(f"{args.axis}={value}: median val_acc={med:.4f}")
     (out_dir / "sweep.csv").write_text("\n".join(long_rows) + "\n", encoding="utf-8")
     print(f"wrote {out_dir / 'sweep.csv'} ({len(long_rows) - 1} rows)")
-    return 3 if diverged else 0
+    return _divergence_status([r for records in groups for r in records])
 
 
 def cmd_verify(args) -> int:

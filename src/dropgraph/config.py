@@ -59,12 +59,6 @@ class _ExperimentConfigMethods:
     def regularizer_config(self) -> RegularizerConfig:
         return self._spec("reg", RegularizerConfig)
 
-    def image_spec(self) -> SyntheticImageSpec:
-        return self._spec("data", SyntheticImageSpec)
-
-    def graph_spec(self) -> SbmGraphSpec:
-        return self._spec("data", SbmGraphSpec)
-
     def data_spec(self):
         """The data spec of ``task``; an unknown task raises ``ConfigError``."""
         if self.task not in _DATA_SPECS:

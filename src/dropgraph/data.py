@@ -11,11 +11,12 @@ val/test).
 
 Every array a generator returns is read-only (``flags.writeable`` is
 False): one dataset is shared by every run of a command, so a write into
-it raises instead of changing the next run's data.
+it raises instead of changing the next run's data.  Specs are frozen, so a
+spec keys its shared dataset.
 
-Both dataset kinds are written as a cache of named arrays (write only: the
-datasets are pure functions of their specs) by ``save_arrays``, which
-checkpoints use too: ``.npy`` records behind a JSON header.
+Both dataset kinds are cached, write only, by ``save_arrays`` (``.npy``
+records behind a JSON header, as checkpoints are): a dataset is a pure
+function of its spec, which the writer supplies.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ __all__ = [
 PATTERN_FAMILIES = ("gratings", "blobs", "checkers", "rings")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticImageSpec:
     classes: int = 4
     image_size: int = 32
@@ -74,7 +75,6 @@ class SyntheticImageSpec:
 
 @dataclass
 class ImageDataset:
-    spec: SyntheticImageSpec
     train_x: np.ndarray  # (n, 1, s, s) float64, normalized
     train_y: np.ndarray  # (n,) int64
     val_x: np.ndarray
@@ -150,8 +150,8 @@ def gen_images(spec: SyntheticImageSpec) -> ImageDataset:
     train_x = (train_x - mean) / std
     val_x = (val_x - mean) / std
     _read_only(train_x, train_y, val_x, val_y)
-    return ImageDataset(spec=spec, train_x=train_x, train_y=train_y,
-                        val_x=val_x, val_y=val_y, pixel_mean=mean, pixel_std=std)
+    return ImageDataset(train_x=train_x, train_y=train_y, val_x=val_x, val_y=val_y,
+                        pixel_mean=mean, pixel_std=std)
 
 
 # -- stochastic block model ---------------------------------------------------------
@@ -180,9 +180,9 @@ class GraphInstance:
     node_features: np.ndarray  # (n, f)
     normalized_adjacency: np.ndarray  # (n, n), symmetric degree-normalized A+I
     labels: np.ndarray  # (n,)
-    train_idx: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    val_idx: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    test_idx: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    train_idx: np.ndarray
+    val_idx: np.ndarray
+    test_idx: np.ndarray
     propagated_features: np.ndarray = field(init=False, repr=False)  # (n, f)
     train_adjacency: np.ndarray = field(init=False, repr=False)  # (len(train_idx), n)
     val_adjacency: np.ndarray = field(init=False, repr=False)  # (len(val_idx), n)
@@ -194,7 +194,7 @@ class GraphInstance:
         _read_only(*(getattr(self, f.name) for f in fields(self)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SbmGraphSpec:
     nodes: int = 300
     communities: int = 3
@@ -329,9 +329,10 @@ def load_arrays(path, kind: str):
     return header.get("meta"), arrays
 
 
-def save_image_dataset(ds: ImageDataset, path):
+def save_image_dataset(ds: ImageDataset, spec: SyntheticImageSpec, path):
+    """Write ``ds`` with the spec it was generated from, which the writer supplies."""
     arrays = {name: getattr(ds, name) for name in ("train_x", "train_y", "val_x", "val_y")}
-    meta = {**asdict(ds.spec), "pixel_mean": ds.pixel_mean, "pixel_std": ds.pixel_std}
+    meta = {**asdict(spec), "pixel_mean": ds.pixel_mean, "pixel_std": ds.pixel_std}
     save_arrays(path, "image", arrays, meta)
 
 

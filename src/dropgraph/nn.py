@@ -230,10 +230,6 @@ class Module:
     def eval(self):
         return self.train(False)
 
-    def zero_grad(self):
-        for p in self.parameters():
-            p.grad = None
-
 
 class ConvBN(Module):
     """A conv with Kaiming fan-in init, then batch norm with running statistics.

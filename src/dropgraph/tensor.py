@@ -101,14 +101,6 @@ class _Node:
         self.grad, self.requires_grad = None, requires_grad
         self._parents, self._backward, self._op = parents, backward, op
 
-    def _check_live(self):
-        """Raise if ``backward()`` consumed the tape here: an op node without its closure."""
-        if self._backward is None and self._op != "leaf":
-            raise ContractError(
-                f"the tape through this {self._op!r} node was already consumed by "
-                "backward(); run the forward pass again"
-            )
-
     def _accum(self, g):
         # Accumulation is always out-of-place; grads are never mutated in place.
         if self.grad is None:
@@ -201,7 +193,8 @@ class Tensor:
                 topo.append(node)
             elif node not in visited:
                 if node._backward is None:
-                    node._check_live()
+                    raise ContractError(f"the tape through this {node._op!r} node was already "
+                                        "consumed by backward(); run the forward pass again")
                 visited.add(node)
                 stack.append((node, True))
                 for p in node._parents:

@@ -17,7 +17,7 @@ import json
 import math
 import multiprocessing
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -256,20 +256,16 @@ def multi_seed(configs, seeds, threads: int = 1):
     tasks = []
     for cfg in configs:
         spec = cfg.data_spec()
-        key = (type(spec), astuple(spec))
-        if key not in datasets:
-            datasets[key] = _generate(spec)
-        tasks.extend((cfg, seed, datasets[key]) for seed in seeds)
+        if spec not in datasets:
+            datasets[spec] = _generate(spec)
+        tasks.extend((cfg, seed, datasets[spec]) for seed in seeds)
     if threads > 1:
         with multiprocessing.Pool(processes=min(threads, len(tasks))) as pool:
             flat = pool.starmap(run_experiment, tasks)
     else:
         flat = [run_experiment(*t) for t in tasks]
-    grouped = []
     per = len(seeds)
-    for i in range(len(configs)):
-        grouped.append(flat[i * per : (i + 1) * per])
-    return grouped
+    return [flat[i * per : (i + 1) * per] for i in range(len(configs))]
 
 
 def summarize_records(records):

@@ -177,11 +177,11 @@ def check_inference_skip_identity():
                 x = Tensor(rng.normal(size=(4, 1, 16, 16)))
                 out = reg(x, RngStream(11, ("step", step, i)), schedule_rho(reg_cfg, 10, 100))
                 loss = cross_entropy(out, rng.integers(0, 4, size=4))
-                reg.zero_grad()
                 loss.backward()
                 for p in reg.parameters():
                     if p.grad is not None:
                         p.data = p.data - 0.05 * p.grad
+                        p.grad = None
             bare = TinyResNet(cnn_cfg, RngStream(7, ("init",)))
             path = os.path.join(tmp_dir, f"state_{i}.ckpt")
             save_checkpoint(reg, path)

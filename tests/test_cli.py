@@ -185,6 +185,18 @@ def test_image_divergence_exits_3(tmp_path):
                                "train.epochs = 2\ntrain.lr = 1e200\n")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the runs overflow on purpose
+def test_sweep_divergence_exits_3_with_the_same_error_line_as_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    text = "task = node_graph\ntrain.epochs = 5\ntrain.lr = 1e200\n"
+    assert cli.main(["sweep", _write(tmp_path, text), "--axis", "kind",
+                     "--values", "none,dropout", "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err == "error: at least one run diverged\n"
+    for kind in ("none", "dropout"):
+        assert '"status": "diverged"' in (out / f"runs_kind_{kind}.jsonl").read_text()
+    assert ",diverged," in (out / "sweep.csv").read_text()
+
+
 # Allocates and frees four (32, 16, 32, 32) arrays 20 times after the pin and
 # prints the minor page faults per array.
 _FAULTS = """
@@ -222,9 +234,9 @@ def test_run_writes_the_dataset_it_generates(tmp_path, text):
     assert cli.main(["run", _write(tmp_path, text), "--out-dir", str(out)]) == 0
     cfg = parse_config(text)
     if cfg.task == "image":
-        kind, source = "image", gen_images(cfg.image_spec())
+        kind, source = "image", gen_images(cfg.data_spec())
     else:
-        kind, source = "graph", gen_sbm(cfg.graph_spec())
+        kind, source = "graph", gen_sbm(cfg.data_spec())
     _, arrays = load_arrays(out / "dataset.dgd", kind)
     assert len(arrays) == (4 if kind == "image" else 6)
     for name, arr in arrays.items():

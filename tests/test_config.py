@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from dropgraph.backbones import TinyResNet, TinyResNetConfig, TwoLayerGcnConfig
@@ -129,13 +131,13 @@ def test_resnet_spec_requires_positive_channel_multiples_of_4():
 def test_component_specs_follow_the_config():
     # data.* and reg.* take their defaults from the specs, so a default config builds theirs.
     for cfg in (ExperimentConfig(), parse_config("")):
-        assert cfg.image_spec() == cfg.data_spec() == SyntheticImageSpec()
-        assert cfg.graph_spec() == SbmGraphSpec()
+        assert cfg.data_spec() == SyntheticImageSpec()
+        assert replace(cfg, task="node_graph").data_spec() == SbmGraphSpec()
         assert cfg.resnet_config() == TinyResNetConfig()
         assert cfg.regularizer_config() == RegularizerConfig()
     cfg = parse_config("task = node_graph\ndata.nodes = 240\ndata.feature_dim = 8\n"
                        "data.seed = 5\nmodel.hidden = 8")
-    assert cfg.graph_spec() == cfg.data_spec() == SbmGraphSpec(nodes=240, feature_dim=8, seed=5)
+    assert cfg.data_spec() == SbmGraphSpec(nodes=240, feature_dim=8, seed=5)
     assert cfg.gcn_config() == TwoLayerGcnConfig(in_features=8, hidden=8, classes=3)
 
 

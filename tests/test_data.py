@@ -73,7 +73,7 @@ def test_generated_arrays_are_read_only(source, names):
 
 def _write_image(path):
     ds = gen_images(_IMAGE_SPEC)
-    save_image_dataset(ds, path)
+    save_image_dataset(ds, _IMAGE_SPEC, path)
     meta = {**asdict(_IMAGE_SPEC), "pixel_mean": ds.pixel_mean, "pixel_std": ds.pixel_std}
     return ds, _IMAGE_ARRAYS, meta
 

@@ -3,9 +3,13 @@
 import importlib.util
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from dropgraph.config import ExperimentConfig, parse_config
+from dropgraph.regularizers import ADJACENCY_MODES, GENERATOR_KINDS, REG_KINDS, SCHEDULER_KINDS
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "records_contract.py"
 _spec = importlib.util.spec_from_file_location("records_contract", _TOOL)
@@ -98,8 +102,8 @@ def test_console_normalization_blanks_paths_warning_lines_and_check_seconds():
     assert rc.normalize_console(worse, src) != rc.normalize_console(console, src)
 
 
-def test_the_contract_holds_47_entries_with_block_size_one_and_a_600_node_graph():
-    assert len(rc.CONFIGS) == 47
+def test_the_contract_entry_count_and_its_block_size_one_and_600_node_cases():
+    assert len(rc.CONFIGS) == 51
     big = rc.CONFIGS["graph-dropgraph-600-nodes"]
     assert "data.nodes = 600" in big and "data.labeled_per_class = 30" in big
     assert "reg.block_size = 1" in rc.CONFIGS["image-dropgraph-block-one"]
@@ -112,3 +116,39 @@ def test_the_contract_holds_47_entries_with_block_size_one_and_a_600_node_graph(
 def test_verify_entry_compares_its_console_only():
     assert isinstance(rc.CONFIGS["verify"], rc.Verify)
     assert rc.compared_files(rc.CONFIGS["verify"]) == ("console.txt",)
+
+
+def _parsed_contract_configs():
+    """Each contract config parsed, a sweep once per value; the verify entry is skipped."""
+    for config in rc.CONFIGS.values():
+        if isinstance(config, rc.Sweep):
+            yield from (parse_config(f"{config.text}\nreg.{config.axis} = {value}")
+                        for value in config.values)
+        elif not isinstance(config, rc.Verify):
+            yield parse_config(config)
+
+
+def test_the_contract_covers_every_enumerated_value():
+    configs = list(_parsed_contract_configs())
+    enumerated = {"reg_kind": REG_KINDS, "reg_adjacency": ADJACENCY_MODES,
+                  "reg_generator": GENERATOR_KINDS, "reg_scheduler": SCHEDULER_KINDS,
+                  "reg_pgr_strategy": ("random", "top")}
+    for name, values in enumerated.items():
+        missing = set(values) - {getattr(cfg, name) for cfg in configs}
+        assert not missing, (name, missing)
+    images = [cfg for cfg in configs if cfg.task == "image"]
+    flags = [f.name for f in fields(ExperimentConfig) if isinstance(f.default, bool)]
+    assert "model_regularize_skip" in flags and "train_augment_flip" in flags
+    for name in flags:
+        assert {getattr(cfg, name) for cfg in images} == {False, True}, name
+
+
+def test_source_lines_counts_the_program_modules_as_wc_does(tmp_path):
+    package = tmp_path / "src" / "dropgraph"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("\n\n\nlast = 'no newline'")
+    (package / "notes.txt").write_text("not\na module\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text("outside = 1\n")
+    assert rc.source_lines(tmp_path) == 5

@@ -188,7 +188,8 @@ def test_backward_through_a_residual_skip():
     skipped = x.grad
     params = [p.grad for p in block.parameters()]
     # The main branch alone: the identity skip adds exactly 1 to the input's gradient.
-    block.zero_grad()
+    for p in block.parameters():
+        p.grad = None
     x = Tensor(data, requires_grad=True)
     relu(block.conv2(relu(block.conv1(x)))).sum().backward()
     npt.assert_array_equal(skipped, x.grad + 1.0)

@@ -22,6 +22,8 @@ config the tool compares
 
 and prints one line per differing file with the largest relative deviation
 between its numbers (``inf`` when the files differ in anything but numbers).
+The summary line ends with the line count of ``src/dropgraph/*.py`` in the
+parent and in this checkout, as ``wc -l`` counts them.
 The dataset cache is not compared: it is a pure function of ``data.seed``.
 Exit status: 0 when every file is byte-identical, 1 on any difference.
 """
@@ -63,23 +65,27 @@ class Verify:
     """``dropgraph verify``, whose console output is its one compared file."""
 
 
-# 47 entries: 46 configs and ``dropgraph verify``.  The configs cover every
+# 51 entries: 50 configs and ``dropgraph verify``.  The configs cover every
 # reg.kind, generator, adjacency mode and ramp, both pgr strategies and arms,
 # pgr with a normalized similarity, and both tasks, with every generator on
 # the node-graph task's one-item (flat) vertex layout; an odd image size,
 # whose stride-2 maps round up; image configs whose last batch holds one item
 # (the flat layout with a shared skip mask, and pgr writing back a flat set's
-# rows, from a random and from a top selection); alpha = 1, where every item of a padded vertex set fills n_max; three
-# groups, whose two strided convs run on an even 18x18 and an odd 9x9 map; and
-# a diverging run of each task, which keeps the epochs it finished; a run on a
+# rows, from a random and from a top selection); alpha = 1, where every item
+# of a padded vertex set fills n_max; three groups, whose two strided convs
+# run on an even 18x18 and an odd 9x9 map; a diverging run of each task,
+# which keeps the epochs it finished, and a diverging sweep; a run on a
 # process pool of two workers; a sweep over reg.kind, whose configs share one
 # dataset; dropgraph at an alpha so small that some items draw no vertex and
 # get a forced one, on both tasks; pgr at alpha = 0, which returns its input
 # and leaves its weight without a gradient for SGD to skip; dropgraph at
-# block size 1 on multi-item batches, where the mask is its seed draw; and a
+# block size 1 on multi-item batches, where the mask is its seed draw; a
 # 600-node graph, whose adjacency products BLAS computes with other kernels
-# than at the default 300 nodes.  Each
-# config runs the default three seeds.  The verify entry holds the release
+# than at the default 300 nodes; dropgraph off the skip path and training
+# without flips, so that every boolean field takes both values
+# (``tests/test_records_contract.py`` checks this and that every enumerated
+# reg.* value appears); and noise-free images, which draw no pixel noise.
+# Each config runs the default three seeds.  The verify entry holds the release
 # gate's checks and their detail lines (worst errors, calibrated rates) to the
 # parent's.
 CONFIGS = {
@@ -121,6 +127,9 @@ CONFIGS = {
     "image-dropgraph-sparse": _IMAGE + "reg.kind = dropgraph\nreg.alpha = 0.02\n",
     "image-pgr-alpha-zero": _IMAGE + "reg.kind = pgr\nreg.alpha = 0.0\n",
     "image-dropgraph-block-one": _IMAGE + "reg.kind = dropgraph\nreg.block_size = 1\n",
+    "image-dropgraph-no-skip": _IMAGE + "reg.kind = dropgraph\nmodel.regularize_skip = false\n",
+    "image-no-flip": _IMAGE + "train.augment_flip = false\n",
+    "image-noise-free": _IMAGE + "data.noise_std = 0.0\n",
     "graph-none": _GRAPH,
     "graph-dropout": _GRAPH + "reg.kind = dropout\n",
     "graph-spatial-dropout": _GRAPH + "reg.kind = spatial_dropout\n",
@@ -137,6 +146,7 @@ CONFIGS = {
     "graph-dropgraph-600-nodes": _GRAPH + ("reg.kind = dropgraph\ndata.nodes = 600\n"
                                            "data.labeled_per_class = 30\n"),
     "graph-sweep-kind": Sweep(_GRAPH, "kind", ("none", "dropgraph")),
+    "graph-sweep-diverges": Sweep(_GRAPH + "train.lr = 1e200\n", "kind", ("none", "dropout")),
     "verify": Verify(),
 }
 
@@ -285,6 +295,11 @@ def _run_tree(src: Path, out_root: Path):
     subprocess.run([sys.executable, "-c", code, str(out_root), str(src)], env=env, check=True)
 
 
+def source_lines(tree: Path) -> int:
+    """Lines of the program's modules, ``src/dropgraph/*.py``, under ``tree``."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "dropgraph").glob("*.py"))
+
+
 def export_tree(rev: str, dest: Path):
     """Write the tree of ``rev`` into ``dest`` with ``git archive``."""
     archive = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", rev],
@@ -309,11 +324,12 @@ def main(argv=None) -> int:
         _run_tree(parent_tree / "src", root / "parent")
         _run_tree(REPO / "src", root / "head")
         diffs = diff_outputs(root / "parent", root / "head")
+        lines = (source_lines(parent_tree), source_lines(REPO))
     for d in diffs:
         print(f"DIFF {d.config}/{d.file}: max relative deviation {d.deviation:.3g}")
     worst = max((d.deviation for d in diffs), default=0.0)
     print(f"{len(CONFIGS)} entries, {len(diffs)} differing files, "
-          f"max relative deviation {worst:.3g}")
+          f"max relative deviation {worst:.3g}, src/dropgraph {lines[0]:,} -> {lines[1]:,} lines")
     return 1 if diffs else 0
 
 
