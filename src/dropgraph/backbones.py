@@ -6,9 +6,11 @@ groups and, optionally, on the skip feature (sharing the block's mask but
 drawing fresh multipliers).
 ``TwoLayerGcn`` is a node classifier with the regularizer placed before the
 second graph layer, where block masking degenerates to per-node gating.
-Checkpoints store a model's named parameters and buffers as ``.npy`` records
-behind a JSON header (``data.save_arrays``); a unit's batch-norm arrays sit
-under its conv's name (``stem.gamma``, ``blocks.0.conv1.running_mean``).
+Each forward draws only from the stream its caller passes, with the step's
+``rho`` (None in evaluation).  Checkpoints store a model's named parameters,
+then its buffers (the running statistics), as ``.npy`` records behind a JSON
+header (``data.save_arrays``); a unit's batch-norm tensors sit under its
+conv's name (``stem.gamma``, ``blocks.0.conv1.running_mean``).
 """
 
 from __future__ import annotations
@@ -111,11 +113,8 @@ class ResidualBlock(Module):
 
 
 class TinyResNet(Module):
-    """Stem conv-norm-relu, residual groups, global average pool, linear head.
-
-    ``reg_cfg`` (kind included) places the regularizers; ``forward`` takes
-    the step's drop probability ``rho``, which evaluation passes as None.
-    """
+    """Stem conv-norm-relu, residual groups, global average pool, linear head;
+    ``reg_cfg`` (kind included) places the regularizers."""
 
     def __init__(self, cfg: TinyResNetConfig, rng: RngStream,
                  reg_cfg: RegularizerConfig | None = None):
@@ -147,14 +146,11 @@ class TinyResNet(Module):
         self.blocks = blocks
         self.head = Linear(cin, cfg.classes, rng.child("head"))
 
-    def forward(self, x: Tensor, rng: RngStream | None = None,
-                rho: float | None = None) -> Tensor:
+    def forward(self, x: Tensor, rng: RngStream, rho: float | None) -> Tensor:
         if x.data.ndim != 4:
             raise DimensionError(f"expected (batch, c, h, w) input, got {x.data.shape}")
         if min(x.data.shape[2], x.data.shape[3]) < 8:
             raise ContractError(f"input spatial size must be >= 8, got {x.data.shape}")
-        if rng is None:
-            rng = RngStream(0).child("unseeded_forward")
         h = relu(self.stem(x))
         for i, block in enumerate(self.blocks):
             h = block(h, rng.child("block", i), rho)
@@ -195,10 +191,7 @@ class TwoLayerGcn(Module):
     the forward returns the logits of all n nodes.  The bias is added after
     ``A``, because the rows of ``A`` do not sum to 1.  ``layer2`` stays a
     ``Linear``, so checkpoints keep the names ``layer2.weight`` and
-    ``layer2.bias``.
-
-    ``reg_cfg`` (kind included) builds the regularizer; ``forward`` takes
-    the step's drop probability ``rho``, which evaluation passes as None.
+    ``layer2.bias``.  ``reg_cfg`` (kind included) builds the regularizer.
     """
 
     def __init__(self, cfg: TwoLayerGcnConfig, rng: RngStream,
@@ -209,10 +202,8 @@ class TwoLayerGcn(Module):
         self.layer2 = Linear(cfg.hidden, cfg.classes, rng.child("gcn2"))
         self.reg = make_regularizer(reg_cfg or RegularizerConfig(), cfg.hidden, rng.child("reg"))
 
-    def forward(self, g: GraphInstance, rng: RngStream | None = None,
-                rho: float | None = None, rows: np.ndarray | None = None) -> Tensor:
-        if rng is None:
-            rng = RngStream(0).child("unseeded_forward")
+    def forward(self, g: GraphInstance, rng: RngStream, rho: float | None,
+                rows: np.ndarray | None = None) -> Tensor:
         h = relu(self.layer1(Tensor(g.propagated_features)))
         if self.reg is not None:
             # In eval the regularizer is the identity (but for partial graph
@@ -228,14 +219,12 @@ class TwoLayerGcn(Module):
 
 
 def save_checkpoint(model: Module, path):
-    """Write named parameters and buffers with ``data.save_arrays`` (kind ``checkpoint``).
+    """Write named parameters, then buffers, with ``data.save_arrays`` (kind ``checkpoint``).
 
-    Buffers (batch-norm running statistics) are stored alongside parameters
-    so a restored model is inference-complete.  Each array keeps its dtype.
+    With the buffers a restored model is inference-complete.  Each array keeps its dtype.
     """
-    arrays = {name: p.data for name, p in model.named_parameters()}
-    arrays.update(model.named_buffers())
-    save_arrays(path, "checkpoint", arrays)
+    tensors = [*model.named_parameters(), *model.named_buffers()]
+    save_arrays(path, "checkpoint", {name: t.data for name, t in tensors})
 
 
 def load_checkpoint(path) -> dict:
@@ -246,17 +235,11 @@ def load_checkpoint(path) -> dict:
 def apply_checkpoint(model: Module, path):
     """Load parameter and buffer values into a model; names, shapes and dtypes must match."""
     stored = load_checkpoint(path)
-
-    def stored_like(name, current):
+    for name, t in model.named_tensors():
         if name not in stored:
             raise ContractError(f"checkpoint missing {name!r}")
         arr = stored[name]
-        if (arr.shape, arr.dtype) != (current.shape, current.dtype):
+        if (arr.shape, arr.dtype) != (t.data.shape, t.data.dtype):
             raise ContractError(f"checkpoint mismatch for {name!r}: {arr.dtype} {arr.shape} "
-                                f"vs {current.dtype} {current.shape}")
-        return arr
-
-    for name, p in model.named_parameters():
-        p.data = stored_like(name, p.data)
-    for name, buf in model.named_buffers():
-        model.set_buffer(name, stored_like(name, buf))
+                                f"vs {t.data.dtype} {t.data.shape}")
+        t.data = arr

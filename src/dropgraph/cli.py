@@ -33,11 +33,11 @@ faulted back in, page by page, by the next.  With the mmap threshold at
 32 MB and the trim threshold at 1 GB, freed arrays stay mapped for reuse.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration/parse error
-(an unreadable or undecodable config file, a negative seed or an output
-directory that cannot be made included), 3 training divergence.  A config
-error prints one ``error: <key or section>: <message>`` line; ``run`` and
-``sweep`` both end a divergence with ``error: at least one run diverged``,
-after all files are written.
+(an unreadable or undecodable config file, a negative seed, or an output
+directory or file that cannot be made or written), 3 training divergence.
+A config error prints one ``error: <key or section>: <message>`` line;
+``run`` and ``sweep`` both end a divergence with ``error: at least one run
+diverged``, after all files are written.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def _keep_freed_memory():
 
 @contextmanager
 def _usage_errors(key: str):
-    """An OSError reading the config file or making the output directory: exit 2."""
+    """An OSError reading the config file or making or writing an output: exit 2."""
     try:
         yield
     except FileNotFoundError as exc:
@@ -95,10 +95,10 @@ def _check_override(key: str, value: str) -> str:
 
 
 def _config_text(args) -> str:
-    """The config file's text with the command-line overrides appended."""
+    """The config file's text, less a leading byte-order mark, plus the command-line overrides."""
     with _usage_errors("config"):
         try:
-            lines = [Path(args.config).read_text(encoding="utf-8")]
+            lines = [Path(args.config).read_text(encoding="utf-8").removeprefix("\ufeff")]
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config: not UTF-8 text (byte {exc.start}): "
                               f"{args.config}") from None
@@ -116,7 +116,8 @@ def _start(cfg: ExperimentConfig, command: str) -> Path:
         out_dir.mkdir(parents=True, exist_ok=True)
     print(f"# dropgraph {command} | task={cfg.task} | config={cfg.config_hash()} "
           f"| seeds={','.join(str(s) for s in cfg.seeds)} | data.seed={cfg.data_seed}")
-    _write_dataset_cache(cfg, out_dir)
+    with _usage_errors("out_dir"):
+        _write_dataset_cache(cfg, out_dir)
     return out_dir
 
 
@@ -159,12 +160,14 @@ def _divergence_status(records) -> int:
 def cmd_run(args) -> int:
     cfg = parse_config(_config_text(args))
     out_dir = _start(cfg, "run")
-    (out_dir / "config.txt").write_text(config_to_text(cfg), encoding="utf-8")
+    with _usage_errors("out_dir"):
+        (out_dir / "config.txt").write_text(config_to_text(cfg), encoding="utf-8")
     records = multi_seed([cfg], cfg.seeds, threads=cfg.threads)[0]
-    write_run_records(out_dir / "runs.jsonl", cfg, records)
     summary = summarize_records(records)
     lines = [_SUMMARY_COLUMNS] + _summary_rows("run", records, summary)
-    (out_dir / "summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _usage_errors("out_dir"):
+        write_run_records(out_dir / "runs.jsonl", cfg, records)
+        (out_dir / "summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     med = summary["final_val_acc"]["median"]
     gap = summary["generalization_gap"]["median"]
     print(f"median val_acc={med:.4f} gap={gap:.4f} over {len(records)} runs "
@@ -190,13 +193,15 @@ def cmd_sweep(args) -> int:
     groups = multi_seed(sweep_cfgs, cfg.seeds, threads=cfg.threads)
     long_rows = [f"{args.axis},seed,status,final_train_acc,final_val_acc,generalization_gap"]
     for value, sub_cfg, records in zip(labels, sweep_cfgs, groups):
-        write_run_records(out_dir / f"runs_{args.axis}_{value}.jsonl", sub_cfg, records)
+        with _usage_errors("out_dir"):
+            write_run_records(out_dir / f"runs_{args.axis}_{value}.jsonl", sub_cfg, records)
         for r in records:
             long_rows.append(f"{value},{r.seed},{r.status},{r.final_train_acc!r},"
                              f"{r.final_val_acc!r},{r.generalization_gap!r}")
         med = summarize_records(records)["final_val_acc"]["median"]
         print(f"{args.axis}={value}: median val_acc={med:.4f}")
-    (out_dir / "sweep.csv").write_text("\n".join(long_rows) + "\n", encoding="utf-8")
+    with _usage_errors("out_dir"):
+        (out_dir / "sweep.csv").write_text("\n".join(long_rows) + "\n", encoding="utf-8")
     print(f"wrote {out_dir / 'sweep.csv'} ({len(long_rows) - 1} rows)")
     return _divergence_status([r for records in groups for r in records])
 

@@ -174,16 +174,23 @@ def _finite(raw: str) -> float:
     return value
 
 
+def _group(raw: str) -> tuple:
+    """One ``model.groups`` entry, ``<blocks>x<channels>``, as two ints."""
+    try:
+        blocks, channels = raw.lower().split("x")
+        return int(blocks), int(channels)
+    except ValueError:
+        raise ValueError(f"entries must read <blocks>x<channels>, got {raw.strip()!r}") from None
+
+
 def _parse_value(key, name, raw, kind):
     try:
         if name == "seeds":
             return tuple(int(v) for v in _entries(raw))
         if name == "model_groups":
-            groups = []
-            for part in raw.split(","):
-                b, c = part.strip().lower().split("x")
-                groups.append((int(b), int(c)))
-            return tuple(groups)
+            if not (groups := tuple(map(_group, _entries(raw)))):
+                raise ValueError("needs at least one <blocks>x<channels> entry")
+            return groups
         if name == "train_lr_decay_points":
             return tuple(_finite(v) for v in _entries(raw))
         if kind is bool:

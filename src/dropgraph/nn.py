@@ -14,6 +14,10 @@ parameters, so an eval-mode model stays differentiable.
 
 Conv kernels, linear weights and the regularizers' GCN weights start from
 ``kaiming``, the He initialisation N(0, 2 / fan_in) (arXiv 1502.01852).
+
+A module's state is its ``Tensor`` attributes and its children's: those that
+require grad are its parameters, the others (batch-norm running statistics)
+its buffers.
 """
 
 from __future__ import annotations
@@ -196,27 +200,19 @@ class Module:
                     if isinstance(item, Module):
                         yield f"{name}.{i}", item
 
-    def named_parameters(self, prefix: str = ""):
+    def named_tensors(self, prefix: str = ""):
+        """Every ``Tensor`` attribute of this module and its children, by dotted name."""
         for name, value in self.__dict__.items():
-            if isinstance(value, Tensor) and value.requires_grad:
+            if isinstance(value, Tensor):
                 yield (f"{prefix}{name}", value)
         for name, child in self._children():
-            yield from child.named_parameters(prefix=f"{prefix}{name}.")
+            yield from child.named_tensors(prefix=f"{prefix}{name}.")
 
-    def named_buffers(self, prefix: str = ""):
-        """Non-trainable state arrays (e.g. batch-norm running statistics)."""
-        for name, value in self.__dict__.items():
-            if isinstance(value, np.ndarray):
-                yield (f"{prefix}{name}", value)
-        for name, child in self._children():
-            yield from child.named_buffers(prefix=f"{prefix}{name}.")
+    def named_parameters(self):
+        return ((name, t) for name, t in self.named_tensors() if t.requires_grad)
 
-    def set_buffer(self, name: str, value):
-        parts = name.split(".")
-        obj = self
-        for part in parts[:-1]:
-            obj = obj[int(part)] if isinstance(obj, (list, tuple)) else getattr(obj, part)
-        setattr(obj, parts[-1], value)
+    def named_buffers(self):
+        return ((name, t) for name, t in self.named_tensors() if not t.requires_grad)
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]
@@ -250,8 +246,8 @@ class ConvBN(Module):
         self.bias = Tensor(np.zeros(cout), requires_grad=True) if bias else None
         self.gamma = Tensor(np.ones(cout), requires_grad=True)
         self.beta = Tensor(np.zeros(cout), requires_grad=True)
-        self.running_mean = np.zeros(cout)
-        self.running_var = np.ones(cout)
+        self.running_mean = Tensor(np.zeros(cout))
+        self.running_var = Tensor(np.ones(cout))
         self.stride = stride
         self.padding = k // 2
 
@@ -259,13 +255,13 @@ class ConvBN(Module):
         if self.training:
             out, m, v = batchnorm_train(conv2d(x, self.kernel, self.bias, self.stride,
                                                self.padding), self.gamma, self.beta)
-            mom = BN_MOMENTUM
-            self.running_mean = (1.0 - mom) * self.running_mean + mom * m
-            self.running_var = (1.0 - mom) * self.running_var + mom * v
+            mom, rm, rv = BN_MOMENTUM, self.running_mean, self.running_var
+            rm.data = (1.0 - mom) * rm.data + mom * m
+            rv.data = (1.0 - mom) * rv.data + mom * v
             return out
-        inv = Tensor(1.0 / np.sqrt(self.running_var + BN_EPS))
+        inv = Tensor(1.0 / np.sqrt(self.running_var.data + BN_EPS))
         scale = self.gamma * inv
-        shift = self.beta - Tensor(self.running_mean) * scale
+        shift = self.beta - Tensor(self.running_mean.data) * scale  # no tape node on the buffer
         kernel = self.kernel * scale.reshape(scale.data.shape[0], 1, 1, 1)
         bias = shift if self.bias is None else self.bias * scale + shift
         return conv2d(x, kernel, bias, self.stride, self.padding)

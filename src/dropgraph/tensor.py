@@ -20,7 +20,8 @@ the graph: each interior node drops its gradient, closure and parent links
 once its closure has run, and a second ``backward()`` through a consumed
 node raises ``ContractError``.  The tape is rebuilt on every forward call,
 so stochastic graph topologies (a different vertex set each step) need no
-special handling.
+special handling.  The two-operand ops (add, mul, div, matmul) state only
+their gradient formulas; ``_binary_backward`` builds each one's closure.
 
 Since no closure keeps a relu's input, ``record_relu_inputs`` collects the
 input of every relu run under it; it is installed like ``no_grad``, and
@@ -28,8 +29,9 @@ input of every relu run under it; it is installed like ``no_grad``, and
 
 Closures capture arrays at forward time, so ``data`` must not be rebound
 between a forward pass and its ``backward()``.  No caller does: ``SGD.step``
-rebinds after ``backward()``, and ``grad_check`` edits ``data`` in place and
-then runs a new forward pass.  All values are float64; one tape must only
+rebinds after ``backward()``, a training ``ConvBN`` rebinds running statistics
+that no backward reads, and ``grad_check`` edits ``data`` in place and then
+runs a new forward pass.  All values are float64; one tape must only
 ever be driven by a single thread.
 """
 
@@ -285,44 +287,37 @@ def _sum_to_shape(g: np.ndarray, shape: tuple) -> np.ndarray:
 # operand's gradient that reads the other's value keeps it only if needed.
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
+def _binary_backward(a: Tensor, b: Tensor, grad_a, grad_b):
+    """The backward of a two-operand op: ``grad_a(g)``, ``grad_b(g)`` for each operand
+    that requires grad, reduced to its shape and accumulated."""
     sa, sb = a.data.shape, b.data.shape
 
     def backward(g, na, nb):
         if na.requires_grad:
-            na._accum(_sum_to_shape(g, sa))
+            na._accum(_sum_to_shape(grad_a(g), sa))
         if nb.requires_grad:
-            nb._accum(_sum_to_shape(g, sb))
+            nb._accum(_sum_to_shape(grad_b(g), sb))
 
+    return backward
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    a, b = _lift(a), _lift(b)
+    backward = _binary_backward(a, b, lambda g: g, lambda g: g)
     return Tensor._result(a.data + b.data, (a, b), backward, "add")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
-    sa, sb = a.data.shape, b.data.shape
     av, bv = (a.data if b.requires_grad else None), (b.data if a.requires_grad else None)
-
-    def backward(g, na, nb):
-        if na.requires_grad:
-            na._accum(_sum_to_shape(g * bv, sa))
-        if nb.requires_grad:
-            nb._accum(_sum_to_shape(g * av, sb))
-
+    backward = _binary_backward(a, b, lambda g: g * bv, lambda g: g * av)
     return Tensor._result(a.data * b.data, (a, b), backward, "mul")
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
-    sa, sb = a.data.shape, b.data.shape
     av, bv = (a.data if b.requires_grad else None), b.data
-
-    def backward(g, na, nb):
-        if na.requires_grad:
-            na._accum(_sum_to_shape(g / bv, sa))
-        if nb.requires_grad:
-            nb._accum(_sum_to_shape(-g * av / (bv * bv), sb))
-
+    backward = _binary_backward(a, b, lambda g: g / bv, lambda g: -g * av / (bv * bv))
     return Tensor._result(a.data / b.data, (a, b), backward, "div")
 
 
@@ -415,21 +410,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}"
         )
-    sa, sb = a.data.shape, b.data.shape
     av, bv = (a.data if b.requires_grad else None), (b.data if a.requires_grad else None)
-
-    def backward(g, na, nb):
-        if na.requires_grad:
-            ga = g @ _matrix_t(bv)
-            na._accum(_sum_to_shape(ga, sa))
-        if nb.requires_grad:
-            if len(sb) == 2:
-                # One matrix shared by a stack: one GEMM over all the stack's rows.
-                gb = av.reshape(-1, sa[-1]).T @ g.reshape(-1, g.shape[-1])
-            else:
-                gb = _sum_to_shape(_matrix_t(av) @ g, sb)
-            nb._accum(gb)
-
+    k = a.data.shape[-1]
+    # A matrix shared by a stack takes one GEMM over all the stack's rows.
+    grad_b = ((lambda g: av.reshape(-1, k).T @ g.reshape(-1, g.shape[-1])) if b.data.ndim == 2
+              else (lambda g: _matrix_t(av) @ g))
+    backward = _binary_backward(a, b, lambda g: g @ _matrix_t(bv), grad_b)
     return Tensor._result(a.data @ b.data, (a, b), backward, "matmul")
 
 

@@ -158,6 +158,7 @@ def check_gradient_soundness():
 
 def check_inference_skip_identity():
     rng = np.random.default_rng(202)
+    eval_rng = RngStream(13, ("eval",))  # no regularizer below reads its stream in eval
     kinds = [
         RegularizerConfig(kind="dropgraph"),
         RegularizerConfig(kind="dropgraph", adjacency="uniform"),
@@ -193,8 +194,8 @@ def check_inference_skip_identity():
             for _ in range(5):
                 x = Tensor(rng.normal(size=(2, 1, 16, 16)))
                 with no_grad():
-                    a = reg(x)
-                    b = bare(x)
+                    a = reg(x, eval_rng, None)
+                    b = bare(x, eval_rng, None)
                 if not np.array_equal(a.data, b.data):
                     return False, f"cnn eval outputs differ for kind={reg_cfg.kind}"
     # graph backbone
@@ -206,7 +207,7 @@ def check_inference_skip_identity():
         gm.eval()
         bare.eval()
         with no_grad():
-            if not np.array_equal(gm(g).data, bare(g).data):
+            if not np.array_equal(gm(g, eval_rng, None).data, bare(g, eval_rng, None).data):
                 return False, f"gcn eval outputs differ for kind={kind}"
     return True, f"{len(kinds)} cnn variants + 2 gcn variants bit-identical in eval"
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -36,13 +38,36 @@ def _small_model(seed: int) -> TinyResNet:
 
 def test_checkpoint_round_trip(tmp_path):
     src, dst = _small_model(1), _small_model(2)
-    src.blocks[0].conv1.running_mean = np.arange(4.0)
+    src.blocks[0].conv1.running_mean.data = np.arange(4.0)
     path = tmp_path / "model.ckpt"
     save_checkpoint(src, path)
     apply_checkpoint(dst, path)
     for (name, p), (_, q) in zip(src.named_parameters(), dst.named_parameters()):
         npt.assert_array_equal(p.data, q.data, err_msg=name)
-    npt.assert_array_equal(dst.blocks[0].conv1.running_mean, np.arange(4.0))
+    npt.assert_array_equal(dst.blocks[0].conv1.running_mean.data, np.arange(4.0))
+
+
+# SHA-256 of the checkpoint below, as the format was when batch-norm buffers
+# were plain arrays: it pins names, order (parameters, then buffers), dtypes
+# and header bytes.
+_CHECKPOINT_SHA256 = "bda44929fa4bcf6cc205963de19726f512626dd31274b6522956d06dc1c691c6"
+
+
+def test_checkpoint_bytes_are_pinned_and_restore_every_buffer(tmp_path):
+    model = _small_model(11)
+    x = Tensor(RngStream(12).normal(size=(2, 1, 8, 8)))
+    for step in range(2):  # train-mode steps move the running statistics
+        model(x, RngStream(13).child("step", step), None)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _CHECKPOINT_SHA256
+    bare = _small_model(14)
+    apply_checkpoint(bare, path)
+    buffers = list(model.named_buffers())
+    assert len(buffers) == 2 * 6  # running mean and variance of six conv-norm units
+    for (name, want), (bare_name, got) in zip(buffers, bare.named_buffers(), strict=True):
+        assert bare_name == name
+        npt.assert_array_equal(got.data, want.data, err_msg=name)
 
 
 def _tiny_gcn_checkpoint(path):
@@ -114,8 +139,7 @@ def test_dataset_cache_loaded_as_checkpoint_raises_contract_error(tmp_path):
                                          ("head.bias", np.int64)])
 def test_checkpoint_dtype_mismatch_raises_contract_error(tmp_path, name, dtype):
     src = _small_model(6)
-    stored = {n: p.data for n, p in src.named_parameters()}
-    stored.update(src.named_buffers())
+    stored = {n: t.data for n, t in src.named_tensors()}
     stored[name] = stored[name].astype(dtype)
     path = tmp_path / "model.ckpt"
     save_arrays(path, "checkpoint", stored)

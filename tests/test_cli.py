@@ -110,12 +110,20 @@ def test_verify_exits_1_on_a_failed_check(monkeypatch, capsys):
      "seeds: a seed must be >= 0, got 1,2,-3"),
     (_GRAPH + "data.seed = -4\n", [], "data: seed must be >= 0, got -4"),
     (b"task = node_graph\xff\n", [], "config: not UTF-8 text (byte 17): "),
+    (_GRAPH + "model.groups = 2x16,,2x32\n", [], "model.groups: blank entry in the list"),
+    (_GRAPH + "model.groups = 2x16,abc\n", [],
+     "model.groups: entries must read <blocks>x<channels>, got 'abc'"),
+    (_GRAPH + "model.groups = 2x16,2x3x4\n", [],
+     "model.groups: entries must read <blocks>x<channels>, got '2x3x4'"),
+    (_GRAPH + "model.groups =\n", [], "model.groups: needs at least one <blocks>x<channels> entry"),
 ], ids=["missing_file", "bad_key", "seeds_not_int", "seeds_empty_entry", "two_seeds",
         "repeated_seed",        "threads_0", "values_empty", "value_out_of_range", "values_same_parsed_value",
         "value_unknown", "seeds_comment", "threads_newline", "values_comment", "values_newline",
         "pgr_learned", "node_graph_dropgraph_learned", "sweep_node_graph_learned",
         "zero_width_gcn", "zero_width_features", "negative_feature_noise",
-        "negative_seed", "sweep_negative_seed", "negative_data_seed", "not_utf8"])
+        "negative_seed", "sweep_negative_seed", "negative_data_seed", "not_utf8",
+        "groups_blank_entry", "groups_entry_without_x", "groups_entry_with_two_x",
+        "groups_empty"])
 def test_config_errors_exit_2_before_any_output(tmp_path, capsys, text, extra, message):
     config = _write(tmp_path, text) if text is not None else str(tmp_path / "missing.cfg")
     out = tmp_path / "out"
@@ -145,6 +153,28 @@ def test_output_dir_that_is_a_file_exits_2(tmp_path, capsys):
     assert rc == 2
     assert err.count("\n") == 1 and err.startswith("error: out_dir: "), err
     assert afile.read_text(encoding="utf-8") == "keep"
+    # An output file that is a directory: one error line naming it, exit 2.
+    for command, output in ((["run"], "config.txt"), (["run"], "dataset.dgd"),
+                            (["sweep", "--axis", "kind", "--values", "none,dropout"],
+                             "sweep.csv")):
+        out = tmp_path / f"out_{output}"
+        (out / output).mkdir(parents=True)
+        rc = cli.main([command[0], _write(tmp_path, _GRAPH), "--out-dir", str(out), *command[1:]])
+        err = capsys.readouterr().err
+        assert rc == 2, output
+        assert err == f"error: out_dir: Is a directory: {out / output}\n", err
+
+
+def test_config_with_a_byte_order_mark_parses_as_without_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    seen = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        config = _write(tmp_path, mark + _GRAPH.encode())
+        assert cli.main(["run", config, "--out-dir", str(out)]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        seen.append((header, (out / "config.txt").read_text(encoding="utf-8")))
+    assert seen[0] == seen[1]
+    assert "| config=" in seen[0][0]
 
 
 def test_config_path_that_is_a_directory_exits_2(tmp_path, capsys):

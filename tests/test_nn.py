@@ -190,15 +190,15 @@ def test_batchnorm_eval_is_affine_and_stateless():
     bn = ConvBN(3, 3, 3, 1, RngStream(0, ("bn",)))
     for _ in range(5):
         bn(Tensor(RNG.normal(size=(8, 3, 4, 4)) * 2 + 1))
-    assert (bn.running_var > 0).all()
+    assert (bn.running_var.data > 0).all()
     bn.eval()
-    rm, rv = bn.running_mean.copy(), bn.running_var.copy()
+    rm, rv = bn.running_mean.data.copy(), bn.running_var.data.copy()
     x = RNG.normal(size=(4, 3, 4, 4))
     y1 = bn(Tensor(x)).data
     y2 = bn(Tensor(x)).data
     npt.assert_array_equal(y1, y2)
-    npt.assert_array_equal(bn.running_mean, rm)
-    npt.assert_array_equal(bn.running_var, rv)
+    npt.assert_array_equal(bn.running_mean.data, rm)
+    npt.assert_array_equal(bn.running_var.data, rv)
     # affine: f(a*x1 + (1-a)*x2) == a*f(x1) + (1-a)*f(x2)
     x2 = RNG.normal(size=(4, 3, 4, 4))
     lhs = bn(Tensor(0.3 * x + 0.7 * x2)).data
@@ -246,8 +246,8 @@ def _eval_conv_bn(bias: bool, stride: int, padding: int, k: int):
     assert unit.padding == padding  # same-padding, k // 2
     unit.gamma.data = rng.child("gamma").normal(size=4) + 1.0
     unit.beta.data = rng.child("beta").normal(size=4)
-    unit.running_mean = rng.child("mean").normal(size=4)
-    unit.running_var = rng.child("var").uniform(size=4) + 0.5
+    unit.running_mean.data = rng.child("mean").normal(size=4)
+    unit.running_var.data = rng.child("var").uniform(size=4) + 0.5
     if bias:
         unit.bias.data = rng.child("bias").normal(size=4)
     unit.eval()
@@ -267,8 +267,8 @@ def test_eval_conv_bn_matches_unfused(bias, stride, padding, k):
     assert fused._op == "conv2d"  # the batch norm is folded, not applied after
     # The unfused eval batch norm, in numpy, after the conv.
     per_channel = lambda a: a[:, None, None]  # noqa: E731
-    unfused = ((_conv_of(unit, x).data - per_channel(unit.running_mean))
-               / per_channel(np.sqrt(unit.running_var + BN_EPS))
+    unfused = ((_conv_of(unit, x).data - per_channel(unit.running_mean.data))
+               / per_channel(np.sqrt(unit.running_var.data + BN_EPS))
                * per_channel(unit.gamma.data) + per_channel(unit.beta.data))
     assert _rel_err(fused.data, unfused) <= 1e-12
 
@@ -276,12 +276,12 @@ def test_eval_conv_bn_matches_unfused(bias, stride, padding, k):
 def test_train_conv_bn_is_bn_of_conv():
     unit, x = _eval_conv_bn(True, 1, 1, 3)
     unit.train()
-    rm, rv = unit.running_mean.copy(), unit.running_var.copy()
+    rm, rv = unit.running_mean.data.copy(), unit.running_var.data.copy()
     # Train-mode batch norm ignores the running statistics it updates.
     out, m, v = batchnorm_train(_conv_of(unit, x), unit.gamma, unit.beta)
     npt.assert_array_equal(unit(x).data, out.data)
-    npt.assert_array_equal(unit.running_mean, (1.0 - BN_MOMENTUM) * rm + BN_MOMENTUM * m)
-    npt.assert_array_equal(unit.running_var, (1.0 - BN_MOMENTUM) * rv + BN_MOMENTUM * v)
+    npt.assert_array_equal(unit.running_mean.data, (1.0 - BN_MOMENTUM) * rm + BN_MOMENTUM * m)
+    npt.assert_array_equal(unit.running_var.data, (1.0 - BN_MOMENTUM) * rv + BN_MOMENTUM * v)
 
 
 @pytest.mark.parametrize("bias", [True, False])

@@ -152,3 +152,17 @@ def test_source_lines_counts_the_program_modules_as_wc_does(tmp_path):
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_a.py").write_text("outside = 1\n")
     assert rc.source_lines(tmp_path) == 5
+
+
+def test_a_difference_names_the_first_line_where_the_trees_differ(tmp_path):
+    configs = {"diverges": rc.Verify()}
+    for root, warning in (("a", "overflow in matmul"), ("b", "overflow in multiply")):
+        (tmp_path / root / "diverges").mkdir(parents=True)
+        (tmp_path / root / "diverges" / "console.txt").write_text(
+            f"# header\n{warning}\n--- exit 3\n", encoding="utf-8")
+    [d] = rc.diff_outputs(tmp_path / "a", tmp_path / "b", configs)
+    assert (d.config, d.file, d.line) == ("diverges", "console.txt", 2)
+    assert (d.a_line, d.b_line) == ("overflow in matmul\n", "overflow in multiply\n")
+    assert math.isinf(d.deviation)
+    assert rc.first_difference("a\n", "a\nb\n") == (2, "<end of file>", "b\n")
+    assert rc.first_difference("a\nb", "a\nb\n") == (2, "b", "b\n")

@@ -21,7 +21,17 @@ config the tool compares
   each check's seconds, which the tool writes as ``<seconds>``,
 
 and prints one line per differing file with the largest relative deviation
-between its numbers (``inf`` when the files differ in anything but numbers).
+between its numbers (``inf`` when the files differ in anything but numbers),
+then the first line where the two trees' files differ, from each.
+
+A warning also echoes the text of the source line it comes from, so the
+text of these lines is part of the diverging configs' consoles: ``mul``'s
+and ``matmul``'s ``return Tensor._result(...)`` lines in ``tensor.py``,
+``_conv``'s ``np.matmul(w2d, cols, out=out[i])``, and in ``nn.py``
+``conv2d``'s ``out += bias.data[None, :, None, None]`` and
+``batchnorm_train``'s ``xc = x.data - mean[:, None, None]``.  Rewriting one
+changes those consoles even when every record holds.
+
 The summary line ends with the line count of ``src/dropgraph/*.py`` in the
 parent and in this checkout, as ``wc -l`` counts them.
 The dataset cache is not compared: it is a pure function of ``data.seed``.
@@ -42,6 +52,7 @@ import sys
 import tarfile
 import tempfile
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -267,6 +278,20 @@ class Difference:
     config: str
     file: str
     deviation: float
+    line: int  # the first differing line, counted from 1, and its text in each tree
+    a_line: str
+    b_line: str
+
+
+def first_difference(a: str, b: str) -> tuple:
+    """(number, a's line, b's line) of the first line where two different texts differ.
+
+    Lines keep their ends, so a missing final newline shows; past its last
+    line a text reads ``<end of file>``.
+    """
+    pairs = zip_longest(a.splitlines(keepends=True), b.splitlines(keepends=True),
+                        fillvalue="<end of file>")
+    return next((i, x, y) for i, (x, y) in enumerate(pairs, 1) if x != y)
 
 
 def diff_outputs(a_root: Path, b_root: Path, configs: dict = CONFIGS) -> list:
@@ -277,7 +302,8 @@ def diff_outputs(a_root: Path, b_root: Path, configs: dict = CONFIGS) -> list:
             a = _normalized(a_root / name / fname)
             b = _normalized(b_root / name / fname)
             if a != b:
-                diffs.append(Difference(name, fname, max_relative_deviation(a, b)))
+                diffs.append(Difference(name, fname, max_relative_deviation(a, b),
+                                        *first_difference(a, b)))
     return diffs
 
 
@@ -327,6 +353,7 @@ def main(argv=None) -> int:
         lines = (source_lines(parent_tree), source_lines(REPO))
     for d in diffs:
         print(f"DIFF {d.config}/{d.file}: max relative deviation {d.deviation:.3g}")
+        print(f"  line {d.line} parent: {d.a_line!r}\n  line {d.line} head:   {d.b_line!r}")
     worst = max((d.deviation for d in diffs), default=0.0)
     print(f"{len(CONFIGS)} entries, {len(diffs)} differing files, "
           f"max relative deviation {worst:.3g}, src/dropgraph {lines[0]:,} -> {lines[1]:,} lines")
